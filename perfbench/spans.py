@@ -21,49 +21,58 @@ LAYERS = ("modulus", "bodies", "strongconv", "radius_theory", "seb", "arcpoly",
           "cli", "jsonio", "svgio")
 
 
-def _chord_counts(args, result):
-    n = len(args["points"])
-    return {"pairs": n * n, "chords": 0 if result is None else len(result[0])}
+def _chords(args, result):
+    return 0 if result is None else len(result[0])
 
 
-# (module, attribute path, span name, counter).  A counter maps the bound call
-# arguments and the result to counts summed per span name.  "pairs" is computed
-# from array sizes: the n x n distance entries the search scans.
+def _dirs(args, result):
+    return len(args["P"])
+
+
+# (module, attribute path, span name, counters).  Each counter maps the bound
+# call arguments and the result to a count summed per span name and reported
+# as "<span>.<key>".  "pairs" of the chord search is computed from array
+# sizes: the n x n distance entries the search scans.
 NAMED = [
-    ("modulus", "_chords_of_length", "modulus.chord_search", _chord_counts),
+    ("modulus", "_chords_of_length", "modulus.chord_search",
+     {"pairs": lambda a, r: len(a["points"]) ** 2, "chords": _chords}),
     ("modulus", "BoundaryParam.inscribed_radii", "modulus.inscribed_radii",
-     lambda a, r: {"points": len(a["pts"])}),
-    ("modulus", "BoundaryParam.__init__", "modulus.boundary_param", None),
+     {"points": lambda a, r: len(a["pts"])}),
+    ("modulus", "BoundaryParam.__init__", "modulus.boundary_param", {}),
     ("modulus", "_sectioned_estimate", "modulus.sectioned",
-     lambda a, r: {"sections": int(a["sections"])}),
-    ("modulus", "fit_second_order", "modulus.fit", None),
-    ("bodies", "default_grid", "bodies.default_grid", None),
-    ("bodies", "sphere_grid", "bodies.sphere_grid", None),
-    ("bodies", "steiner_point", "bodies.steiner_point", None),
+     {"sections": lambda a, r: int(a["sections"])}),
+    ("modulus", "fit_second_order", "modulus.fit", {}),
+    ("bodies", "default_grid", "bodies.default_grid", {}),
+    ("bodies", "sphere_grid", "bodies.sphere_grid", {}),
+    ("bodies", "steiner_point", "bodies.steiner_point", {}),
     ("strongconv", "check_strong_convexity", "strongconv.check",
-     lambda a, r: {"pairs": int(r.samples_tested)}),
-    ("strongconv", "min_strong_radius", "strongconv.min_radius", None),
+     {"pairs": lambda a, r: int(r.samples_tested)}),
+    ("strongconv", "min_strong_radius", "strongconv.min_radius", {}),
     ("radius_theory", "radius_fixed_point", "radius_theory.fixed_point",
-     lambda a, r: {"iterations": len(r.values) - 1}),
-    ("seb", "smallest_enclosing_circle", "seb", lambda a, r: {"points": len(a["points"])}),
-    ("arcpoly", "r_hull", "arcpoly.r_hull",
-     lambda a, r: {"pieces": len(r.pieces)}),
-    ("arcpoly", "disk_intersection", "arcpoly.disk_intersection", None),
-    ("arcpoly", "clip_with_disk", "arcpoly.clip", None),
-    ("arcpoly", "_dedupe", "arcpoly.dedupe", lambda a, r: {"points": len(a["points"])}),
-    ("arcpoly", "ArcPolygon.support_values", "arcpoly.support_values",
-     lambda a, r: {"dirs": len(a["P"])}),
-    ("arcpoly", "ArcPolygon.support_points", "arcpoly.support_points",
-     lambda a, r: {"dirs": len(a["P"])}),
-    ("cli", "scan_curve", "cli.scan_curve", None),
-    ("jsonio", "load_body", "jsonio.load_body", None),
-    ("jsonio", "dumps_canonical", "jsonio.dumps", None),
-    ("svgio", "render_svg", "svgio.render_svg", None),
+     {"iterations": lambda a, r: len(r.values) - 1}),
+    ("seb", "smallest_enclosing_circle", "seb", {"points": lambda a, r: len(a["points"])}),
+    ("arcpoly", "r_hull", "arcpoly.r_hull", {"pieces": lambda a, r: len(r.pieces)}),
+    ("arcpoly", "disk_intersection", "arcpoly.disk_intersection", {}),
+    ("arcpoly", "clip_with_disk", "arcpoly.clip", {}),
+    ("arcpoly", "_dedupe", "arcpoly.dedupe", {"points": lambda a, r: len(a["points"])}),
+    ("arcpoly", "ArcPolygon.support_values", "arcpoly.support_values", {"dirs": _dirs}),
+    ("arcpoly", "ArcPolygon.support_points", "arcpoly.support_points", {"dirs": _dirs}),
+    ("cli", "scan_curve", "cli.scan_curve", {}),
+    ("jsonio", "load_body", "jsonio.load_body", {}),
+    ("jsonio", "dumps_canonical", "jsonio.dumps", {}),
+    ("svgio", "render_svg", "svgio.render_svg", {}),
 ]
 
 # The batch oracles of every body class defined in ``bodies``.
 BODY_METHODS = [("support_values", "bodies.support_values"),
                 ("support_points", "bodies.support_points")]
+
+# Every span the tracer can record, with its counter keys.
+SPAN_COUNTERS = {
+    **{span: list(counters) for _, _, span, counters in NAMED},
+    **{span: ["dirs"] for _, span in BODY_METHODS},
+    **{f"{layer}.other": [] for layer in LAYERS},
+}
 
 
 class Tracer:
@@ -77,7 +86,7 @@ class Tracer:
 
     # -- wrapping ------------------------------------------------------------
 
-    def _wrap(self, fn, name, counter):
+    def _wrap(self, fn, name, counters):
         sig = inspect.signature(fn)
         spans = self.spans
         stack = self._stack
@@ -92,11 +101,11 @@ class Tracer:
             finally:
                 rec[2] = time.perf_counter()
                 stack.pop()
-            if counter is not None:
+            if counters:
                 try:
                     bound = sig.bind(*args, **kwargs)
                     bound.apply_defaults()
-                    rec[4] = counter(bound.arguments, result)
+                    rec[4] = {k: c(bound.arguments, result) for k, c in counters.items()}
                 except (KeyError, TypeError, AttributeError):
                     rec[4] = {}
             return result
@@ -115,18 +124,19 @@ class Tracer:
                 mods[name] = importlib.import_module(f"strconvex.{name}")
             except ModuleNotFoundError:
                 mods[name] = None
+                self.absent.append(f"{name}.other")
         bindings = [m for n, m in sys.modules.items()
                     if m is not None and (n == "strconvex" or n.startswith("strconvex."))]
         named = set()
 
-        def wrap_function(fn, span, counter):
-            wrapped = self._wrap(fn, span, counter)
+        def wrap_function(fn, span, counters):
+            wrapped = self._wrap(fn, span, counters)
             for mod in bindings:
                 for attr, value in list(vars(mod).items()):
                     if value is fn:
                         self._patch(mod, attr, wrapped)
 
-        for layer, path, span, counter in NAMED:
+        for layer, path, span, counters in NAMED:
             owner, _, attr = path.rpartition(".")
             target = mods[layer]
             if owner and target is not None:
@@ -135,10 +145,10 @@ class Tracer:
             if not callable(fn):
                 self.absent.append(span)
             elif owner:
-                self._patch(target, attr, self._wrap(fn, span, counter))
+                self._patch(target, attr, self._wrap(fn, span, counters))
             else:
                 named.add(fn)
-                wrap_function(fn, span, counter)
+                wrap_function(fn, span, counters)
 
         bodies = mods["bodies"]
         base = getattr(bodies, "ConvexBody", None)
@@ -151,7 +161,7 @@ class Tracer:
                 self.absent.append(span)
             for cls in owners:
                 self._patch(cls, method, self._wrap(vars(cls)[method], span,
-                                                    lambda a, r: {"dirs": len(a["P"])}))
+                                                    {"dirs": _dirs}))
 
         for layer, mod in mods.items():
             if mod is None:
@@ -161,7 +171,7 @@ class Tracer:
                        and v.__module__ == mod.__name__ and v not in named
                        and not hasattr(v, "__wrapped_by_perfbench__")]:
                 named.add(fn)
-                wrap_function(fn, f"{layer}.other", None)
+                wrap_function(fn, f"{layer}.other", {})
 
     def uninstall(self):
         for owner, attr, original in reversed(self._patches):
@@ -209,83 +219,27 @@ def merge(total, part):
     return total
 
 
-# Per-layer metrics: (name, unit, span, field).  Field "self" is self seconds,
-# "calls" the span count, anything else a counter key; all are per operation.
-PER_LAYER = [
-    ("modulus.chord_search.s", "s/op", "modulus.chord_search", "self"),
-    ("modulus.chord_search.calls", "calls/op", "modulus.chord_search", "calls"),
-    ("modulus.chord_search.pairs", "pairs/op", "modulus.chord_search", "pairs"),
-    ("modulus.chord_search.chords", "chords/op", "modulus.chord_search", "chords"),
-    ("modulus.inscribed_radii.s", "s/op", "modulus.inscribed_radii", "self"),
-    ("modulus.inscribed_radii.points", "points/op", "modulus.inscribed_radii", "points"),
-    ("modulus.boundary_param.s", "s/op", "modulus.boundary_param", "self"),
-    ("modulus.boundary_param.calls", "calls/op", "modulus.boundary_param", "calls"),
-    ("modulus.sectioned.s", "s/op", "modulus.sectioned", "self"),
-    ("modulus.sectioned.calls", "calls/op", "modulus.sectioned", "calls"),
-    ("modulus.sectioned.sections", "sections/op", "modulus.sectioned", "sections"),
-    ("modulus.fit.s", "s/op", "modulus.fit", "self"),
-    ("modulus.other.s", "s/op", "modulus.other", "self"),
-    ("bodies.support_values.s", "s/op", "bodies.support_values", "self"),
-    ("bodies.support_values.dirs", "dirs/op", "bodies.support_values", "dirs"),
-    ("bodies.support_points.s", "s/op", "bodies.support_points", "self"),
-    ("bodies.support_points.dirs", "dirs/op", "bodies.support_points", "dirs"),
-    ("bodies.default_grid.s", "s/op", "bodies.default_grid", "self"),
-    ("bodies.default_grid.calls", "calls/op", "bodies.default_grid", "calls"),
-    ("bodies.sphere_grid.s", "s/op", "bodies.sphere_grid", "self"),
-    ("bodies.steiner_point.calls", "calls/op", "bodies.steiner_point", "calls"),
-    ("bodies.other.s", "s/op", "bodies.other", "self"),
-    ("strongconv.check.s", "s/op", "strongconv.check", "self"),
-    ("strongconv.check.calls", "calls/op", "strongconv.check", "calls"),
-    ("strongconv.check.pairs", "pairs/op", "strongconv.check", "pairs"),
-    ("strongconv.min_radius.s", "s/op", "strongconv.min_radius", "self"),
-    ("strongconv.min_radius.calls", "calls/op", "strongconv.min_radius", "calls"),
-    ("strongconv.other.s", "s/op", "strongconv.other", "self"),
-    ("radius_theory.fixed_point.iterations", "iter/op", "radius_theory.fixed_point",
-     "iterations"),
-    ("seb.s", "s/op", "seb", "self"),
-    ("seb.calls", "calls/op", "seb", "calls"),
-    ("seb.points", "points/op", "seb", "points"),
-    ("arcpoly.r_hull.s", "s/op", "arcpoly.r_hull", "self"),
-    ("arcpoly.hull_pieces", "pieces/op", "arcpoly.r_hull", "pieces"),
-    ("arcpoly.disk_intersection.s", "s/op", "arcpoly.disk_intersection", "self"),
-    ("arcpoly.disk_intersection.calls", "calls/op", "arcpoly.disk_intersection", "calls"),
-    ("arcpoly.clip.s", "s/op", "arcpoly.clip", "self"),
-    ("arcpoly.clip.calls", "calls/op", "arcpoly.clip", "calls"),
-    ("arcpoly.dedupe.s", "s/op", "arcpoly.dedupe", "self"),
-    ("arcpoly.dedupe.points", "points/op", "arcpoly.dedupe", "points"),
-    ("arcpoly.support_points.s", "s/op", "arcpoly.support_points", "self"),
-    ("arcpoly.support_points.dirs", "dirs/op", "arcpoly.support_points", "dirs"),
-    ("arcpoly.support_values.s", "s/op", "arcpoly.support_values", "self"),
-    ("arcpoly.other.s", "s/op", "arcpoly.other", "self"),
-    ("cli.scan_curve.s", "s/op", "cli.scan_curve", "self"),
-    ("cli.other.s", "s/op", "cli.other", "self"),
-    ("jsonio.load_body.s", "s/op", "jsonio.load_body", "self"),
-    ("jsonio.dumps.s", "s/op", "jsonio.dumps", "self"),
-    ("svgio.render_svg.s", "s/op", "svgio.render_svg", "self"),
-]
-
-
 def layer_metrics(agg, ops, absent):
-    """Per-operation values of PER_LAYER plus the derived entries.
+    """Per-operation metrics of every span, plus the derived entries.
 
-    A metric whose span or counter the program no longer has is left out
-    (reported absent), never reported as zero.
+    Each span gives "<span>.s" (self seconds), "<span>.calls" and one
+    "<span>.<key>" per counter key.  A span the program no longer has, or a
+    counter its calls no longer yield, is left out (reported absent), never
+    reported as zero.
     """
     absent = set(absent)
     out = {}
-    for name, unit, span, field in PER_LAYER:
+    for span, keys in SPAN_COUNTERS.items():
         if span in absent:
             continue
         row = agg.get(span, {"self_s": 0.0, "calls": 0, "counts": {}})
-        if field == "self":
-            value = row["self_s"]
-        elif field == "calls":
-            value = row["calls"]
-        elif field in row["counts"] or row["calls"] == 0:
-            value = row["counts"].get(field, 0)
-        else:
-            continue
-        out[name] = (value / ops, unit)
+        out[f"{span}.s"] = (row["self_s"] / ops, "s/op")
+        out[f"{span}.calls"] = (row["calls"] / ops, "calls/op")
+        for key in keys:
+            if key in row["counts"] or row["calls"] == 0:
+                out[f"{span}.{key}"] = (row["counts"].get(key, 0) / ops, f"{key}/op")
+    if "arcpoly.r_hull.pieces" in out:
+        out["arcpoly.hull_pieces"] = out.pop("arcpoly.r_hull.pieces")
     if "strongconv.min_radius" not in absent and "strongconv.check" not in absent:
         calls = agg.get("strongconv.min_radius", {}).get("calls", 0)
         nested = agg.get("strongconv.min_radius.checks", {}).get("calls", 0)
