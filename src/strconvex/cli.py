@@ -10,7 +10,6 @@ Exit codes: 0 success/verified, 1 verification mismatch, 2 input error,
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import json
 import os
 import sys
@@ -27,7 +26,7 @@ from .errors import (
     NotUniformlyConvexError,
     StrConvexError,
 )
-from .modulus import BoundaryParam, ModulusCurve, estimate_modulus, fit_second_order
+from .modulus import ModulusCurve, fit_second_order, modulus_curve
 from .radius_theory import (
     radius_fixed_point,
     sharp_radius,
@@ -90,29 +89,9 @@ def _parse_window(spec: str | None):
     return lo, hi
 
 
-def _threads() -> int:
-    raw = os.environ.get("STRCONVEX_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def scan_curve(body: ConvexBody, eps_values, resolution: int, body_id: str) -> ModulusCurve:
-    """Modulus scan with one shared boundary model; parallel when allowed."""
-    param = BoundaryParam(body, resolution) if body.dim == 2 else None
-
-    def one(eps):
-        return estimate_modulus(body, float(eps), resolution, param=param)
-
-    workers = min(_threads(), len(eps_values))
-    if workers > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one, eps_values))
-    else:
-        results = [one(e) for e in eps_values]
-    return ModulusCurve.from_arrays(
-        eps_values, [r[0] for r in results], [r[1] for r in results], body_id)
+    """Modulus scan with one shared boundary model."""
+    return modulus_curve(body, eps_values, resolution, body_id=body_id)
 
 
 def _default_eps_grid(body: ConvexBody) -> np.ndarray:

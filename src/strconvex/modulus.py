@@ -25,7 +25,14 @@ from .bodies import (
 )
 from .errors import NotUniformlyConvexError, OutOfDomainError
 
-_CHUNK = 512
+_CHUNK = 512               # rays per chunk of the radial extents
+_CHORD_BLOCK = 32          # boundary points per block of the chord search
+_CHORD_PAIRS = 512         # block pairs per evaluated chunk of the chord search
+_DEPTH_BLOCK = 16          # query points per block of the depth kernel
+_DEPTH_ENTRIES = 1 << 16   # block-direction bounds per chunk of the depth kernel
+_DEPTH_PAIRS = 8192        # block-direction pairs per evaluated chunk of the depth kernel
+_U32 = 2.0 ** -24          # unit roundoff of float32
+_U64 = 2.0 ** -53          # unit roundoff of float64
 
 
 def ball_modulus(r: float, eps: float) -> float:
@@ -133,56 +140,141 @@ class BoundaryParam:
 
     def inscribed_radii(self, pts: np.ndarray) -> np.ndarray:
         """Grid-supported inscribed-ball radius for each query point."""
-        out = np.empty(len(pts))
-        for k0 in range(0, len(pts), _CHUNK):
-            gaps = self.support[None, :] - pts[k0:k0 + _CHUNK] @ self.grid.T
-            out[k0:k0 + _CHUNK] = gaps.min(axis=1)
-        return out
+        return _min_gaps(pts, self.grid, self.support)
+
+
+def _bounding_balls(blocks: np.ndarray):
+    """Centre and radius of a ball holding each block of points, (b, m, d)."""
+    centre = 0.5 * (blocks.min(axis=1) + blocks.max(axis=1))
+    radius = np.sqrt(((blocks - centre[:, None, :]) ** 2).sum(axis=2).max(axis=1))
+    return centre, radius
+
+
+def _chord_crossings(points: np.ndarray, eps: float):
+    """Anchor and segment indices where the chordal distance crosses eps.
+
+    (i, j) is a crossing when exactly one of the points j and j + 1 lies within
+    eps of point i, judged in float32 as |x_i|^2 + |x_j|^2 - 2 (x_i, x_j), and j
+    is at most n // 2 steps ahead of i, which keeps one copy of each chord.
+    Blocks of _CHORD_BLOCK points get bounding balls (a column block also holds
+    the point after it), and a pair of blocks is evaluated only when its
+    distance range, widened by a bound on the float32 rounding, can straddle
+    eps; the others cannot hold a crossing.  Sorted by anchor, then segment.
+    """
+    n = len(points)
+    size = _CHORD_BLOCK
+    first = np.arange(0, n, size)
+    last = np.minimum(first + size, n) - 1
+    offs = np.arange(size + 1)
+    # padding repeats the last row, and repeats column 0 after the wrap, where it crosses nothing
+    rows = np.minimum(first[:, None] + offs[:-1], n - 1)
+    cols = np.minimum(first[:, None] + offs, n) % n
+    centre_r, radius_r = _bounding_balls(points[rows])
+    centre_c, radius_c = _bounding_balls(points[cols])
+    dist = np.sqrt(((centre_r[:, None, :] - centre_c[None, :, :]) ** 2).sum(axis=2))
+    reach = radius_r[:, None] + radius_c[None, :]
+    pts32 = points.astype(np.float32)
+    sq32 = np.einsum("ij,ij->i", pts32, pts32)
+    eps2 = np.float32(eps * eps)
+    # the float32 squared distances and eps2 are off by far less than this
+    slack = 64.0 * _U32 * (float(np.max(np.einsum("ij,ij->i", points, points))) + eps * eps)
+    straddles = ((np.maximum(dist - reach, 0.0) ** 2 <= eps * eps + slack)
+                 & ((dist + reach) ** 2 >= eps * eps - slack))
+    # some j - i in [first_j - last_i, last_j - first_i] is 0, ..., n // 2 modulo n
+    lag = (first[None, :] - last[:, None]) % n
+    span = (last - first)[None, :] + (last - first)[:, None]
+    ahead = (lag <= n // 2) | (n - lag <= span)
+    bi, bj = np.nonzero(straddles & ahead)
+    anchors, segs = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.intp)]
+    for k0 in range(0, len(bi), _CHORD_PAIRS):
+        R = rows[bi[k0:k0 + _CHORD_PAIRS]]
+        C = cols[bj[k0:k0 + _CHORD_PAIRS]]
+        # same float32 operations, in the same order, as the full n x n product
+        dots = pts32[R] @ pts32[C].transpose(0, 2, 1)
+        d2 = sq32[R][:, :, None] + sq32[C][:, None, :] - 2.0 * dots
+        below = d2 <= eps2
+        k, r, c = np.nonzero(below[:, :, :-1] != below[:, :, 1:])
+        anchors.append(first[bi[k0 + k]] + r)
+        segs.append(C[k, c])
+    anchors, segs = np.concatenate(anchors), np.concatenate(segs)
+    keep = (anchors < n) & ((segs - anchors) % n <= n // 2)
+    anchors, segs = anchors[keep], segs[keep]
+    order = np.lexsort((segs, anchors))
+    return anchors[order], segs[order]
+
+
+def _companions(points: np.ndarray, anchors: np.ndarray, segs: np.ndarray, eps: float):
+    """The point at distance eps from each anchor on its crossed boundary segment.
+
+    With w from the segment start to the anchor and d along the segment, the
+    point is at the root t in [0, 1] of |w - t d|^2 = eps^2: the exit root when
+    the segment starts within eps of the anchor, the entry root otherwise.
+    NaN where the segment has no such root in float64.
+    """
+    p0 = points[segs]
+    d = points[(segs + 1) % len(points)] - p0
+    w = points[anchors] - p0
+    qa = np.einsum("ij,ij->i", d, d)
+    qb = np.einsum("ij,ij->i", w, d)
+    qc = np.einsum("ij,ij->i", w, w) - eps * eps
+    with np.errstate(invalid="ignore", divide="ignore"):
+        root = np.sqrt(qb * qb - qa * qc)
+        t = np.where(qc <= 0.0, qb + root, qb - root) / qa
+    t = np.where((t >= 0.0) & (t <= 1.0), t, np.nan)
+    return p0 + t[:, None] * d
 
 
 def _chords_of_length(points: np.ndarray, eps: float):
     """Anchor points and companion points at chord length eps on a closed polyline.
 
-    Brackets every sign change of the chordal distance along the boundary and
-    refines it by bisection on the bracketing boundary segment.
+    Each crossing of the chordal distance gets its companion in closed form on
+    the crossed boundary segment; a crossing whose segment has no float64 root
+    is dropped.
     """
-    n = len(points)
-    anchors = []
-    seg_lo = []
-    # float32 is enough to bracket the crossings; refinement below is float64
-    pts32 = points.astype(np.float32)
-    sq32 = np.einsum("ij,ij->i", pts32, pts32)
-    eps2 = np.float32(eps * eps)
-    for k0 in range(0, n, _CHUNK):
-        A = pts32[k0:k0 + _CHUNK]
-        d2 = sq32[k0:k0 + _CHUNK, None] + sq32[None, :] - 2.0 * (A @ pts32.T)
-        below = d2 <= eps2
-        cross = below != np.roll(below, -1, axis=1)
-        rows, cols = np.nonzero(cross)
-        rows = rows + k0
-        forward = (cols - rows) % n <= n // 2  # drop the mirror copy of each chord
-        anchors.append(rows[forward])
-        seg_lo.append(cols[forward])
-    anchors = np.concatenate(anchors)
-    if len(anchors) == 0:
+    anchors, segs = _chord_crossings(points, eps)
+    companions = _companions(points, anchors, segs, eps)
+    ok = ~np.isnan(companions[:, 0])
+    if not np.any(ok):
         return None
-    cols = np.concatenate(seg_lo)
-    a_pts = points[anchors]
-    p0 = points[cols]
-    p1 = points[(cols + 1) % n]
-    lo = np.zeros(len(anchors))
-    hi = np.ones(len(anchors))
-    f_lo = np.linalg.norm(a_pts - p0, axis=1) - eps
-    for _ in range(50):
-        mid = 0.5 * (lo + hi)
-        f_mid = np.linalg.norm(a_pts - (p0 + mid[:, None] * (p1 - p0)), axis=1) - eps
-        same = np.sign(f_mid) == np.sign(f_lo)
-        lo = np.where(same, mid, lo)
-        f_lo = np.where(same, f_mid, f_lo)
-        hi = np.where(same, hi, mid)
-    t = 0.5 * (lo + hi)
-    companions = p0 + t[:, None] * (p1 - p0)
-    return a_pts, companions
+    return points[anchors[ok]], companions[ok]
+
+
+def _min_gaps(pts: np.ndarray, dirs: np.ndarray, support: np.ndarray) -> np.ndarray:
+    """min over k of support[k] - (p, dirs[k]) for each query point p.
+
+    dirs are unit vectors.  Blocks of _DEPTH_BLOCK consecutive query points get
+    bounding balls (centre c, radius r).  Since gap_k(p) >= gap_k(c) - r, a
+    direction is evaluated on a block only when that bound, widened by a
+    float64 rounding slack, reaches the block's largest gap along the centre's
+    best direction, which is at least every point's minimum.
+    """
+    m = len(pts)
+    if m == 0:
+        return np.zeros(0)
+    size = _DEPTH_BLOCK
+    nb = -(-m // size)
+    blocks = pts[np.minimum(np.arange(nb * size), m - 1)].reshape(nb, size, -1)
+    centre, radius = _bounding_balls(blocks)
+    blocks = np.ascontiguousarray(blocks.transpose(0, 2, 1))  # (block, coordinate, point)
+    norms = np.sqrt(np.einsum("ij,ij->i", pts, pts))
+    slack = 64.0 * _U64 * (float(np.max(np.abs(support))) + float(np.max(norms)))
+    out = np.full((nb, size), np.inf)
+    step = max(1, _DEPTH_ENTRIES // len(dirs))
+    for b0 in range(0, nb, step):
+        gaps_c = support[None, :] - centre[b0:b0 + step] @ dirs.T
+        best = gaps_c.argmin(axis=1)
+        upper = (support[best][:, None]
+                 - np.einsum("bdi,bd->bi", blocks[b0:b0 + step], dirs[best])).max(axis=1)
+        bi, k = np.nonzero(gaps_c - radius[b0:b0 + step, None] <= (upper + slack)[:, None])
+        bi += b0
+        for p0 in range(0, len(bi), _DEPTH_PAIRS):
+            b = bi[p0:p0 + _DEPTH_PAIRS]
+            kk = k[p0:p0 + _DEPTH_PAIRS]
+            gaps = support[kk][:, None] - np.einsum("pdi,pd->pi", blocks[b], dirs[kk])
+            starts = np.flatnonzero(np.r_[True, b[1:] != b[:-1]])
+            u = b[starts]
+            out[u] = np.minimum(out[u], np.minimum.reduceat(gaps, starts, axis=0))
+    return out.reshape(-1)[:m]
 
 
 def _planar_estimate(param: BoundaryParam, eps: float) -> float:
@@ -250,10 +342,7 @@ def _sectioned_estimate(body, eps, resolution, sections, seed) -> float:
         if found is None:
             continue
         a_pts, comps = found
-        mids = 0.5 * (a_pts + comps)
-        for k0 in range(0, len(mids), _CHUNK):
-            gaps = support[None, :] - mids[k0:k0 + _CHUNK] @ grid.T
-            best = min(best, float(gaps.min()))
+        best = min(best, float(_min_gaps(0.5 * (a_pts + comps), grid, support).min()))
     if not np.isfinite(best):
         raise OutOfDomainError(f"no section chord of length {eps}")
     return best

@@ -2,8 +2,10 @@
 
 These deliberately avoid the library code paths they are checking: the hull
 oracle works from sampled ball centers thinned by scipy's convex hull, the
-modulus oracle scans chords on an exact ellipse parametrization, and the
-support polygon reconstructs a body from raw support values.
+modulus oracle scans chords on an exact ellipse parametrization, the support
+polygon reconstructs a body from raw support values, and the dense chord and
+depth scans evaluate every point pair and every direction that the library's
+pruned kernels skip.
 """
 from __future__ import annotations
 
@@ -106,3 +108,70 @@ def ellipse_chord_modulus(a: float, b: float, eps: float,
         d = np.sqrt(((chunk[:, None, :] - B[None, :, :]) ** 2).sum(-1)).min(axis=1)
         best = min(best, float(d.min()))
     return best
+
+
+def dense_chord_crossings(points: np.ndarray, eps: float):
+    """Anchor and segment indices of every chord crossing, by the full n x n scan.
+
+    The float32 squared distances of all point pairs are compared with eps^2
+    in chunks of 512 rows; (i, j) is a crossing where the comparison differs
+    between columns j and j + 1 (cyclically) and j is at most n // 2 steps
+    ahead of i.
+    """
+    n = len(points)
+    anchors = []
+    segs = []
+    pts32 = points.astype(np.float32)
+    sq32 = np.einsum("ij,ij->i", pts32, pts32)
+    eps2 = np.float32(eps * eps)
+    for k0 in range(0, n, 512):
+        A = pts32[k0:k0 + 512]
+        d2 = sq32[k0:k0 + 512, None] + sq32[None, :] - 2.0 * (A @ pts32.T)
+        below = d2 <= eps2
+        cross = below != np.roll(below, -1, axis=1)
+        rows, cols = np.nonzero(cross)
+        rows = rows + k0
+        forward = (cols - rows) % n <= n // 2
+        anchors.append(rows[forward])
+        segs.append(cols[forward])
+    return np.concatenate(anchors), np.concatenate(segs)
+
+
+def bisect_companions(points: np.ndarray, anchors: np.ndarray, segs: np.ndarray, eps: float):
+    """Companion of each crossing by 50 bisection steps on its boundary segment.
+
+    Where the float32 scan and float64 disagree about a crossing, bisection
+    runs to an end of the segment.
+    """
+    a_pts = points[anchors]
+    p0 = points[segs]
+    p1 = points[(segs + 1) % len(points)]
+    lo = np.zeros(len(anchors))
+    hi = np.ones(len(anchors))
+    f_lo = np.linalg.norm(a_pts - p0, axis=1) - eps
+    for _ in range(50):
+        mid = 0.5 * (lo + hi)
+        f_mid = np.linalg.norm(a_pts - (p0 + mid[:, None] * (p1 - p0)), axis=1) - eps
+        same = np.sign(f_mid) == np.sign(f_lo)
+        lo = np.where(same, mid, lo)
+        f_lo = np.where(same, f_mid, f_lo)
+        hi = np.where(same, hi, mid)
+    t = 0.5 * (lo + hi)
+    return p0 + t[:, None] * (p1 - p0)
+
+
+def dense_chords_of_length(points: np.ndarray, eps: float):
+    """Anchors and companions at chord length eps: the dense scan plus bisection."""
+    anchors, segs = dense_chord_crossings(points, eps)
+    if len(anchors) == 0:
+        return None
+    return points[anchors], bisect_companions(points, anchors, segs, eps)
+
+
+def dense_min_gaps(pts: np.ndarray, dirs: np.ndarray, support: np.ndarray) -> np.ndarray:
+    """min over all k of support[k] - (p, dirs[k]), in chunks of 512 points."""
+    out = np.empty(len(pts))
+    for k0 in range(0, len(pts), 512):
+        gaps = support[None, :] - pts[k0:k0 + 512] @ dirs.T
+        out[k0:k0 + 512] = gaps.min(axis=1)
+    return out

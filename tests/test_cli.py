@@ -1,5 +1,4 @@
 import json
-import os
 
 import numpy as np
 import pytest
@@ -190,10 +189,3 @@ class TestSvg:
         assert text.count("<circle") == 2
         # lens is 1.2 x 0.4 world units: width 120 + 2 margins of 6
         assert 'width="132"' in text
-
-    def test_thread_env_accepted(self, tmp_path, ball_json, monkeypatch):
-        monkeypatch.setenv("STRCONVEX_THREADS", "2")
-        out = str(tmp_path / "c.csv")
-        assert main(["modulus", "--body", ball_json, "--eps", "0.1:0.5:6",
-                     "--resolution", "512", "--out", out]) == 0
-        assert os.path.exists(out)
