@@ -247,17 +247,44 @@ class Ellipsoid(ConvexBody):
         return 2.0 * float(self.semi_axes[0])
 
     def contains(self, x, tol: float = 0.0, grid=None) -> bool:
-        # Exact gauge test; tol (a Euclidean slack) is mapped conservatively
-        # through the Lipschitz constant 1/min-axis of the gauge.
+        # dist(x, E) <= tol.  Outside E, a point of gauge g lies between
+        # (g - 1) a_min and (g - 1) a_max from E, so only gauges between
+        # 1 + tol/a_max and 1 + tol/a_min need the distance itself.
         x = as_vector(x)
-        y = (self.rotation.T @ (x - self.center)) / self.semi_axes
-        return float(np.linalg.norm(y)) <= 1.0 + tol / float(self.semi_axes[-1])
+        z = self.rotation.T @ (x - self.center)
+        g = float(np.linalg.norm(z / self.semi_axes))
+        if g <= 1.0 + tol / float(self.semi_axes[0]):
+            return True
+        if g > 1.0 + tol / float(self.semi_axes[-1]):
+            return False
+        return _distance_to_ellipsoid(z, self.semi_axes) <= tol
 
     def __repr__(self):
         return f"Ellipsoid(center={self.center.tolist()}, semi_axes={self.semi_axes.tolist()})"
 
     def _key(self):
         return (self.center.tobytes(), self.semi_axes.tobytes(), self.rotation.tobytes())
+
+
+def _distance_to_ellipsoid(z: np.ndarray, a: np.ndarray) -> float:
+    """Distance from z, outside the ellipsoid sum (z_i/a_i)^2 <= 1, to it.
+
+    The nearest point is a^2 z / (a^2 + t) at the root t > 0 of
+    f(t) = sum (a_i z_i / (a_i^2 + t))^2 = 1.  f decreases in t, exceeds 1 at
+    0 and falls below 1 at |a z|; bisection runs until the bracket stops
+    shrinking.
+    """
+    az = a * z
+    a2 = a * a
+    lo, hi = 0.0, float(np.linalg.norm(az))
+    mid = 0.5 * hi
+    while lo < mid < hi:
+        if float(np.sum((az / (a2 + mid)) ** 2)) > 1.0:
+            lo = mid
+        else:
+            hi = mid
+        mid = 0.5 * (lo + hi)
+    return float(np.linalg.norm(hi * z / (a2 + hi)))
 
 
 class PointHull(ConvexBody):

@@ -25,7 +25,6 @@ from .bodies import (
 )
 from .errors import NotUniformlyConvexError, OutOfDomainError
 
-_CHUNK = 512               # rays per chunk of the radial extents
 _CHORD_BLOCK = 32          # boundary points per block of the chord search
 _CHORD_PAIRS = 512         # block pairs per evaluated chunk of the chord search
 _DEPTH_BLOCK = 16          # query points per block of the depth kernel
@@ -103,15 +102,15 @@ class SecondOrderFit:
 def _radial_extents(grid: np.ndarray, numer: np.ndarray, rays: np.ndarray) -> np.ndarray:
     """Distance along each ray direction to the supporting-half-space boundary.
 
-    T(u) = min over grid directions p with (p, u) > 0 of slack(p) / (p, u);
-    computed as 1/max over all p of (p, u)/slack(p), valid because some dot is
-    always positive and nonpositive dots cannot attain the maximum.
+    T(u) = min over grid directions p with (p, u) > 0 of slack(p) / (p, u),
+    which is 1/max over all p of (u, p/slack(p)), valid because some dot is
+    always positive and nonpositive dots cannot attain the maximum.  That
+    maximum is minus the depth of u below the directions p/slack(p) with zero
+    support, so the pruned depth kernel computes it.  The floor on slack(p)
+    keeps the squared lengths of the scaled directions finite.
     """
-    w = grid / np.maximum(numer, 1e-300)[:, None]
-    inv = np.empty(len(rays))
-    for k0 in range(0, len(rays), _CHUNK):
-        inv[k0:k0 + _CHUNK] = (w @ rays[k0:k0 + _CHUNK].T).max(axis=0)
-    return 1.0 / inv
+    scaled = grid / np.maximum(numer, 1e-150)[:, None]
+    return -1.0 / _min_gaps(rays, scaled, np.zeros(len(grid)))
 
 
 class BoundaryParam:
@@ -242,11 +241,11 @@ def _chords_of_length(points: np.ndarray, eps: float):
 def _min_gaps(pts: np.ndarray, dirs: np.ndarray, support: np.ndarray) -> np.ndarray:
     """min over k of support[k] - (p, dirs[k]) for each query point p.
 
-    dirs are unit vectors.  Blocks of _DEPTH_BLOCK consecutive query points get
-    bounding balls (centre c, radius r).  Since gap_k(p) >= gap_k(c) - r, a
-    direction is evaluated on a block only when that bound, widened by a
-    float64 rounding slack, reaches the block's largest gap along the centre's
-    best direction, which is at least every point's minimum.
+    Blocks of _DEPTH_BLOCK consecutive query points get bounding balls (centre
+    c, radius r).  Since gap_k(p) >= gap_k(c) - r |dirs[k]|, a direction is
+    evaluated on a block only when that bound, widened by a float64 rounding
+    slack, reaches the block's largest gap along the centre's best direction,
+    which is at least every point's minimum.
     """
     m = len(pts)
     if m == 0:
@@ -257,7 +256,9 @@ def _min_gaps(pts: np.ndarray, dirs: np.ndarray, support: np.ndarray) -> np.ndar
     centre, radius = _bounding_balls(blocks)
     blocks = np.ascontiguousarray(blocks.transpose(0, 2, 1))  # (block, coordinate, point)
     norms = np.sqrt(np.einsum("ij,ij->i", pts, pts))
-    slack = 64.0 * _U64 * (float(np.max(np.abs(support))) + float(np.max(norms)))
+    lengths = np.sqrt(np.einsum("ij,ij->i", dirs, dirs))
+    slack = 64.0 * _U64 * (float(np.max(np.abs(support)))
+                           + float(np.max(norms)) * float(np.max(lengths)))
     out = np.full((nb, size), np.inf)
     step = max(1, _DEPTH_ENTRIES // len(dirs))
     for b0 in range(0, nb, step):
@@ -265,7 +266,8 @@ def _min_gaps(pts: np.ndarray, dirs: np.ndarray, support: np.ndarray) -> np.ndar
         best = gaps_c.argmin(axis=1)
         upper = (support[best][:, None]
                  - np.einsum("bdi,bd->bi", blocks[b0:b0 + step], dirs[best])).max(axis=1)
-        bi, k = np.nonzero(gaps_c - radius[b0:b0 + step, None] <= (upper + slack)[:, None])
+        reach = radius[b0:b0 + step, None] * lengths[None, :]
+        bi, k = np.nonzero(gaps_c - reach <= (upper + slack)[:, None])
         bi += b0
         for p0 in range(0, len(bi), _DEPTH_PAIRS):
             b = bi[p0:p0 + _DEPTH_PAIRS]
@@ -286,41 +288,40 @@ def _planar_estimate(param: BoundaryParam, eps: float) -> float:
     return float(param.inscribed_radii(mids).min())
 
 
-def _section_points(body, origin, u, v, support, grid, resolution):
+def _section_points(origin, u, v, numer, grid, resolution):
     # radial parametrization of the planar section span{u, v} + origin
     t = np.arange(resolution) * (2.0 * np.pi / resolution)
     U = np.outer(np.cos(t), u) + np.outer(np.sin(t), v)
-    numer = support - grid @ origin
     T = _radial_extents(grid, numer, U)
     return origin + T[:, None] * U
 
 
-def _worst_curvature_directions(body, grid, support, n_take: int, seed: int):
+def _row_dots(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    # (x_i, y_i) per row, rounded as the 1-D product x_i @ y_i
+    return (X[:, None, :] @ Y[:, :, None])[:, 0, 0]
+
+
+def _worst_curvature_directions(body, grid, n_take: int, seed: int):
     # flatness probe: larger osculating radius <=> slower support-point turn
     rng = np.random.default_rng(seed)
     probe = grid[:: max(1, len(grid) // 256)]
     pts = body.support_points(probe)
     phi = 1e-2
-    scores = []
-    for p, x in zip(probe, pts):
-        w = rng.standard_normal(body.dim)
-        w -= (w @ p) * p
-        w /= np.linalg.norm(w)
-        q = p * math.cos(phi) + w * math.sin(phi)
-        rho = 2.0 * (body.support_value(q) - float(q @ x)) / phi**2
-        scores.append((rho, p, w))
-    scores.sort(key=lambda s: -s[0])
-    return scores[:n_take]
+    w = rng.standard_normal(probe.shape)
+    w -= _row_dots(w, probe)[:, None] * probe
+    w /= np.sqrt(_row_dots(w, w))[:, None]
+    q = probe * math.cos(phi) + w * math.sin(phi)
+    rho = 2.0 * (body.support_values(q) - _row_dots(q, pts)) / phi**2
+    take = np.argsort(-rho, kind="stable")[:n_take]
+    return probe[take], w[take]
 
 
-def _sectioned_estimate(body, eps, resolution, sections, seed) -> float:
-    grid = default_grid(body.dim)
-    support = body.support_values(grid)
-    origin = steiner_point(body)
+def _section_planes(body, grid, origin, sections: int, seed: int):
+    """Orthonormal (u, v) of each section: half through the flattest probed
+    support directions, the rest random."""
     rng = np.random.default_rng(seed)
-    worst = _worst_curvature_directions(body, grid, support, max(1, sections // 2), seed)
     planes = []
-    for _, p, w in worst:
+    for p, w in zip(*_worst_curvature_directions(body, grid, max(1, sections // 2), seed)):
         x_p = body.support_point(p)
         u = x_p - origin
         nu = np.linalg.norm(u)
@@ -335,17 +336,53 @@ def _sectioned_estimate(body, eps, resolution, sections, seed) -> float:
         v -= (v @ u) * u
         v /= np.linalg.norm(v)
         planes.append((u, v))
-    best = np.inf
-    for u, v in planes:
-        pts = _section_points(body, origin, u, v, support, grid, resolution)
-        found = _chords_of_length(pts, eps)
-        if found is None:
-            continue
-        a_pts, comps = found
-        best = min(best, float(_min_gaps(0.5 * (a_pts + comps), grid, support).min()))
-    if not np.isfinite(best):
-        raise OutOfDomainError(f"no section chord of length {eps}")
-    return best
+    return planes
+
+
+def _sectioned_estimate(body, eps, resolution, sections, seed) -> np.ndarray:
+    """Sectioned modulus at each eps of a sequence: the least depth of a section
+    chord's midpoint.  The sections are built once and searched for every eps.
+    """
+    grid = default_grid(body.dim)
+    support = body.support_values(grid)
+    origin = steiner_point(body)
+    numer = support - grid @ origin
+    polylines = [_section_points(origin, u, v, numer, grid, resolution)
+                 for u, v in _section_planes(body, grid, origin, sections, seed)]
+    out = np.empty(len(eps))
+    for i, e in enumerate(eps):
+        best = np.inf
+        for pts in polylines:
+            found = _chords_of_length(pts, float(e))
+            if found is None:
+                continue
+            a_pts, comps = found
+            best = min(best, float(_min_gaps(0.5 * (a_pts + comps), grid, support).min()))
+        if not np.isfinite(best):
+            raise OutOfDomainError(f"no section chord of length {e}")
+        out[i] = best
+    return out
+
+
+def _modulus_samples(body, eps_values, resolution, param, sections, seed):
+    """delta at each eps, and the grid error bound they share."""
+    if resolution < 16:
+        raise ValueError("resolution must be at least 16")
+    diam = param.diameter if param is not None else body.diameter()
+    for eps in eps_values:
+        if not 0.0 < eps < diam:
+            raise OutOfDomainError(f"eps must lie in (0, diam) = (0, {diam})")
+        if eps > 0.95 * diam:
+            warnings.warn("modulus estimate near the diameter is noisy", stacklevel=4)
+    if body.dim == 2:
+        if param is None:
+            param = BoundaryParam(body, resolution)
+        delta = [_planar_estimate(param, float(eps)) for eps in eps_values]
+        return delta, grid_angle_error(diam, param.n)
+    delta = _sectioned_estimate(body, eps_values, resolution, sections, seed)
+    # the sphere grid's facet sagitta dominates the sectioned estimate
+    theta = sphere_grid_angle(DEFAULT_GRID_ND, body.dim)
+    return delta, 0.75 * diam * theta**2
 
 
 def estimate_modulus(
@@ -363,22 +400,8 @@ def estimate_modulus(
     planar central sections through the flattest support directions, which is
     a lower-confidence estimate (the error bound is inflated accordingly).
     """
-    if resolution < 16:
-        raise ValueError("resolution must be at least 16")
-    diam = param.diameter if param is not None else body.diameter()
-    if not 0.0 < eps < diam:
-        raise OutOfDomainError(f"eps must lie in (0, diam) = (0, {diam})")
-    if eps > 0.95 * diam:
-        warnings.warn("modulus estimate near the diameter is noisy", stacklevel=2)
-    if body.dim == 2:
-        if param is None:
-            param = BoundaryParam(body, resolution)
-        delta = _planar_estimate(param, eps)
-        return delta, grid_angle_error(diam, param.n)
-    delta = _sectioned_estimate(body, eps, resolution, sections, seed)
-    # the sphere grid's facet sagitta dominates the sectioned estimate
-    theta = sphere_grid_angle(DEFAULT_GRID_ND, body.dim)
-    return delta, 0.75 * diam * theta**2
+    delta, bound = _modulus_samples(body, [eps], resolution, param, sections, seed)
+    return float(delta[0]), bound
 
 
 def modulus_curve(
@@ -386,18 +409,20 @@ def modulus_curve(
     eps_values,
     resolution: int = 2048,
     body_id: str = "body",
-    **kwargs,
+    *,
+    sections: int = 8,
+    seed: int = 0,
 ) -> ModulusCurve:
-    """Scan the modulus over an increasing eps grid, reusing one boundary model."""
+    """Scan the modulus over an increasing eps grid, reusing one boundary model.
+
+    The model is the planar boundary parametrization in 2-D and the set of
+    section polylines in d >= 3; each eps then costs one chord search and one
+    depth step per polyline.
+    """
     eps_values = np.asarray(eps_values, dtype=float)
     param = BoundaryParam(body, resolution) if body.dim == 2 else None
-    rows = []
-    for eps in eps_values:
-        delta, bound = estimate_modulus(
-            body, float(eps), resolution, param=param, **kwargs)
-        rows.append((float(eps), delta, bound))
-    return ModulusCurve.from_arrays(
-        [r[0] for r in rows], [r[1] for r in rows], [r[2] for r in rows], body_id)
+    delta, bound = _modulus_samples(body, eps_values, resolution, param, sections, seed)
+    return ModulusCurve.from_arrays(eps_values, delta, np.full(len(eps_values), bound), body_id)
 
 
 def default_fit_window(curve: ModulusCurve) -> tuple[float, float]:

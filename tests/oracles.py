@@ -3,9 +3,9 @@
 These deliberately avoid the library code paths they are checking: the hull
 oracle works from sampled ball centers thinned by scipy's convex hull, the
 modulus oracle scans chords on an exact ellipse parametrization, the support
-polygon reconstructs a body from raw support values, and the dense chord and
-depth scans evaluate every point pair and every direction that the library's
-pruned kernels skip.
+polygon reconstructs a body from raw support values, and the dense chord,
+depth and radial scans evaluate every point pair and every direction that the
+library's pruned kernels skip.
 """
 from __future__ import annotations
 
@@ -175,3 +175,16 @@ def dense_min_gaps(pts: np.ndarray, dirs: np.ndarray, support: np.ndarray) -> np
         gaps = support[None, :] - pts[k0:k0 + 512] @ dirs.T
         out[k0:k0 + 512] = gaps.min(axis=1)
     return out
+
+
+def dense_radial_extents(grid: np.ndarray, numer: np.ndarray, rays: np.ndarray) -> np.ndarray:
+    """Distance along each ray to the boundary of the half-spaces (p, x) <= numer(p).
+
+    1/max over all p of (p, u)/numer(p), from the full rays x directions
+    product in chunks of 512 rays.
+    """
+    w = grid / np.maximum(numer, 1e-300)[:, None]
+    inv = np.empty(len(rays))
+    for k0 in range(0, len(rays), 512):
+        inv[k0:k0 + 512] = (w @ rays[k0:k0 + 512].T).max(axis=0)
+    return 1.0 / inv

@@ -56,6 +56,30 @@ class TestContains:
         assert sc.contains(sq, [0.9, 0.9])
         assert not sc.contains(sq, [1.05, 0])
 
+    def test_ellipse_rejects_twice_tol_past_long_vertex(self):
+        # a gauge test with slack tol/a_min accepted this point, 0.002 outside
+        tol = 1e-3
+        e = sc.Ellipsoid([0, 0], [3, 0.5])
+        assert not e.contains([3.0 + 2.0 * tol, 0.0], tol=tol)
+        assert e.contains([3.0 + 0.5 * tol, 0.0], tol=tol)
+
+    @pytest.mark.parametrize("body", [
+        sc.Ellipsoid([0.3, -0.2], [3.0, 0.5], [[0.6, -0.8], [0.8, 0.6]]),
+        sc.Ellipsoid([0.1, 0.2, -0.3], [2.0, 1.5, 0.25],
+                     [[0.36, -0.48, 0.8], [0.8, 0.6, 0.0], [-0.48, 0.64, 0.6]]),
+    ], ids=["ellipse_6to1", "ellipsoid_8to1"])
+    def test_ellipsoid_decides_distance_within_tol(self, body):
+        # a point moved along the outward normal at a boundary point lies
+        # exactly that far from the body
+        rng = np.random.default_rng(11)
+        P = rng.standard_normal((200, body.dim))
+        P /= np.linalg.norm(P, axis=1)[:, None]
+        X = body.support_points(P)
+        for tol in (1e-3, 1e-6):
+            for p, x in zip(P, X):
+                assert body.contains(x + 0.5 * tol * p, tol=tol)
+                assert not body.contains(x + 2.0 * tol * p, tol=tol)
+
 
 class TestBoundaryDistance:
     def test_ball_center(self):

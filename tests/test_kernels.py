@@ -2,7 +2,8 @@
 
 The kernels skip blocks of points that cannot change the answer, so they must
 return what the full scans in tests/oracles.py return: the same crossings, in
-the same order, and the same per-point minima up to rounding.
+the same order, and the same per-point minima and radial extents up to
+rounding.
 """
 import math
 import tracemalloc
@@ -11,18 +12,22 @@ import numpy as np
 import pytest
 
 import strconvex as sc
+from strconvex.bodies import steiner_point
 from strconvex.modulus import (
     BoundaryParam,
     _chord_crossings,
     _chords_of_length,
     _min_gaps,
     _companions,
+    _radial_extents,
+    _section_planes,
 )
 from oracles import (
     bisect_companions,
     dense_chord_crossings,
     dense_chords_of_length,
     dense_min_gaps,
+    dense_radial_extents,
 )
 
 RESOLUTIONS = (16, 17, 33, 257, 1000, 2047, 4096)
@@ -115,6 +120,56 @@ def test_three_dimensional_sections_match_dense_oracle():
             assert np.max(np.abs(got - want)) <= 1e-14 * (1.0 + 4.0)  # diameter 4
 
 
+def _assert_radial_matches_dense(got, grid, numer, rays, where):
+    want = dense_radial_extents(grid, numer, rays)
+    assert got.shape == want.shape, where
+    assert np.all(want > 0.0), where
+    assert np.max(np.abs(got - want) / want) <= 1e-14, where
+
+
+THIN_TRIANGLE = sc.PointHull([[0.0, 0.0], [10.0, 0.0], [0.0, 0.3]])
+
+
+@pytest.mark.parametrize("name", sorted(BODIES) + ["thin_triangle"])
+def test_planar_radial_extents_match_dense_oracle(name):
+    body = THIN_TRIANGLE if name == "thin_triangle" else BODIES[name]
+    for n in RESOLUTIONS:
+        param = BoundaryParam(body, n)
+        numer = param.support - param.grid @ param.origin
+        if name == "thin_triangle":
+            # numerators reach from about 0.075 to 5.2, so the scaled
+            # directions are far from unit length
+            assert numer.max() > 10.0 * numer.min()
+        _assert_radial_matches_dense(param.radial, param.grid, numer, param.grid,
+                                     f"{name} n={n}")
+
+
+SOLIDS = {
+    "ellipsoid": sc.Ellipsoid([0.2, -0.1, 0.3], [2.0, 1.5, 1.0]),
+    "ball": sc.Ball([-0.3, 0.4, 0.1], 1.2),
+    "ellipsoid_plus_ball": sc.MinkowskiSum([sc.Ellipsoid([0.0, 0.0, 0.0], [2.0, 1.5, 1.0]),
+                                            sc.Ball([0.1, 0.2, -0.2], 0.5)]),
+}
+
+
+def _section_rays(u, v, count):
+    t = np.arange(count) * (2.0 * np.pi / count)
+    return np.outer(np.cos(t), u) + np.outer(np.sin(t), v)
+
+
+@pytest.mark.parametrize("name", sorted(SOLIDS))
+def test_section_radial_extents_match_dense_oracle(name):
+    body = SOLIDS[name]
+    grid = sc.default_grid(3)
+    origin = steiner_point(body)
+    numer = body.support_values(grid) - grid @ origin
+    for u, v in _section_planes(body, grid, origin, 8, 0):
+        for count in (256, 512):
+            rays = _section_rays(u, v, count)
+            _assert_radial_matches_dense(_radial_extents(grid, numer, rays), grid, numer, rays,
+                                         f"{name} rays={count}")
+
+
 def _peak_bytes(fn, *args):
     tracemalloc.start()
     try:
@@ -136,6 +191,17 @@ def test_kernel_memory_stays_below_dense_code():
     depth_peak = _peak_bytes(param.inscribed_radii, mids)
     dense_depth_peak = _peak_bytes(dense_min_gaps, mids, param.grid, param.support)
     assert depth_peak <= min(dense_depth_peak, 25e6), (depth_peak, dense_depth_peak)
+
+
+def test_radial_memory_stays_below_dense_code():
+    body = SOLIDS["ellipsoid"]
+    grid = sc.default_grid(3)
+    numer = body.support_values(grid) - grid @ steiner_point(body)
+    u, v = np.linalg.qr(np.random.default_rng(5).standard_normal((3, 2)))[0].T
+    rays = _section_rays(u, v, 512)
+    peak = _peak_bytes(_radial_extents, grid, numer, rays)
+    dense_peak = _peak_bytes(dense_radial_extents, grid, numer, rays)
+    assert peak <= min(dense_peak, 25e6), (peak, dense_peak)
 
 
 def _rotation(theta):

@@ -107,6 +107,39 @@ class TestEstimateModulus:
         assert abs(delta - sc.ball_modulus(1.0, 0.5)) <= bound
 
 
+class TestSectionedCurve:
+    """A 3-D curve builds its sections once and must equal the pointwise estimates."""
+
+    BODIES = {
+        "ellipsoid": sc.Ellipsoid([0.2, -0.1, 0.3], [2.0, 1.5, 1.0]),
+        "ellipsoid_plus_ball": sc.MinkowskiSum([sc.Ellipsoid([0, 0, 0], [2.0, 1.5, 1.0]),
+                                                sc.Ball([0.1, 0.2, -0.2], 0.5)]),
+    }
+
+    @pytest.mark.parametrize("name", sorted(BODIES))
+    def test_curve_equals_pointwise(self, name):
+        body = self.BODIES[name]
+        eps = np.array([0.2, 0.5, 1.1])
+        curve = sc.modulus_curve(body, eps, 256)
+        pointwise = [sc.estimate_modulus(body, float(e), 256) for e in eps]
+        want_delta = np.array([d for d, _ in pointwise])
+        assert np.all(want_delta > 0.0)
+        assert np.max(np.abs(curve.delta - want_delta) / want_delta) <= 1e-14
+        assert np.array_equal(curve.error_bound, [b for _, b in pointwise])
+
+    @pytest.mark.parametrize("bad", [0.0, -0.1, 4.0, 5.0])
+    def test_curve_rejects_eps_outside_domain(self, bad):
+        body = self.BODIES["ellipsoid"]  # diameter 4
+        with pytest.raises(sc.OutOfDomainError):
+            sc.modulus_curve(body, sorted([0.5, bad]), 64)
+
+    def test_curve_warns_near_diameter(self):
+        ball = sc.Ball([0.1, 0.0, -0.2], 1.0)
+        with pytest.warns(UserWarning, match="near the diameter"):
+            curve = sc.modulus_curve(ball, [0.5, 0.97 * 2.0], 128)
+        assert len(curve.samples) == 2
+
+
 class TestFit:
     def _ball_curve(self, r, n=12, lo=0.01, hi=0.2):
         eps = np.linspace(lo, hi, n)

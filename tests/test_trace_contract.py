@@ -36,3 +36,22 @@ def test_tracer_finds_every_target_and_records_modulus_counters():
     radii = agg["modulus.inscribed_radii"]
     assert radii["calls"] == 2
     assert radii["counts"]["points"] == chords["counts"]["chords"]
+
+
+def test_tracer_records_one_sectioned_call_per_three_dimensional_curve():
+    spans = _load_spans()
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        assert tracer.absent == []
+        sc.modulus_curve(sc.Ellipsoid([0.0, 0.0, 0.0], [2.0, 1.5, 1.0]), [0.3, 0.6], 64)
+    finally:
+        tracer.uninstall()
+    agg = spans.aggregate(tracer.spans)
+    sectioned = agg["modulus.sectioned"]
+    assert sectioned["calls"] == 1
+    assert sectioned["counts"]["sections"] == 8
+    chords = agg["modulus.chord_search"]
+    assert chords["calls"] == 2 * 8
+    assert chords["counts"]["pairs"] == 2 * 8 * 64 * 64
+    assert chords["counts"]["chords"] > 0
