@@ -5,9 +5,12 @@ oracle works from sampled ball centers thinned by scipy's convex hull, the
 modulus oracle scans chords on an exact ellipse parametrization, the support
 polygon reconstructs a body from raw support values, and the dense chord,
 depth and radial scans evaluate every point pair and every direction that the
-library's pruned kernels skip.
+library's pruned kernels skip; the sphere-grid oracle is the scipy code the
+library's numpy Sobol generator replaced.
 """
 from __future__ import annotations
+
+import math
 
 import numpy as np
 from scipy.spatial import ConvexHull
@@ -188,3 +191,20 @@ def dense_radial_extents(grid: np.ndarray, numer: np.ndarray, rays: np.ndarray) 
     for k0 in range(0, len(rays), 512):
         inv[k0:k0 + 512] = (w @ rays[k0:k0 + 512].T).max(axis=0)
     return 1.0 / inv
+
+
+def scipy_sphere_grid(n: int, dim: int = 3, seed: int = 0) -> np.ndarray:
+    """(n, dim) unit directions from scipy's scrambled Sobol sampler and ndtri.
+
+    The legacy seed= keyword seeds numpy.random.default_rng(seed); rng=seed
+    would draw different points.
+    """
+    from scipy.special import ndtri
+    from scipy.stats import qmc
+
+    sampler = qmc.Sobol(d=dim, scramble=True, seed=seed)
+    u = sampler.random_base2(max(1, math.ceil(math.log2(n))))[:n]
+    g = ndtri(np.clip(u, 1e-12, 1.0 - 1e-12))
+    norms = np.linalg.norm(g, axis=1)
+    norms[norms == 0.0] = 1.0
+    return g / norms[:, None]

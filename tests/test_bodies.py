@@ -1,10 +1,23 @@
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from oracles import scipy_sphere_grid
 
 import strconvex as sc
-from strconvex.bodies import grid_angle_error, support_curvature_radii
+from strconvex.bodies import (
+    _SOBOL_BITS,
+    _SOBOL_ROWS,
+    _ndtri,
+    _sobol_points,
+    grid_angle_error,
+    support_curvature_radii,
+)
 
 SQ2 = math.sqrt(2.0)
 
@@ -182,6 +195,66 @@ class TestGrids:
         g2 = sc.sphere_grid(500, 3)
         assert np.array_equal(g1, g2)
         assert np.allclose(np.linalg.norm(g1, axis=1), 1.0, atol=1e-12)
+        # one read-only grid per (n, dim, seed)
+        assert g1 is g2
+        assert not g1.flags.writeable
+        with pytest.raises(ValueError):
+            g1[0, 0] = 0.0
+
+    @pytest.mark.parametrize("dim", [3, 4, 5, 8, 32])
+    @pytest.mark.parametrize("seed", [0, 1, 5])
+    @pytest.mark.parametrize("n", [8, 410, 20000])
+    def test_sphere_grid_matches_scipy(self, dim, seed, n):
+        from scipy.stats import qmc
+
+        m = math.ceil(math.log2(n))
+        want = qmc.Sobol(dim, scramble=True, seed=seed).random_base2(m) * 2.0**_SOBOL_BITS
+        assert np.array_equal(_sobol_points(m, dim, seed), want)
+        err = np.abs(sc.sphere_grid(n, dim, seed) - scipy_sphere_grid(n, dim, seed)).max()
+        assert err <= 1e-15
+
+    def test_direction_numbers_are_scipys(self):
+        import scipy.stats
+
+        table = np.load(Path(scipy.stats.__file__).parent / "_sobol_direction_numbers.npz")
+        for d, (poly, row) in enumerate(_SOBOL_ROWS):
+            assert poly == table["poly"][d]
+            assert row == tuple(table["vinit"][d, :poly.bit_length() - 1])
+
+    def test_inverse_normal_matches_scipy(self):
+        from scipy.special import ndtri
+
+        rng = np.random.default_rng(3)
+        y = np.concatenate([rng.random(10000), 10.0 ** -rng.uniform(0, 300, 10000),
+                            1.0 - 10.0 ** -rng.uniform(0, 16, 10000),
+                            [1e-300, math.exp(-32), math.exp(-2), 1.0 - math.exp(-2), 0.5]])
+        np.testing.assert_allclose(_ndtri(y), ndtri(y), rtol=1e-15, atol=0.0)
+
+    def test_sphere_grid_dimension_limit(self):
+        with pytest.raises(ValueError, match="32"):
+            sc.sphere_grid(64, 33)
+
+    def test_no_scipy_at_run_time(self):
+        code = (
+            "import json, sys\n"
+            "import strconvex as sc\n"
+            "ball = sc.Ball([0.1, -0.2, 0.3], 1.2)\n"
+            "ellipsoid = sc.Ellipsoid([0.0, 0.0, 0.0], [2.0, 1.5, 1.0])\n"
+            "total = sc.MinkowskiSum([ellipsoid, ball])\n"
+            "sc.min_strong_radius(ball)\n"
+            "sc.check_strong_convexity(ellipsoid, 4.0)\n"
+            "sc.estimate_modulus(ellipsoid, 0.5, 64)\n"
+            "total.diameter()\n"
+            "sc.contains(total, [0.5, 0.5, 0.5])\n"
+            "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout.splitlines()[-1]) == []
 
     def test_grid_error_scale(self):
         # supporting a unit ball on a grid loses at most the stated bound

@@ -55,3 +55,15 @@ def test_tracer_records_one_sectioned_call_per_three_dimensional_curve():
     assert chords["calls"] == 2 * 8
     assert chords["counts"]["pairs"] == 2 * 8 * 64 * 64
     assert chords["counts"]["chords"] > 0
+
+
+def test_tracer_records_sphere_grid_calls_of_a_three_dimensional_radius():
+    spans = _load_spans()
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        assert tracer.absent == []
+        sc.min_strong_radius(sc.Ball([0.1, -0.2, 0.3], 1.2))
+    finally:
+        tracer.uninstall()
+    assert spans.aggregate(tracer.spans)["bodies.sphere_grid"]["calls"] > 0
