@@ -24,14 +24,15 @@ for name, body in bodies.items():
 
 print("\n== Minkowski sums: supports add ==")
 parts = [sc.Ball([0, 0], 1.0), sc.Ball([0, 0], 2.0)]
-print("  two balls, radii 1 and 2: s(+y) =", sc.minkowski_support(parts, [0, 1]), "(radii add)")
+print("  two balls, radii 1 and 2: s(+y) =", sc.MinkowskiSum(parts).support_value([0, 1]),
+      "(radii add)")
 parts = [sc.Ellipsoid([0, 0], [2, 1]), sc.Ball([0, 0], 0.5)]
-print("  ellipse + half ball:      s(+y) =", sc.minkowski_support(parts, [0, 1]))
+print("  ellipse + half ball:      s(+y) =", sc.MinkowskiSum(parts).support_value([0, 1]))
 
 print("\n== Membership and inscribed radii ==")
 ball = sc.Ball([0, 0], 1.0)
 for x in ([0.5, 0.5], [1.1, 0.0]):
-    print(f"  ball contains {x}? {sc.contains(ball, x)}")
+    print(f"  ball contains {x}? {ball.contains(x, tol=1e-9)}")
 print("  largest ball inside the unit disk centered at (0.5, 0):",
       round(sc.boundary_distance(ball, [0.5, 0]), 6))
 print("  ... and centered at the center of the (2,1) ellipse:",

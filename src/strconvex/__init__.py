@@ -5,7 +5,6 @@ from .arcpoly import (
     Arc,
     ArcPolygon,
     Seg,
-    arc_support,
     disk_intersection,
     hausdorff_distance,
     lens,
@@ -23,9 +22,7 @@ from .bodies import (
     as_direction,
     as_vector,
     boundary_distance,
-    contains,
     default_grid,
-    minkowski_support,
     sphere_grid,
     support_eval,
     unit,
@@ -51,7 +48,6 @@ from .modulus import (
     ball_modulus,
     estimate_modulus,
     fit_second_order,
-    lens_modulus_bound,
     modulus_curve,
 )
 from .radius_theory import (
@@ -75,7 +71,6 @@ from .strongconv import (
     GapFunction,
     check_strong_convexity,
     complement_body,
-    gap_value,
     local_lens_check,
     min_strong_radius,
     supporting_ball_check,

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bodies import ConvexBody, SupportEval, as_direction, as_vector, default_grid
+from .bodies import ConvexBody, as_vector, default_grid
 from .errors import (
     EmptyInputError,
     GeometryError,
@@ -223,21 +223,25 @@ class ArcPolygon(ConvexBody):
         P = np.asarray(P, dtype=float)
         if self.is_singleton:
             return np.repeat(self._point[None, :], len(P), axis=0)
-        out = np.empty((len(P), 2))
-        verts = self.vertices()
-        for i, p in enumerate(P):
-            n = float(np.linalg.norm(p))
-            phi = _ang(p)
-            cands = [(float(p @ v), v) for v in verts]
-            for a in self.arcs():
-                if a.contains_angle(phi):
-                    pt = np.asarray(a.center) + a.radius * (p / n)
-                    cands.append((float(p @ pt), pt))
-            top = max(v for v, _ in cands)
-            tied = [pt for v, pt in cands if v >= top - 1e-12 * (1.0 + abs(top))]
-            tied.sort(key=lambda q: (q[0], q[1]))
-            out[i] = tied[0]
-        return out
+        # Candidates per direction: every vertex, and the point of each arc
+        # whose angle range holds the (nonzero) direction within 1e-12.  Of
+        # those within 1e-12 (1 + |s|) of the best value, take the smallest (x, y).
+        arcs = np.array([(*a.center, a.radius, a.start_angle, a.span) for a in self.arcs()])
+        arcs = arcs.reshape(-1, 5)
+        centers, (radii, starts, spans) = arcs[:, :2], arcs[:, 2:].T
+        norms = np.linalg.norm(P, axis=1)
+        phis = np.arctan2(P[:, 1], P[:, 0]) % TWO_PI
+        off_arc = ((phis[:, None] - starts) % TWO_PI > spans + 1e-12) | (norms == 0.0)[:, None]
+        U = P / np.where(norms == 0.0, 1.0, norms)[:, None]
+        verts = np.broadcast_to(self.vertices(), (len(P), len(self.pieces), 2))
+        cands = np.concatenate([verts, centers + radii[:, None] * U[:, None, :]], axis=1)
+        vals = P[:, None, 0] * cands[..., 0] + P[:, None, 1] * cands[..., 1]
+        vals[:, len(self.pieces):][off_arc] = -np.inf
+        top = vals.max(axis=1)
+        tied = vals >= (top - 1e-12 * (1.0 + np.abs(top)))[:, None]
+        x = np.where(tied, cands[..., 0], np.inf)
+        y = np.where(x == x.min(axis=1)[:, None], cands[..., 1], np.inf)
+        return cands[np.arange(len(P)), np.argmin(y, axis=1)]
 
     # -- membership ----------------------------------------------------------
 
@@ -289,6 +293,8 @@ class ArcPolygon(ConvexBody):
         return L <= min(hits) + 1e-12
 
     def contains(self, x, tol: float = 0.0, grid=None) -> bool:
+        if not tol >= 0.0:
+            raise ValueError("tol must be nonnegative")
         x = as_vector(x)
         if self.is_singleton:
             return float(np.linalg.norm(x - self._point)) <= tol
@@ -401,6 +407,19 @@ def _sub_piece(piece, lo: float, hi: float):
     return Seg((p0[0], p0[1]), (p1[0], p1[1]))
 
 
+def _joined_arc(q, p) -> Arc | None:
+    """q followed by p as one arc, if both are arcs of one circle that meet
+    and their joint span stays below MAX_ARC_SPAN; else None."""
+    if not (isinstance(q, Arc) and isinstance(p, Arc)):
+        return None
+    same = (np.allclose(q.center, p.center, atol=1e-12)
+            and abs(q.radius - p.radius) < 1e-12
+            and abs((p.start_angle - q.end_angle) % TWO_PI) < 1e-9)
+    if same and q.span + p.span < MAX_ARC_SPAN:
+        return Arc(q.center, q.radius, q.start_angle, p.end_angle)
+    return None
+
+
 def _clean_pieces(pieces):
     """Drop near-degenerate pieces and merge adjacent arcs of one circle."""
     kept = [p for p in pieces if p.length() > MERGE_TOL]
@@ -408,22 +427,15 @@ def _clean_pieces(pieces):
         return kept
     merged = []
     for p in kept:
-        if merged and isinstance(p, Arc) and isinstance(merged[-1], Arc):
-            q = merged[-1]
-            same = (np.allclose(q.center, p.center, atol=1e-12)
-                    and abs(q.radius - p.radius) < 1e-12
-                    and abs((p.start_angle - q.end_angle) % TWO_PI) < 1e-9)
-            if same and q.span + p.span < MAX_ARC_SPAN:
-                merged[-1] = Arc(q.center, q.radius, q.start_angle, p.end_angle)
-                continue
-        merged.append(p)
-    if (len(merged) > 1 and isinstance(merged[0], Arc) and isinstance(merged[-1], Arc)):
-        p, q = merged[0], merged[-1]
-        same = (np.allclose(q.center, p.center, atol=1e-12)
-                and abs(q.radius - p.radius) < 1e-12
-                and abs((p.start_angle - q.end_angle) % TWO_PI) < 1e-9)
-        if same and q.span + p.span < MAX_ARC_SPAN:
-            merged[0] = Arc(q.center, q.radius, q.start_angle, p.end_angle)
+        joined = _joined_arc(merged[-1], p) if merged else None
+        if joined is None:
+            merged.append(p)
+        else:
+            merged[-1] = joined
+    if len(merged) > 1:
+        joined = _joined_arc(merged[-1], merged[0])
+        if joined is not None:
+            merged[0] = joined
             merged.pop()
     return merged
 
@@ -579,14 +591,6 @@ def offset(ap: ArcPolygon, r: float) -> ArcPolygon:
         if 1e-12 < gap < TWO_PI - 1e-12:
             pieces += _make_arc(v, r, n_end, n_start)
     return ArcPolygon(_clean_pieces(pieces))
-
-
-def arc_support(ap: ArcPolygon, p) -> SupportEval:
-    """Exact supporting value and point of an arc polygon in the unit direction p."""
-    p = as_direction(p)
-    value = float(ap.support_values(p[None, :])[0])
-    point = ap.support_points(p[None, :])[0]
-    return SupportEval(value=value, point=point)
 
 
 def hausdorff_distance(a: ConvexBody, b: ConvexBody, grid=None) -> float:

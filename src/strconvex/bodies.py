@@ -225,12 +225,6 @@ class SupportEval:
     point: np.ndarray
 
 
-def _lex_smallest(points: np.ndarray) -> np.ndarray:
-    """Lexicographically smallest row, used as a deterministic tie-break."""
-    order = np.lexsort(points.T[::-1])
-    return points[order[0]]
-
-
 class ConvexBody:
     """Oracle interface: support values / support points for a compact convex set."""
 
@@ -266,6 +260,8 @@ class ConvexBody:
 
     def contains(self, x, tol: float = 0.0, grid: np.ndarray | None = None) -> bool:
         """Membership via supporting half-spaces on a direction grid."""
+        if not tol >= 0.0:
+            raise ValueError("tol must be nonnegative")
         x = as_vector(x)
         if grid is None:
             grid = default_grid(self.dim)
@@ -308,6 +304,8 @@ class Ball(ConvexBody):
         return 2.0 * self.radius
 
     def contains(self, x, tol: float = 0.0, grid=None) -> bool:
+        if not tol >= 0.0:
+            raise ValueError("tol must be nonnegative")
         x = as_vector(x)
         return float(np.linalg.norm(x - self.center)) <= self.radius + tol
 
@@ -369,6 +367,8 @@ class Ellipsoid(ConvexBody):
         # dist(x, E) <= tol.  Outside E, a point of gauge g lies between
         # (g - 1) a_min and (g - 1) a_max from E, so only gauges between
         # 1 + tol/a_max and 1 + tol/a_min need the distance itself.
+        if not tol >= 0.0:
+            raise ValueError("tol must be nonnegative")
         x = as_vector(x)
         z = self.rotation.T @ (x - self.center)
         g = float(np.linalg.norm(z / self.semi_axes))
@@ -425,15 +425,13 @@ class PointHull(ConvexBody):
         return np.max(P @ self.points.T, axis=1)
 
     def support_points(self, P):
+        # flat faces: of the points within 1e-12 (1 + |s|) of the best
+        # product, take the lexicographically smallest
         prods = P @ self.points.T
         best = np.max(prods, axis=1)
-        out = np.empty((len(P), self.dim))
-        scale = 1.0 + np.abs(best)
-        for i in range(len(P)):
-            # flat faces: break ties by the lexicographically smallest vertex
-            ties = self.points[prods[i] >= best[i] - 1e-12 * scale[i]]
-            out[i] = _lex_smallest(ties)
-        return out
+        tied = prods >= (best - 1e-12 * (1.0 + np.abs(best)))[:, None]
+        order = np.lexsort(self.points.T[::-1])
+        return self.points[order[np.argmax(tied[:, order], axis=1)]]
 
     def diameter(self, grid=None) -> float:
         if len(self.points) == 1:
@@ -492,16 +490,6 @@ def support_eval(body: ConvexBody, p) -> SupportEval:
     return SupportEval(value=value, point=point)
 
 
-def contains(body: ConvexBody, x, tol: float = 1e-9, grid: np.ndarray | None = None) -> bool:
-    """True iff (p, x) <= s(p) + tol for every grid direction p.
-
-    Ball and ellipsoid override this with their exact closed-form tests.
-    """
-    if tol < 0.0:
-        raise ValueError("tol must be nonnegative")
-    return body.contains(x, tol=tol, grid=grid)
-
-
 def boundary_distance(body: ConvexBody, x, grid: np.ndarray | None = None) -> float:
     """Radius of the largest grid-supported ball centered at x inside the body."""
     x = as_vector(x)
@@ -512,14 +500,6 @@ def boundary_distance(body: ConvexBody, x, grid: np.ndarray | None = None) -> fl
     if slack < -1e-9 * scale and not body.contains(x, tol=1e-9 * scale, grid=grid):
         raise OutsideBodyError(f"point {x.tolist()} lies outside the body")
     return slack
-
-
-def minkowski_support(parts, p) -> float:
-    """Sum of per-part support values; equals the support of the composite body."""
-    parts = list(parts)
-    if not parts:
-        raise EmptyInputError("need at least one body")
-    return MinkowskiSum(parts).support_value(np.asarray(p, dtype=float))
 
 
 def support_curvature_radii(body: ConvexBody, n: int = DEFAULT_GRID_2D) -> np.ndarray:

@@ -43,11 +43,6 @@ def ball_modulus(r: float, eps: float) -> float:
     return r - math.sqrt(r * r - 0.25 * eps * eps)
 
 
-def lens_modulus_bound(R: float, t: float) -> float:
-    """Guaranteed modulus lower bound R - sqrt(R^2 - t^2/4) for radius-R bodies."""
-    return ball_modulus(R, t)
-
-
 @dataclass(frozen=True)
 class ModulusSample:
     eps: float

@@ -3,12 +3,14 @@
 For a body whose modulus grows like K eps^2, the chord construction certifies
 strong convexity at radius 1/(4K); one refinement step improves a radius R to
 2R/(8RK + 1), and iterating the map converges monotonically to the sharp
-value 1/(8K).
+value 1/(8K).  The map is linear in 1/R, so its iterates have a closed form.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import GeometryError, NotConvergedError, OutOfDomainError, PreconditionError
 from .modulus import ModulusCurve, SecondOrderFit, ball_modulus, fit_second_order
@@ -85,26 +87,37 @@ def radius_fixed_point(
     tol: float = 1e-9,
     max_iter: int = 500,
 ) -> RadiusSequence:
-    """Iterate the refinement map from R0 until within tol of the limit 1/(8K).
+    """Iterates of the refinement map from R0 until within tol of the limit 1/(8K).
 
-    The sequence is strictly decreasing and stays above the limit.  Raises
-    NotConvergedError (carrying the partial sequence) if max_iter is hit.
+    The map is linear in 1/R, 1/R_{k+1} = 4K + 1/(2 R_k), so the iterates are
+    R_k = 1/(8K - (8K - 1/R0) 2^-k) and the step count solves R_n - 1/(8K) <= tol
+    in closed form.  The sequence is strictly decreasing and stays above the
+    limit.  Raises NotConvergedError (carrying the partial sequence) when more
+    than max_iter steps are needed.
     """
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise OutOfDomainError("tol must be positive")
     limit = 1.0 / (8.0 * K) if K > 0.0 else math.inf
-    if K <= 0.0 or R0 <= limit:
+    if K <= 0.0 or not R0 > limit:
         raise PreconditionError("need K > 0 and R0 > 1/(8K)")
-    values = [float(R0)]
-    R = float(R0)
-    for _ in range(max_iter):
-        if abs(R - limit) <= tol:
-            return RadiusSequence(K=K, values=tuple(values), converged=True, limit=limit)
-        R = refine_radius(R, K)
-        values.append(R)
-    if abs(R - limit) <= tol:
-        return RadiusSequence(K=K, values=tuple(values), converged=True, limit=limit)
-    partial = RadiusSequence(K=K, values=tuple(values), converged=False, limit=limit)
+    gap = 8.0 * K - 1.0 / R0
+
+    def iterates(n: int) -> np.ndarray:
+        values = 1.0 / (8.0 * K - gap * 2.0 ** -np.arange(max(n, 0) + 1.0))
+        values[0] = R0
+        return values
+
+    # R_n - limit <= tol  <=>  2^n >= gap (1 + 8K tol) / (64 K^2 tol); one
+    # step more covers rounding at the boundary.
+    ratio = gap / (8.0 * K) * (1.0 + 1.0 / (8.0 * K * tol))
+    steps = math.ceil(min(math.log2(max(ratio, 1.0)), max_iter + 1))
+    values = iterates(min(steps + 1, max_iter))
+    within = np.flatnonzero(np.abs(values - limit) <= tol)
+    if within.size:
+        return RadiusSequence(K=K, values=tuple(values[:within[0] + 1].tolist()),
+                              converged=True, limit=limit)
+    partial = RadiusSequence(K=K, values=tuple(iterates(max_iter).tolist()),
+                             converged=False, limit=limit)
     raise NotConvergedError(
         f"fixed-point iteration did not reach tol={tol} in {max_iter} steps", partial)
 

@@ -37,6 +37,7 @@ class GapFunction:
     R: float
 
     def value(self, p) -> float:
+        """f(p); f(0) = 0 by positive homogeneity."""
         p = np.asarray(p, dtype=float)
         n = float(np.linalg.norm(p))
         if n == 0.0:
@@ -48,14 +49,6 @@ class GapFunction:
         out = self.R * np.linalg.norm(P, axis=1) - self.body.support_values(P)
         out[np.linalg.norm(P, axis=1) == 0.0] = 0.0
         return out
-
-    def __call__(self, p) -> float:
-        return self.value(p)
-
-
-def gap_value(g: GapFunction, p) -> float:
-    """Evaluate the gap function; f(0) = 0 by positive homogeneity."""
-    return g.value(p)
 
 
 @dataclass(frozen=True)

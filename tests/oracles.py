@@ -6,7 +6,9 @@ modulus oracle scans chords on an exact ellipse parametrization, the support
 polygon reconstructs a body from raw support values, and the dense chord,
 depth and radial scans evaluate every point pair and every direction that the
 library's pruned kernels skip; the sphere-grid oracle is the scipy code the
-library's numpy Sobol generator replaced.
+library's numpy Sobol generator replaced; the refinement-chain and
+support-point oracles are the step-by-step loops that the library's closed
+form and vectorised tie-breaks replaced.
 """
 from __future__ import annotations
 
@@ -208,3 +210,55 @@ def scipy_sphere_grid(n: int, dim: int = 3, seed: int = 0) -> np.ndarray:
     norms = np.linalg.norm(g, axis=1)
     norms[norms == 0.0] = 1.0
     return g / norms[:, None]
+
+
+def iterated_fixed_point(R0: float, K: float, tol: float = 1e-9, max_iter: int = 500):
+    """(values, converged) of the refinement map R -> 2R/(8RK + 1) iterated from R0.
+
+    Stops at the first iterate within tol of 1/(8K), or after max_iter steps.
+    """
+    limit = 1.0 / (8.0 * K)
+    values = [float(R0)]
+    R = float(R0)
+    for _ in range(max_iter):
+        if abs(R - limit) <= tol:
+            return values, True
+        R = 2.0 * R / (8.0 * R * K + 1.0)
+        values.append(R)
+    return values, abs(R - limit) <= tol
+
+
+def loop_hull_support_points(points: np.ndarray, P: np.ndarray) -> np.ndarray:
+    """Per-row support points of conv(points): the lexicographically smallest
+    point among those within 1e-12 (1 + |s|) of the best product."""
+    prods = P @ points.T
+    best = np.max(prods, axis=1)
+    out = np.empty((len(P), points.shape[1]))
+    scale = 1.0 + np.abs(best)
+    for i in range(len(P)):
+        ties = points[prods[i] >= best[i] - 1e-12 * scale[i]]
+        out[i] = ties[np.lexsort(ties.T[::-1])[0]]
+    return out
+
+
+def loop_arc_support_points(ap, P: np.ndarray) -> np.ndarray:
+    """Per-row support points of an arc polygon from its vertices and the arc
+    points whose angle range holds the direction, ties broken by (x, y)."""
+    P = np.asarray(P, dtype=float)
+    if ap.is_singleton:
+        return np.repeat(ap.singleton_point[None, :], len(P), axis=0)
+    out = np.empty((len(P), 2))
+    verts = ap.vertices()
+    for i, p in enumerate(P):
+        n = float(np.linalg.norm(p))
+        phi = math.atan2(p[1], p[0]) % (2.0 * math.pi)
+        cands = [(float(p @ v), v) for v in verts]
+        for a in ap.arcs():
+            if a.contains_angle(phi):
+                pt = np.asarray(a.center) + a.radius * (p / n)
+                cands.append((float(p @ pt), pt))
+        top = max(v for v, _ in cands)
+        tied = [pt for v, pt in cands if v >= top - 1e-12 * (1.0 + abs(top))]
+        tied.sort(key=lambda q: (q[0], q[1]))
+        out[i] = tied[0]
+    return out

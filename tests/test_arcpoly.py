@@ -1,13 +1,19 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 import strconvex as sc
-from strconvex.arcpoly import Arc, clip_with_disk
+from strconvex.arcpoly import Arc, Seg, clip_with_disk
 from strconvex.seb import smallest_enclosing_circle
 
-from oracles import oracle_hull_boundary, oracle_hull_membership, sampled_center_oracle
+from oracles import (
+    loop_arc_support_points,
+    oracle_hull_boundary,
+    oracle_hull_membership,
+    sampled_center_oracle,
+)
 
 
 class TestLens:
@@ -16,7 +22,7 @@ class TestLens:
         centers = sorted(tuple(np.round(a.center, 9)) for a in L.arcs())
         assert centers == [(0.0, -0.8), (0.0, 0.8)]
         # half-thickness at the midpoint: 1 - sqrt(1 - 0.36) = 0.2
-        assert sc.arc_support(L, [0, 1]).value == pytest.approx(0.2, abs=1e-12)
+        assert sc.support_eval(L, [0, 1]).value == pytest.approx(0.2, abs=1e-12)
 
     def test_too_far_apart(self):
         with pytest.raises(sc.TooFarApartError):
@@ -58,7 +64,7 @@ class TestDiskIntersection:
         D = sc.disk_intersection(np.array([[0.5, -0.25]]), 1.5)
         for p in sc.angle_grid(32):
             expect = float(p @ [0.5, -0.25]) + 1.5
-            assert sc.arc_support(D, p).value == pytest.approx(expect, abs=1e-12)
+            assert sc.support_eval(D, p).value == pytest.approx(expect, abs=1e-12)
 
     def test_empty_when_far(self):
         assert sc.disk_intersection(np.array([[0, 0], [3.0, 0]]), 1.0) is None
@@ -190,20 +196,20 @@ class TestOffset:
         D = sc.offset(sc.ArcPolygon.singleton([1.0, -2.0]), 0.75)
         for p in sc.angle_grid(16):
             expect = float(p @ [1.0, -2.0]) + 0.75
-            assert sc.arc_support(D, p).value == pytest.approx(expect, abs=1e-12)
+            assert sc.support_eval(D, p).value == pytest.approx(expect, abs=1e-12)
 
     def test_disk_offset_grows_radius(self):
         D = sc.offset(sc.ArcPolygon.full_disk([0, 0], 2.0), 1.0)
-        assert sc.arc_support(D, [0, 1]).value == pytest.approx(3.0, abs=1e-12)
+        assert sc.support_eval(D, [0, 1]).value == pytest.approx(3.0, abs=1e-12)
 
     def test_lens_offset_support_additivity(self):
         L = sc.lens([-0.6, 0], [0.6, 0], 1.0)
         off = sc.offset(L, 1.0)
-        assert sc.arc_support(off, [0, 1]).value == pytest.approx(1.2, abs=1e-12)
+        assert sc.support_eval(off, [0, 1]).value == pytest.approx(1.2, abs=1e-12)
         # support additivity in every direction
         for p in sc.angle_grid(64):
-            expect = sc.arc_support(L, p).value + 1.0
-            assert sc.arc_support(off, p).value == pytest.approx(expect, abs=1e-12)
+            expect = sc.support_eval(L, p).value + 1.0
+            assert sc.support_eval(off, p).value == pytest.approx(expect, abs=1e-12)
 
     def test_zero_offset_identity(self):
         L = sc.lens([-0.3, 0], [0.3, 0.1], 0.8)
@@ -213,13 +219,13 @@ class TestOffset:
 class TestArcSupport:
     def test_lens_vertex_direction(self):
         L = sc.lens([-0.6, 0], [0.6, 0], 1.0)
-        ev = sc.arc_support(L, [1, 0])
+        ev = sc.support_eval(L, [1, 0])
         assert ev.value == pytest.approx(0.6, abs=1e-12)
         assert np.allclose(ev.point, [0.6, 0], atol=1e-12)
 
     def test_support_point_on_arc(self):
         L = sc.lens([-0.6, 0], [0.6, 0], 1.0)
-        ev = sc.arc_support(L, [0, -1])
+        ev = sc.support_eval(L, [0, -1])
         assert np.allclose(ev.point, [0, -0.2], atol=1e-12)
 
     def test_matches_dense_boundary_max(self):
@@ -229,7 +235,61 @@ class TestArcSupport:
         samples = D.boundary_samples(4000)
         for p in sc.angle_grid(32):
             brute = float(np.max(samples @ p))
-            assert sc.arc_support(D, p).value == pytest.approx(brute, abs=1e-5)
+            assert sc.support_eval(D, p).value == pytest.approx(brute, abs=1e-5)
+
+
+def _half_disk():
+    """Upper half of the unit disk: two arcs and a flat side on the x-axis."""
+    arcs = [Arc((0.0, 0.0), 1.0, 0.0, math.pi / 2), Arc((0.0, 0.0), 1.0, math.pi / 2, math.pi)]
+    return sc.ArcPolygon(arcs + [Seg((-1.0, 0.0), (1.0, 0.0))])
+
+
+def _arc_polygons(rng):
+    """Lenses, R-hulls of random points, their offsets, full disks and a half disk."""
+    out = [sc.lens([-0.6, 0], [0.6, 0], 1.0), sc.ArcPolygon.full_disk([0.2, -0.1], 0.7),
+           _half_disk(), sc.offset(_half_disk(), 0.3)]
+    for _ in range(6):
+        a, b = rng.uniform(-1, 1, (2, 2))
+        L = sc.lens(a, b, float(np.linalg.norm(b - a)) * rng.uniform(0.55, 3.0))
+        H = sc.r_hull(rng.uniform(-1, 1, (int(rng.integers(3, 12)), 2)), rng.uniform(1.6, 4.0))
+        out += [L, H, sc.offset(L, rng.uniform(0.1, 1.0)), sc.offset(H, rng.uniform(0.1, 1.0))]
+    return out
+
+
+def _piece_directions(ap):
+    """Directions of the outer normals at every piece end, where candidates tie."""
+    angles = []
+    for piece in ap.pieces:
+        if isinstance(piece, Arc):
+            angles += [piece.start_angle, piece.end_angle]
+        else:
+            angles.append(piece.normal_angle)
+    return np.stack([np.cos(angles), np.sin(angles)], axis=1)
+
+
+class TestSupportPoints:
+    def test_matches_per_row_tie_break(self):
+        rng = np.random.default_rng(4)
+        for ap in _arc_polygons(rng):
+            P = np.vstack([sc.angle_grid(256), 3.0 * rng.standard_normal((100, 2)),
+                           _piece_directions(ap)])
+            expect = loop_arc_support_points(ap, P)
+            got = ap.support_points(P)
+            assert np.all(np.abs(got - expect) <= 4e-15 * (1.0 + np.abs(expect)))
+
+    def test_flat_side_tie_goes_to_smallest_x(self):
+        got = _half_disk().support_points(np.array([[0.0, -1.0], [0.0, 2.0], [1.0, 0.0]]))
+        assert np.allclose(got, [[-1.0, 0.0], [0.0, 1.0], [1.0, 0.0]], atol=1e-15)
+
+    def test_zero_direction_takes_smallest_vertex(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = sc.ArcPolygon.full_disk([0.0, 0.0], 1.0).support_points(np.zeros((1, 2)))
+        assert np.allclose(got, [[-1.0, 0.0]], atol=1e-15)
+
+    def test_singleton(self):
+        pt = sc.ArcPolygon.singleton([0.3, -0.4])
+        assert pt.support_points(np.eye(2)).tolist() == [[0.3, -0.4], [0.3, -0.4]]
 
 
 class TestClip:

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from oracles import scipy_sphere_grid
+from oracles import loop_hull_support_points, scipy_sphere_grid
 
 import strconvex as sc
 from strconvex.bodies import (
@@ -56,18 +56,18 @@ class TestSupportEval:
 
 class TestContains:
     def test_ball_inside(self):
-        assert sc.contains(sc.Ball([0, 0], 1.0), [0.5, 0.5])
+        assert sc.Ball([0, 0], 1.0).contains([0.5, 0.5], tol=1e-9)
 
     def test_ball_outside(self):
-        assert not sc.contains(sc.Ball([0, 0], 1.0), [1.1, 0])
+        assert not sc.Ball([0, 0], 1.0).contains([1.1, 0], tol=1e-9)
 
     def test_ellipse_boundary(self):
-        assert sc.contains(sc.Ellipsoid([0, 0], [2, 1]), [0, 1])
+        assert sc.Ellipsoid([0, 0], [2, 1]).contains([0, 1], tol=1e-9)
 
     def test_hull_grid_membership(self):
         sq = sc.PointHull([[-1, -1], [1, -1], [1, 1], [-1, 1]])
-        assert sc.contains(sq, [0.9, 0.9])
-        assert not sc.contains(sq, [1.05, 0])
+        assert sq.contains([0.9, 0.9], tol=1e-9)
+        assert not sq.contains([1.05, 0], tol=1e-9)
 
     def test_ellipse_rejects_twice_tol_past_long_vertex(self):
         # a gauge test with slack tol/a_min accepted this point, 0.002 outside
@@ -93,6 +93,39 @@ class TestContains:
                 assert body.contains(x + 0.5 * tol * p, tol=tol)
                 assert not body.contains(x + 2.0 * tol * p, tol=tol)
 
+    @pytest.mark.parametrize("body, x", [
+        (sc.Ball([0, 0], 1.0), [0.0, 0.95]),
+        # 0.05 from the boundary, accepted by a shrunken gauge test
+        (sc.Ellipsoid([0, 0], [3, 0.5]), [0.0, 0.45]),
+        (sc.PointHull([[-1, -1], [1, -1], [1, 1], [-1, 1]]), [0.0, 0.95]),
+        (sc.MinkowskiSum([sc.Ball([0, 0], 0.5), sc.Ball([0, 0], 0.5)]), [0.0, 0.95]),
+        # 0.034 from the boundary, accepted by the inside-ray test
+        (sc.lens([0, 0], [1, 0], 1.0), [0.5, 0.1]),
+    ], ids=["ball", "ellipsoid", "point_hull", "minkowski_sum", "arc_polygon"])
+    def test_negative_tol_rejected(self, body, x):
+        assert body.contains(x, tol=0.0)
+        with pytest.raises(ValueError, match="tol must be nonnegative"):
+            body.contains(x, tol=-0.1)
+
+
+class TestPointHullSupportPoints:
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_matches_per_row_tie_break(self, dim):
+        rng = np.random.default_rng(dim)
+        for n in (1, 2, 7, 40, 300):
+            pts = rng.uniform(-2.0, 2.0, (n, dim))
+            for points in (pts, np.round(pts), np.round(3.0 * pts) / 3.0):
+                body = sc.PointHull(points)
+                # the signed axes tie along the flat faces of rounded sets
+                P = np.vstack([rng.standard_normal((200, dim)), np.eye(dim), -np.eye(dim)])
+                expect = loop_hull_support_points(body.points, P)
+                assert np.array_equal(body.support_points(P), expect)
+
+    def test_square_face_takes_lexicographic_minimum(self):
+        sq = sc.PointHull([[1, 1], [-1, 1], [1, -1], [-1, -1], [0, 1], [1, 1]])
+        got = sq.support_points(np.array([[0.0, 1.0], [1.0, 0.0], [0.0, -1.0], [-1.0, 0.0]]))
+        assert got.tolist() == [[-1.0, 1.0], [1.0, -1.0], [-1.0, -1.0], [-1.0, -1.0]]
+
 
 class TestBoundaryDistance:
     def test_ball_center(self):
@@ -113,20 +146,20 @@ class TestMinkowski:
     def test_radii_add(self):
         parts = [sc.Ball([0, 0], 1.0), sc.Ball([0, 0], 2.0)]
         for p in sc.angle_grid(16):
-            assert sc.minkowski_support(parts, p) == pytest.approx(3.0, abs=1e-12)
+            assert sc.MinkowskiSum(parts).support_value(p) == pytest.approx(3.0, abs=1e-12)
 
     def test_translation_cancels(self):
         parts = [sc.Ball([1, 0], 1.0), sc.PointHull([[-1, 0]])]
-        assert sc.minkowski_support(parts, [1, 0]) == pytest.approx(1.0, abs=1e-12)
+        assert sc.MinkowskiSum(parts).support_value([1, 0]) == pytest.approx(1.0, abs=1e-12)
 
     def test_ellipse_plus_ball(self):
         for r in (0.5, 1.0, 2.0):
             parts = [sc.Ellipsoid([0, 0], [2, 1]), sc.Ball([0, 0], r)]
-            assert sc.minkowski_support(parts, [0, 1]) == pytest.approx(1 + r, abs=1e-12)
+            assert sc.MinkowskiSum(parts).support_value([0, 1]) == pytest.approx(1 + r, abs=1e-12)
 
     def test_empty_raises(self):
         with pytest.raises(sc.EmptyInputError):
-            sc.minkowski_support([], [1, 0])
+            sc.MinkowskiSum([])
 
     def test_matches_brute_force_on_point_hulls(self):
         rng = np.random.default_rng(7)
@@ -138,7 +171,7 @@ class TestMinkowski:
             p = rng.standard_normal(2)
             p /= np.linalg.norm(p)
             brute = float(np.max(sums @ p))
-            assert sc.minkowski_support(parts, p) == pytest.approx(brute, abs=1e-6)
+            assert sc.MinkowskiSum(parts).support_value(p) == pytest.approx(brute, abs=1e-6)
 
 
 def _random_bodies(rng, n):
@@ -182,7 +215,7 @@ class TestInvariants:
             for p in sc.angle_grid(16):
                 ev = sc.support_eval(body, p)
                 assert abs(float(p @ ev.point) - ev.value) <= 1e-9
-                assert sc.contains(body, ev.point, tol=1e-9)
+                assert body.contains(ev.point, tol=1e-9)
 
 
 class TestGrids:
@@ -245,7 +278,7 @@ class TestGrids:
             "sc.check_strong_convexity(ellipsoid, 4.0)\n"
             "sc.estimate_modulus(ellipsoid, 0.5, 64)\n"
             "total.diameter()\n"
-            "sc.contains(total, [0.5, 0.5, 0.5])\n"
+            "total.contains([0.5, 0.5, 0.5], tol=1e-9)\n"
             "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))\n"
         )
         src = str(Path(__file__).resolve().parents[1] / "src")

@@ -35,17 +35,17 @@ class TestBallModulus:
 
 class TestLensModulusBound:
     def test_matches_ball_formula(self):
-        assert sc.lens_modulus_bound(1.0, 1.0) == pytest.approx(0.1339746, abs=1e-7)
+        assert sc.ball_modulus(1.0, 1.0) == pytest.approx(0.1339746, abs=1e-7)
 
     def test_zero(self):
-        assert sc.lens_modulus_bound(1.0, 0.0) == 0.0
+        assert sc.ball_modulus(1.0, 0.0) == 0.0
 
     def test_large_radius(self):
-        assert sc.lens_modulus_bound(4.0, 0.4) == pytest.approx(4 - math.sqrt(16 - 0.04), abs=1e-10)
+        assert sc.ball_modulus(4.0, 0.4) == pytest.approx(4 - math.sqrt(16 - 0.04), abs=1e-10)
 
     def test_domain(self):
         with pytest.raises(sc.OutOfDomainError):
-            sc.lens_modulus_bound(1.0, 2.0)
+            sc.ball_modulus(1.0, 2.0)
 
 
 class TestEstimateModulus:
@@ -83,7 +83,7 @@ class TestEstimateModulus:
         param = BoundaryParam(L, 2048)
         for eps in (0.2, 0.5, 0.9):
             delta, bound = sc.estimate_modulus(L, eps, 2048, param=param)
-            assert delta >= sc.lens_modulus_bound(1.0, eps) - bound
+            assert delta >= sc.ball_modulus(1.0, eps) - bound
 
     def test_disk_intersection_respects_lower_bound(self):
         rng = np.random.default_rng(21)
@@ -93,7 +93,7 @@ class TestEstimateModulus:
         diam = D.diameter()
         for eps in (0.3 * diam, 0.6 * diam):
             delta, bound = sc.estimate_modulus(D, eps, 2048, param=param)
-            assert delta >= sc.lens_modulus_bound(1.0, eps) - bound
+            assert delta >= sc.ball_modulus(1.0, eps) - bound
 
     def test_ratio_monotonicity(self):
         e = sc.Ellipsoid([0, 0], [2, 1])

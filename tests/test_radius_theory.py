@@ -4,6 +4,8 @@ import pytest
 import strconvex as sc
 from strconvex.radius_theory import radius_map
 
+from oracles import iterated_fixed_point
+
 
 class TestChordRadius:
     def test_basic(self):
@@ -154,6 +156,51 @@ class TestRadiusFixedPoint:
     def test_precondition(self):
         with pytest.raises(sc.PreconditionError):
             sc.radius_fixed_point(0.9, 0.125, 1e-9)
+
+    def test_domain(self):
+        for K in (0.0, -1.0):
+            with pytest.raises(sc.PreconditionError):
+                sc.radius_fixed_point(2.0, K, 1e-9)
+        for tol in (0.0, -1e-9):
+            with pytest.raises(sc.OutOfDomainError):
+                sc.radius_fixed_point(2.0, 0.125, tol)
+
+    def test_start_within_tol_takes_no_step(self):
+        for K in (0.01, 0.125, 3.7):
+            limit = 1 / (8 * K)
+            for tol in (1e-9 * limit, 1e-3 * limit):
+                for frac in (0.01, 0.5, 0.99):
+                    seq = sc.radius_fixed_point(limit + frac * tol, K, tol)
+                    assert seq.converged and seq.values == (limit + frac * tol,)
+
+    def test_relative_gate_reached(self):
+        # the gate modulus_planar applies to every planar body
+        rng = np.random.default_rng(3)
+        for _ in range(200):
+            K = 10 ** rng.uniform(-3, 2)
+            limit = 1 / (8 * K)
+            seq = sc.radius_fixed_point(limit * rng.uniform(1.001, 3.0), K, tol=1e-9 * limit)
+            assert seq.converged and abs(seq.values[-1] - limit) <= 1e-9 * limit
+
+    def test_matches_iterated_map(self):
+        rng = np.random.default_rng(11)
+        for _ in range(1500):
+            K = 10 ** rng.uniform(-3, 2)
+            limit = 1 / (8 * K)
+            R0 = limit * (1 + 10 ** rng.uniform(-6, 4))
+            tol = limit * 10 ** rng.uniform(-12, -1)
+            values, converged = iterated_fixed_point(R0, K, tol)
+            seq = sc.radius_fixed_point(R0, K, tol)
+            assert seq.converged and converged
+            assert len(seq.values) == len(values)
+            assert np.allclose(seq.values, values, rtol=1e-12, atol=0.0)
+
+    def test_not_converged_partial_matches_iterated_map(self):
+        with pytest.raises(sc.NotConvergedError) as err:
+            sc.radius_fixed_point(1e6, 1.0, 1e-14, max_iter=20)
+        values, converged = iterated_fixed_point(1e6, 1.0, 1e-14, max_iter=20)
+        assert not converged and not err.value.partial.converged
+        assert np.allclose(err.value.partial.values, values, rtol=1e-12, atol=0.0)
 
 
 class TestSharpRadius:

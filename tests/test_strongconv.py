@@ -11,30 +11,30 @@ class TestGapFunction:
     def test_unit_disk_at_matching_radius_vanishes(self):
         g = GapFunction(sc.Ball([0, 0], 1.0), 1.0)
         for p in sc.angle_grid(32):
-            assert sc.gap_value(g, p) == pytest.approx(0.0, abs=1e-14)
+            assert g.value(p) == pytest.approx(0.0, abs=1e-14)
 
     def test_unit_disk_radius_two(self):
         g = GapFunction(sc.Ball([0, 0], 1.0), 2.0)
-        assert sc.gap_value(g, [1, 0]) == pytest.approx(1.0, abs=1e-14)
+        assert g.value([1, 0]) == pytest.approx(1.0, abs=1e-14)
 
     def test_singleton(self):
         x = np.array([0.4, -0.7])
         g = GapFunction(sc.PointHull([x]), 3.0)
         for p in sc.angle_grid(16):
-            assert sc.gap_value(g, p) == pytest.approx(3.0 - float(p @ x), abs=1e-12)
+            assert g.value(p) == pytest.approx(3.0 - float(p @ x), abs=1e-12)
 
     def test_zero_direction(self):
         g = GapFunction(sc.Ball([0.3, 0.1], 1.0), 1.0)
-        assert sc.gap_value(g, [0, 0]) == 0.0
+        assert g.value([0, 0]) == 0.0
 
     def test_homogeneity(self):
         g = GapFunction(sc.Ellipsoid([0.2, -0.1], [2, 1]), 4.0)
         rng = np.random.default_rng(0)
         for _ in range(50):
             p = rng.standard_normal(2)
-            base = sc.gap_value(g, p)
+            base = g.value(p)
             for lam in (0.5, 2.0, 10.0):
-                assert abs(sc.gap_value(g, lam * p) - lam * base) <= 1e-10 * (1 + abs(base))
+                assert abs(g.value(lam * p) - lam * base) <= 1e-10 * (1 + abs(base))
 
 
 class TestCheckStrongConvexity:
@@ -49,7 +49,7 @@ class TestCheckStrongConvexity:
         assert violation > v.tol
         # replay the witness: midpoint convexity is indeed violated
         g = GapFunction(sc.Ball([0, 0], 1.0), 0.9)
-        replay = sc.gap_value(g, 0.5 * (p1 + p2)) - 0.5 * (sc.gap_value(g, p1) + sc.gap_value(g, p2))
+        replay = g.value(0.5 * (p1 + p2)) - 0.5 * (g.value(p1) + g.value(p2))
         assert replay == pytest.approx(violation, rel=1e-12)
 
     def test_ellipse_at_curvature_radius(self):
