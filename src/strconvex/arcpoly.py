@@ -138,7 +138,8 @@ class ArcPolygon(ConvexBody):
             raise GeometryError("an arc polygon needs boundary pieces or a point")
         if self.pieces:
             for a, b in zip(self.pieces, self.pieces[1:] + self.pieces[:1]):
-                if np.linalg.norm(a.end_point - b.start_point) > 1e-7:
+                end, start = a.end_point, b.start_point
+                if math.hypot(start[0] - end[0], start[1] - end[1]) > 1e-7:
                     raise GeometryError("boundary pieces do not chain into a closed loop")
         self._interior = None
 
@@ -412,7 +413,9 @@ def _joined_arc(q, p) -> Arc | None:
     and their joint span stays below MAX_ARC_SPAN; else None."""
     if not (isinstance(q, Arc) and isinstance(p, Arc)):
         return None
-    same = (np.allclose(q.center, p.center, atol=1e-12)
+    # the centres agree as np.allclose(q.center, p.center, atol=1e-12) decides
+    same = (abs(q.center[0] - p.center[0]) <= 1e-12 + 1e-5 * abs(p.center[0])
+            and abs(q.center[1] - p.center[1]) <= 1e-12 + 1e-5 * abs(p.center[1])
             and abs(q.radius - p.radius) < 1e-12
             and abs((p.start_angle - q.end_angle) % TWO_PI) < 1e-9)
     if same and q.span + p.span < MAX_ARC_SPAN:
@@ -445,7 +448,7 @@ def clip_with_disk(ap: ArcPolygon, center, R: float) -> ArcPolygon | None:
     c = as_vector(center)
     if ap.is_singleton:
         pt = ap.singleton_point
-        if float(np.linalg.norm(pt - c)) <= R + 1e-12:
+        if math.hypot(pt[0] - c[0], pt[1] - c[1]) <= R + 1e-12:
             return ap
         return None
     frags = []
@@ -457,6 +460,8 @@ def clip_with_disk(ap: ArcPolygon, center, R: float) -> ArcPolygon | None:
         else:
             ivs = _seg_fragments_in_disk(piece, c, R)
             full = 1.0
+        # a piece with no fragment left is cut away whole
+        any_cut = any_cut or not ivs
         for lo, hi in ivs:
             cut_lo = lo > 1e-12
             cut_hi = hi < full - 1e-12
@@ -473,10 +478,10 @@ def clip_with_disk(ap: ArcPolygon, center, R: float) -> ArcPolygon | None:
     for i, frag in enumerate(frags):
         pieces.append(frag)
         nxt = frags[(i + 1) % k]
-        gap = float(np.linalg.norm(nxt.start_point - frag.end_point))
-        if gap > MERGE_TOL:
-            a0 = _ang(frag.end_point - c)
-            a1 = _ang(nxt.start_point - c)
+        end, start = frag.end_point, nxt.start_point
+        if math.hypot(start[0] - end[0], start[1] - end[1]) > MERGE_TOL:
+            a0 = _ang(end - c)
+            a1 = _ang(start - c)
             pieces += _make_arc(c, R, a0, a1)
     pieces = _clean_pieces(pieces)
     if not pieces:
@@ -490,9 +495,38 @@ def clip_with_disk(ap: ArcPolygon, center, R: float) -> ArcPolygon | None:
 def _dedupe(points: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     out = []
     for p in points:
-        if not any(np.linalg.norm(p - q) <= tol for q in out):
+        if not any(math.hypot(p[0] - q[0], p[1] - q[1]) <= tol for q in out):
             out.append(p)
     return np.array(out)
+
+
+def _hull_vertices(points: np.ndarray) -> np.ndarray:
+    """The points that are vertices of their convex hull, in input order.
+
+    Andrew's monotone chain (Inf. Proc. Lett. 9, 1979) over the points sorted
+    by (x, y): interior points, repeats of a point and points inside a hull
+    edge are dropped; of equal points the first is kept.
+    """
+    order = np.lexsort((points[:, 1], points[:, 0]))
+    srt = points[order]
+    order = order[np.r_[True, np.any(srt[1:] != srt[:-1], axis=1)]]
+    if len(order) <= 2:
+        return points[np.sort(order)]
+    xs, ys = points[order].T.tolist()
+
+    def chain(idx):
+        h = []
+        for k in idx:
+            # drop the last vertex while it makes no strict left turn
+            while len(h) >= 2 and ((xs[h[-1]] - xs[h[-2]]) * (ys[k] - ys[h[-2]])
+                                   - (ys[h[-1]] - ys[h[-2]]) * (xs[k] - xs[h[-2]])) <= 0.0:
+                h.pop()
+            h.append(k)
+        return h[:-1]
+
+    m = len(order)
+    keep = order[chain(range(m)) + chain(range(m - 1, -1, -1))]
+    return points[np.sort(keep)]
 
 
 def disk_intersection(centers, R: float) -> ArcPolygon | None:
@@ -502,7 +536,8 @@ def disk_intersection(centers, R: float) -> ArcPolygon | None:
         raise EmptyInputError("need a nonempty (n, 2) array of centers")
     if R <= 0.0:
         raise ValueError("radius must be positive")
-    pts = _dedupe(centers)
+    # a disk holds the centres exactly when it holds their hull vertices
+    pts = _dedupe(_hull_vertices(centers))
     if len(pts) == 1:
         return ArcPolygon.full_disk(pts[0], R)
     # cheap reject, then the exact certificate via the minimal enclosing circle
@@ -529,13 +564,15 @@ def r_hull(points, R: float) -> ArcPolygon:
     Computed by intersecting the balls centered at the vertices of the kernel
     (the region of admissible centers); the kernel-vertex reduction is
     cross-checked against a dense-center sampling oracle in the test suite.
+    A ball holds the points exactly when it holds the vertices of their convex
+    hull, so only those vertices enter.
     """
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or points.shape[1] != 2 or len(points) == 0:
         raise EmptyInputError("need a nonempty (n, 2) point array")
     if R <= 0.0:
         raise ValueError("radius must be positive")
-    pts = _dedupe(points)
+    pts = _dedupe(_hull_vertices(points))
     if len(pts) == 1:
         return ArcPolygon.singleton(pts[0])
     c_seb, r_seb = smallest_enclosing_circle(pts)

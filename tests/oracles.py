@@ -8,7 +8,9 @@ depth and radial scans evaluate every point pair and every direction that the
 library's pruned kernels skip; the sphere-grid oracle is the scipy code the
 library's numpy Sobol generator replaced; the refinement-chain and
 support-point oracles are the step-by-step loops that the library's closed
-form and vectorised tie-breaks replaced.
+form and vectorised tie-breaks replaced; the hull-vertex oracle is scipy's
+qhull, and the full-input disk intersection clips against every input point
+where the library clips against the convex-hull vertices only.
 """
 from __future__ import annotations
 
@@ -262,3 +264,52 @@ def loop_arc_support_points(ap, P: np.ndarray) -> np.ndarray:
         tied.sort(key=lambda q: (q[0], q[1]))
         out[i] = tied[0]
     return out
+
+
+def scipy_hull_vertices(points: np.ndarray) -> np.ndarray:
+    """The first occurrence of each qhull vertex of a planar set, in input order."""
+    verts = points[ConvexHull(points).vertices]
+    first = [int(np.flatnonzero(np.all(points == v, axis=1))[0]) for v in verts]
+    return points[np.sort(first)]
+
+
+def full_input_disk_intersection(centers, R: float):
+    """Intersection of the radius-R disks about every centre, with no hull prefilter.
+
+    Centres within 1e-12 of an earlier one are dropped; then the n x n
+    diameter reject, the enclosing-circle certificate, and one clip of the
+    disk about the first centre per remaining centre, in input order.
+    """
+    from strconvex.arcpoly import ArcPolygon, clip_with_disk
+    from strconvex.seb import smallest_enclosing_circle
+
+    centers = np.asarray(centers, dtype=float)
+    pts = centers[:1]
+    for p in centers[1:]:
+        if np.hypot(*(pts - p).T).min() > 1e-12:
+            pts = np.vstack([pts, p])
+    if len(pts) == 1:
+        return ArcPolygon.full_disk(pts[0], R)
+    if np.max(np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1)) > (2.0 * R) ** 2 + 1e-12:
+        return None
+    c_seb, r_seb = smallest_enclosing_circle(pts)
+    if r_seb > R + 1e-9:
+        return None
+    if r_seb >= R - 1e-9:
+        return ArcPolygon.singleton(c_seb)
+    region = ArcPolygon.full_disk(pts[0], R)
+    for c in pts[1:]:
+        region = clip_with_disk(region, c, R)
+        if region is None or region.is_singleton:
+            return region
+    return region
+
+
+def full_input_r_hull(points, R: float):
+    """R-hull of a planar set whose kernel is the full-input disk intersection.
+
+    Assumes an enclosing ball of radius below R exists and the kernel is
+    not a single point.
+    """
+    kernel = full_input_disk_intersection(points, R)
+    return full_input_disk_intersection(kernel.vertices(), R)

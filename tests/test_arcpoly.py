@@ -5,14 +5,17 @@ import numpy as np
 import pytest
 
 import strconvex as sc
-from strconvex.arcpoly import Arc, Seg, clip_with_disk
+from strconvex.arcpoly import Arc, Seg, _dedupe, _hull_vertices, clip_with_disk
 from strconvex.seb import smallest_enclosing_circle
 
 from oracles import (
+    full_input_disk_intersection,
+    full_input_r_hull,
     loop_arc_support_points,
     oracle_hull_boundary,
     oracle_hull_membership,
     sampled_center_oracle,
+    scipy_hull_vertices,
 )
 
 
@@ -306,6 +309,138 @@ class TestClip:
         big = sc.ArcPolygon.full_disk([0, 0], 10.0)
         out = clip_with_disk(big, [1.0, 1.0], 0.5)
         assert sc.hausdorff_distance(out, sc.ArcPolygon.full_disk([1, 1], 0.5)) <= 1e-9
+
+    def test_clip_that_removes_whole_pieces_cuts(self):
+        # boundary samples of an R-hull, started at the leftmost sample: later
+        # disks pass through kernel vertices and remove whole pieces
+        S = sc.r_hull(np.random.default_rng(6).random((9, 2)), 1.8).boundary_samples(512)
+        rng = np.random.default_rng(0)
+        orders = [np.roll(S, -int(np.argmin(S[:, 0])), axis=0)]
+        orders += [np.roll(S, int(k), axis=0) for k in rng.integers(0, len(S), 2)]
+        orders += [rng.permutation(S) for _ in range(2)]
+        kernels = []
+        for k, C in enumerate([S] + orders):
+            # the full-input path clips once per sample: three orders suffice
+            full = [full_input_disk_intersection(C, 1.8)] if k in (0, 1, 5) else []
+            for K in [sc.disk_intersection(C, 1.8)] + full:
+                B = K.boundary_samples(2048)
+                dist = np.sqrt(((B[:, None, :] - C[None, :, :]) ** 2).sum(-1)).max(axis=1)
+                assert dist.max() <= 1.8 + 1e-12
+                kernels.append(K)
+        for K in kernels[1:]:
+            assert sc.hausdorff_distance(K, kernels[0]) <= 1e-12
+
+
+class TestHullVertices:
+    def test_matches_qhull_on_random_and_rounded_sets(self):
+        rng = np.random.default_rng(12)
+        for n in (3, 4, 7, 20, 100, 500):
+            for _ in range(4):
+                pts = rng.uniform(-2.0, 2.0, (n, 2))
+                for points in (pts, np.round(pts), np.round(3.0 * pts) / 3.0):
+                    if np.linalg.matrix_rank(points - points[0]) < 2:
+                        continue
+                    assert np.array_equal(_hull_vertices(points), scipy_hull_vertices(points))
+
+    def test_matches_qhull_on_integer_grids(self):
+        rng = np.random.default_rng(13)
+        for n in (5, 12, 40, 200):
+            for _ in range(5):
+                points = rng.integers(0, 6, (n, 2)).astype(float)
+                if np.linalg.matrix_rank(points - points[0]) < 2:
+                    continue
+                assert np.array_equal(_hull_vertices(points), scipy_hull_vertices(points))
+
+    def test_exact_duplicates_keep_first_occurrence(self):
+        rng = np.random.default_rng(14)
+        pts = rng.random((30, 2))
+        dup = np.vstack([pts, pts[rng.integers(0, 30, 20)], pts[:5]])
+        points = dup[rng.permutation(len(dup))]
+        got = _hull_vertices(points)
+        assert np.array_equal(got, scipy_hull_vertices(points))
+        assert len(np.unique(got, axis=0)) == len(got)
+
+    def test_near_duplicates_reduce_to_qhull_vertices(self):
+        rng = np.random.default_rng(15)
+        for _ in range(10):
+            pts = rng.random((25, 2))
+            expect = scipy_hull_vertices(pts)
+            near = expect + 1e-14 * rng.standard_normal(expect.shape)
+            points = np.vstack([pts, near])[rng.permutation(len(pts) + len(near))]
+            got = _dedupe(_hull_vertices(points))
+            assert len(got) == len(expect)
+            gap = np.sqrt(((got[:, None, :] - expect[None, :, :]) ** 2).sum(-1))
+            assert gap.min(axis=1).max() <= 1e-12 and gap.min(axis=0).max() <= 1e-12
+
+    def test_points_on_edges_are_dropped(self):
+        t = np.linspace(-1.0, 1.0, 9)[1:-1]
+        one = np.ones_like(t)
+        edges = np.concatenate([np.stack([t, -one], 1), np.stack([one, t], 1),
+                                np.stack([t, one], 1), np.stack([-one, t], 1)])
+        corners = np.array([[1.0, 1.0], [-1.0, -1.0], [1.0, -1.0], [-1.0, 1.0]])
+        points = np.vstack([edges[:10], corners[:2], edges[10:], [[0.1, 0.2]], corners[2:]])
+        assert np.array_equal(_hull_vertices(points), corners)
+
+    def test_degenerate_sets(self):
+        p = np.array([[0.3, -0.7]])
+        assert np.array_equal(_hull_vertices(np.repeat(p, 6, axis=0)), p)
+        assert np.array_equal(_hull_vertices(p), p)
+        two = np.array([[1.0, 2.0], [-1.0, 0.5]])
+        assert np.array_equal(_hull_vertices(two), two)
+        assert np.array_equal(_hull_vertices(two[::-1]), two[::-1])
+        assert np.array_equal(_hull_vertices(np.vstack([two, two])), two)
+        line = np.array([[0.5, 0.5], [0.0, 0.0], [2.0, 2.0], [1.0, 1.0], [-1.0, -1.0]])
+        assert np.array_equal(_hull_vertices(line), line[[2, 4]])
+
+    def test_input_order_is_kept(self):
+        rng = np.random.default_rng(16)
+        t = rng.permutation(np.linspace(0.0, 2.0 * np.pi, 40, endpoint=False))
+        ring = np.stack([np.cos(t), np.sin(t)], axis=1)
+        points = np.vstack([0.5 * rng.uniform(-1, 1, (60, 2)), ring])[rng.permutation(100)]
+        on_ring = np.abs(np.linalg.norm(points, axis=1) - 1.0) < 1e-12
+        assert np.array_equal(_hull_vertices(points), points[on_ring])
+
+
+def _point_set(kind, n):
+    """Square, disk and thin-annulus ("circle") samples with an antipodal pair
+    on the enclosing circle."""
+    rng = np.random.default_rng([("square", "disk", "circle").index(kind), n])
+    if kind == "square":
+        pts = rng.uniform(-1.0, 1.0, (n, 2))
+        pts[:2] = [[-1.0, -1.0], [1.0, 1.0]]
+        return pts
+    t = rng.uniform(0.0, 2.0 * np.pi, n)
+    rad = np.sqrt(rng.uniform(0.0, 1.0, n)) if kind == "disk" else rng.uniform(0.98, 1.0, n)
+    pts = np.stack([rad * np.cos(t), rad * np.sin(t)], axis=1)
+    pts[:2] = [[1.0, 0.0], [-1.0, 0.0]]
+    return pts
+
+
+def _hull_path_sets():
+    """Criterion 6's 50 sets at 1.5x their enclosing radius, and square, disk
+    and circle sets at twice it."""
+    out = []
+    for seed in range(50):
+        rng = np.random.default_rng(seed)
+        pts = rng.random((int(rng.integers(5, 21)), 2))
+        out.append((pts, 1.5 * smallest_enclosing_circle(pts)[1]))
+    for kind in ("square", "disk", "circle"):
+        for n in (20, 60, 200):
+            pts = _point_set(kind, n)
+            out.append((pts, 2.0 * smallest_enclosing_circle(pts)[1]))
+    return out
+
+
+class TestHullPathAgainstFullInput:
+    def test_same_kernels_and_hulls(self):
+        grid = sc.angle_grid(4096)
+        for pts, R in _hull_path_sets():
+            pairs = ((sc.disk_intersection(pts, R), full_input_disk_intersection(pts, R)),
+                     (sc.r_hull(pts, R), full_input_r_hull(pts, R)))
+            for got, expect in pairs:
+                assert len(got.pieces) == len(expect.pieces)
+                s = expect.support_values(grid)
+                assert np.all(np.abs(got.support_values(grid) - s) <= 1e-12 * (1.0 + np.abs(s)))
 
 
 class TestSmallestEnclosingCircle:

@@ -160,6 +160,31 @@ class TestHullCommand:
             outs.append(open(out).read())
         assert outs[0] == outs[1]
 
+    def test_interior_points_and_repeats_change_nothing(self, tmp_path):
+        rng = np.random.default_rng(7)
+        t = rng.uniform(0.0, 2.0 * np.pi, 200)
+        rad = np.sqrt(rng.uniform(0.0, 1.0, 200))
+        pts = np.stack([rad * np.cos(t), rad * np.sin(t)], axis=1) * 1.3 + [0.4, -2.1]
+        mids = 0.5 * (pts[rng.integers(0, 200, 60)] + pts[rng.integers(0, 200, 60)])
+        inner = pts.mean(axis=0) + 0.9 * (mids - pts.mean(axis=0))
+        more = np.insert(pts, rng.integers(0, 201, 60), inner, axis=0)
+        # repeats go last, so the first occurrence of every point keeps its place
+        more = np.vstack([more, pts[rng.integers(0, 200, 40)], more[:5]])
+        texts = []
+        for name, points in (("a", pts), ("b", more)):
+            body = _write_body(tmp_path, f"{name}.json",
+                               {"type": "hull", "points": points.tolist()})
+            out, svg = str(tmp_path / f"{name}.hull.json"), str(tmp_path / f"{name}.svg")
+            assert main(["hull", "--body", body, "--radius", "2.6", "--out", out,
+                         "--svg", svg, "--kernel-overlay"]) == 0
+            texts.append((open(out).read(), open(svg).read().splitlines()))
+        (json_a, svg_a), (json_b, svg_b) = texts
+        assert json_a == json_b
+        # the SVG marks every input point; all else is byte-identical
+        shapes_a = [ln for ln in svg_a if "<circle" not in ln]
+        assert shapes_a == [ln for ln in svg_b if "<circle" not in ln]
+        assert set(ln for ln in svg_a if "<circle" in ln) <= set(svg_b)
+
     def test_too_small_radius_exit_4(self, tmp_path, square_json):
         assert main(["hull", "--body", square_json, "--radius", "0.5"]) == 4
 

@@ -7,7 +7,10 @@ drops per-layer metrics from a traced benchmark run.
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+
 import strconvex as sc
+from strconvex.arcpoly import _hull_vertices
 
 SPANS_PY = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -67,3 +70,28 @@ def test_tracer_records_sphere_grid_calls_of_a_three_dimensional_radius():
     finally:
         tracer.uninstall()
     assert spans.aggregate(tracer.spans)["bodies.sphere_grid"]["calls"] > 0
+
+
+def test_tracer_sees_the_hull_path_run_on_hull_vertices():
+    rng = np.random.default_rng(3)
+    t = rng.uniform(0.0, 2.0 * np.pi, 200)
+    rad = np.sqrt(rng.uniform(0.0, 1.0, 200))
+    pts = np.stack([rad * np.cos(t), rad * np.sin(t)], axis=1)
+    pts[:2] = [[1.0, 0.0], [-1.0, 0.0]]
+    h = len(_hull_vertices(pts))
+    k = len(sc.disk_intersection(pts, 2.0).vertices())
+    assert h < 40
+    spans = _load_spans()
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        assert tracer.absent == []
+        sc.r_hull(pts, 2.0)
+    finally:
+        tracer.uninstall()
+    # _dedupe runs in r_hull and in the two disk intersections: on the hull
+    # vertices of the points (twice) and on the kernel's vertices
+    dedupe = sorted(counts["points"] for name, *_, counts in tracer.spans
+                    if name == "arcpoly.dedupe")
+    assert dedupe == sorted([h, h, k])
+    assert spans.aggregate(tracer.spans)["arcpoly.clip"]["calls"] <= 2 * h + k
