@@ -109,25 +109,6 @@ def _make_arc(center, radius: float, start: float, end: float) -> list[Arc]:
     return out
 
 
-def _point_seg_dist(x: np.ndarray, s: Seg) -> float:
-    v = s.end_point - s.start_point
-    L2 = float(v @ v)
-    if L2 == 0.0:
-        return float(np.linalg.norm(x - s.start_point))
-    t = float(np.clip((x - s.start_point) @ v / L2, 0.0, 1.0))
-    return float(np.linalg.norm(x - (s.start_point + t * v)))
-
-
-def _point_arc_dist(x: np.ndarray, a: Arc) -> float:
-    c = np.asarray(a.center)
-    rel = x - c
-    phi = _ang(rel)
-    if a.contains_angle(phi):
-        return abs(float(np.linalg.norm(rel)) - a.radius)
-    return min(float(np.linalg.norm(x - a.start_point)),
-               float(np.linalg.norm(x - a.end_point)))
-
-
 class ArcPolygon(ConvexBody):
     """Closed convex region bounded by arcs and segments; may be a single point."""
 
@@ -141,7 +122,7 @@ class ArcPolygon(ConvexBody):
                 end, start = a.end_point, b.start_point
                 if math.hypot(start[0] - end[0], start[1] - end[1]) > 1e-7:
                     raise GeometryError("boundary pieces do not chain into a closed loop")
-        self._interior = None
+        self._cones = None
 
     @classmethod
     def singleton(cls, point) -> "ArcPolygon":
@@ -194,16 +175,6 @@ class ArcPolygon(ConvexBody):
                 pts.append(piece.point_at(i / k))
         return np.array(pts)
 
-    def interior_point(self) -> np.ndarray:
-        if self._interior is None:
-            if self.is_singleton:
-                self._interior = self._point
-            else:
-                samples = [p.start_point for p in self.pieces]
-                samples += [p.point_at(0.5) for p in self.pieces]
-                self._interior = np.mean(samples, axis=0)
-        return self._interior
-
     # -- support oracle -----------------------------------------------------
 
     def support_values(self, P):
@@ -246,62 +217,52 @@ class ArcPolygon(ConvexBody):
 
     # -- membership ----------------------------------------------------------
 
+    def _normal_cones(self):
+        """The outer normals of the boundary as one row per arc and per vertex,
+        in boundary order, returned column by column: centre x and y, radius,
+        start and end angle, their unit vectors (cos, sin each) and the span.
+
+        An arc's row is its circle and angle range.  The vertex at the end of
+        each piece has radius 0 and the range from that piece's end normal to
+        the next piece's start normal; a vertex range of pi or more is
+        rounding at a smooth joint and counts as 0.
+        """
+        if self._cones is None:
+            ends = [(p.start_angle, p.end_angle) if isinstance(p, Arc) else (p.normal_angle,) * 2
+                    for p in self.pieces]
+            rows = []
+            for i, p in enumerate(self.pieces):
+                if isinstance(p, Arc):
+                    rows.append((*p.center, p.radius, *ends[i]))
+                rows.append((*p.end_point, 0.0, ends[i][1], ends[(i + 1) % len(ends)][0]))
+            cx, cy, r, a0, a1 = np.array(rows).T
+            span = (a1 - a0) % TWO_PI
+            span[(r == 0.0) & (span >= math.pi)] = 0.0
+            self._cones = np.array(
+                [cx, cy, r, a0, a1, np.cos(a0), np.sin(a0), np.cos(a1), np.sin(a1), span])
+        return self._cones
+
+    def _signed_distance(self, x: np.ndarray) -> float:
+        """dist(x, K) outside and -dist(x, boundary) inside: the largest
+        <u, x> - s_K(u) over unit u, taken row by row over the normal cones."""
+        if self.is_singleton:
+            return math.hypot(*(x - self._point))
+        cones = self._normal_cones()
+        rx, ry = x[:, None] - cones[:2]
+        r, a0, _, c0, s0, c1, s1, span = cones[2:]
+        into = (np.arctan2(ry, rx) - a0) % TWO_PI <= span
+        ends = np.maximum(rx * c0 + ry * s0, rx * c1 + ry * s1)
+        return float(np.max(np.where(into, np.hypot(rx, ry), ends) - r))
+
     def boundary_distance_exact(self, x) -> float:
         """Unsigned Euclidean distance from x to the boundary curve."""
-        x = as_vector(x)
-        if self.is_singleton:
-            return float(np.linalg.norm(x - self._point))
-        dists = [
-            _point_arc_dist(x, p) if isinstance(p, Arc) else _point_seg_dist(x, p)
-            for p in self.pieces
-        ]
-        return min(dists)
-
-    def _ray_inside(self, x: np.ndarray) -> bool:
-        o = self.interior_point()
-        d = x - o
-        L = float(np.linalg.norm(d))
-        if L < 1e-14:
-            return True
-        u = d / L
-        hits = []
-        for p in self.pieces:
-            if isinstance(p, Seg):
-                v = p.end_point - p.start_point
-                denom = u[0] * (-v[1]) - u[1] * (-v[0])
-                if abs(denom) < 1e-15:
-                    continue
-                w = p.start_point - o
-                t = (w[0] * (-v[1]) - w[1] * (-v[0])) / denom
-                s = (u[0] * w[1] - u[1] * w[0]) / denom
-                if t > 0.0 and -1e-12 <= s <= 1.0 + 1e-12:
-                    hits.append(t)
-            else:
-                oc = o - np.asarray(p.center)
-                b = 2.0 * float(u @ oc)
-                c0 = float(oc @ oc) - p.radius**2
-                disc = b * b - 4.0 * c0
-                if disc < 0.0:
-                    continue
-                sq = math.sqrt(disc)
-                for t in ((-b - sq) / 2.0, (-b + sq) / 2.0):
-                    if t > 0.0:
-                        pt = o + t * u
-                        if p.contains_angle(_ang(pt - np.asarray(p.center)), tol=1e-9):
-                            hits.append(t)
-        if not hits:
-            return False
-        return L <= min(hits) + 1e-12
+        return abs(self._signed_distance(as_vector(x)))
 
     def contains(self, x, tol: float = 0.0, grid=None) -> bool:
         if not tol >= 0.0:
             raise ValueError("tol must be nonnegative")
-        x = as_vector(x)
-        if self.is_singleton:
-            return float(np.linalg.norm(x - self._point)) <= tol
-        if self._ray_inside(x):
-            return True
-        return self.boundary_distance_exact(x) <= tol
+        # 1e-12 of slack keeps rounded boundary points inside at tol = 0
+        return self._signed_distance(as_vector(x)) <= tol + 1e-12
 
     def __repr__(self):
         if self.is_singleton:
@@ -331,8 +292,7 @@ def lens(a, b, R: float) -> ArcPolygon:
     b = as_vector(b)
     if a.size != 2 or b.size != 2:
         raise ValueError("lens is a planar construction")
-    if R <= 0.0:
-        raise ValueError("radius must be positive")
+    _check_radius(R)
     d = float(np.linalg.norm(b - a))
     if d < 1e-14:
         return ArcPolygon.singleton(a)
@@ -529,22 +489,15 @@ def _hull_vertices(points: np.ndarray) -> np.ndarray:
     return points[np.sort(keep)]
 
 
-def disk_intersection(centers, R: float) -> ArcPolygon | None:
-    """Exact arc polygon of the intersection of radius-R disks, or None if void."""
-    centers = np.asarray(centers, dtype=float)
-    if centers.ndim != 2 or centers.shape[1] != 2 or len(centers) == 0:
-        raise EmptyInputError("need a nonempty (n, 2) array of centers")
-    if R <= 0.0:
-        raise ValueError("radius must be positive")
-    # a disk holds the centres exactly when it holds their hull vertices
-    pts = _dedupe(_hull_vertices(centers))
-    if len(pts) == 1:
-        return ArcPolygon.full_disk(pts[0], R)
-    # cheap reject, then the exact certificate via the minimal enclosing circle
-    d2max = np.max(np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1))
-    if d2max > (2.0 * R) ** 2 + 1e-12:
-        return None
-    c_seb, r_seb = smallest_enclosing_circle(pts)
+def _check_radius(R: float) -> None:
+    if not 0.0 < R < math.inf:
+        raise ValueError("radius must be positive and finite")
+
+
+def _kernel(pts: np.ndarray, c_seb, r_seb: float, R: float) -> ArcPolygon | None:
+    """Intersection of the radius-R disks about pts, the deduplicated hull
+    vertices of the centres, whose smallest enclosing circle is (c_seb, r_seb);
+    None if void."""
     if r_seb > R + 1e-9:
         return None
     if r_seb >= R - 1e-9:
@@ -556,6 +509,19 @@ def disk_intersection(centers, R: float) -> ArcPolygon | None:
         if region is None or region.is_singleton:
             return region
     return region
+
+
+def disk_intersection(centers, R: float) -> ArcPolygon | None:
+    """Exact arc polygon of the intersection of radius-R disks, or None if void."""
+    centers = np.asarray(centers, dtype=float)
+    if centers.ndim != 2 or centers.shape[1] != 2 or len(centers) == 0:
+        raise EmptyInputError("need a nonempty (n, 2) array of centers")
+    _check_radius(R)
+    # a disk holds the centres exactly when it holds their hull vertices
+    pts = _dedupe(_hull_vertices(centers))
+    if len(pts) == 1:
+        return ArcPolygon.full_disk(pts[0], R)
+    return _kernel(pts, *smallest_enclosing_circle(pts), R)
 
 
 def r_hull(points, R: float) -> ArcPolygon:
@@ -570,8 +536,7 @@ def r_hull(points, R: float) -> ArcPolygon:
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or points.shape[1] != 2 or len(points) == 0:
         raise EmptyInputError("need a nonempty (n, 2) point array")
-    if R <= 0.0:
-        raise ValueError("radius must be positive")
+    _check_radius(R)
     pts = _dedupe(_hull_vertices(points))
     if len(pts) == 1:
         return ArcPolygon.singleton(pts[0])
@@ -579,9 +544,7 @@ def r_hull(points, R: float) -> ArcPolygon:
     if r_seb > R + 1e-9:
         raise NoEnclosingBallError(
             f"points need an enclosing ball of radius {r_seb:.6g} > R = {R:.6g}")
-    if r_seb >= R - 1e-9:
-        return ArcPolygon.full_disk(c_seb, R)
-    kernel = disk_intersection(pts, R)
+    kernel = _kernel(pts, c_seb, r_seb, R)
     if kernel is None:
         raise NoEnclosingBallError("no admissible centers at this radius")
     if kernel.is_singleton:
@@ -594,44 +557,33 @@ def r_hull(points, R: float) -> ArcPolygon:
 
 def offset(ap: ArcPolygon, r: float) -> ArcPolygon:
     """Minkowski sum with the disk B_r(0): grown arcs, shifted segments, vertex caps."""
-    if r < 0.0:
-        raise ValueError("offset distance must be nonnegative")
+    if not 0.0 <= r < math.inf:
+        raise ValueError("offset distance must be nonnegative and finite")
     if r == 0.0:
         return ap
     if ap.is_singleton:
         return ArcPolygon.full_disk(ap.singleton_point, r)
-
-    def normal_out(piece):
+    x, y, radius, a0, a1, *_, span = ap._normal_cones()
+    # the vertex rows, one at the end of each piece
+    caps = np.array([x, y, a0, a1, span]).T[radius == 0.0].tolist()
+    pieces = []
+    for piece, (vx, vy, n_end, n_start, gap) in zip(ap.pieces, caps):
         if isinstance(piece, Arc):
-            return piece.start_angle, piece.end_angle
-        n = piece.normal_angle
-        return n, n
-
-    grown = []
-    for piece in ap.pieces:
-        if isinstance(piece, Arc):
-            grown.append(Arc(piece.center, piece.radius + r, piece.start_angle, piece.end_angle))
+            pieces.append(Arc(piece.center, piece.radius + r, piece.start_angle, piece.end_angle))
         else:
-            n = piece.normal_angle
-            shift = r * _e(n)
+            shift = r * _e(piece.normal_angle)
             p0 = piece.start_point + shift
             p1 = piece.end_point + shift
-            grown.append(Seg((p0[0], p0[1]), (p1[0], p1[1])))
-    pieces = []
-    k = len(ap.pieces)
-    for i in range(k):
-        pieces.append(grown[i])
-        v = ap.pieces[i].end_point
-        _, n_end = normal_out(ap.pieces[i])
-        n_start, _ = normal_out(ap.pieces[(i + 1) % k])
-        gap = (n_start - n_end) % TWO_PI
-        if 1e-12 < gap < TWO_PI - 1e-12:
-            pieces += _make_arc(v, r, n_end, n_start)
+            pieces.append(Seg((p0[0], p0[1]), (p1[0], p1[1])))
+        if gap > 1e-12:
+            pieces += _make_arc((vx, vy), r, n_end, n_start)
     return ArcPolygon(_clean_pieces(pieces))
 
 
 def hausdorff_distance(a: ConvexBody, b: ConvexBody, grid=None) -> float:
     """Hausdorff distance between convex bodies via the support-gap identity."""
+    if a.dim != b.dim:
+        raise ValueError(f"bodies of dimension {a.dim} and {b.dim} have no Hausdorff distance")
     if grid is None:
-        grid = default_grid(2)
+        grid = default_grid(a.dim)
     return float(np.max(np.abs(a.support_values(grid) - b.support_values(grid))))

@@ -99,7 +99,7 @@ def check_strong_convexity(
     doubling, so the pairs mix wide and fine separations.  The first violating
     pair (fixed ordering) becomes the witness.
     """
-    if R <= 0.0:
+    if not R > 0.0:
         raise ValueError("radius must be positive")
     if tol is None:
         tol = 1e-8 * R
@@ -127,7 +127,7 @@ def min_strong_radius(
     bisection applies; the returned bracket has a failing low end and a
     certified-convex high end.
     """
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise ValueError("tol must be positive")
     diam = body.diameter()
     # the probe chord must sit above the estimator's noise floor

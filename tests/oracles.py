@@ -10,7 +10,10 @@ library's numpy Sobol generator replaced; the refinement-chain and
 support-point oracles are the step-by-step loops that the library's closed
 form and vectorised tie-breaks replaced; the hull-vertex oracle is scipy's
 qhull, and the full-input disk intersection clips against every input point
-where the library clips against the convex-hull vertices only.
+where the library clips against the convex-hull vertices only; arc-polygon
+membership, boundary distance and offsets are the ray cast, per-piece distance
+loops and per-vertex normal pairs that the library's normal-cone table
+replaced.
 """
 from __future__ import annotations
 
@@ -313,3 +316,126 @@ def full_input_r_hull(points, R: float):
     """
     kernel = full_input_disk_intersection(points, R)
     return full_input_disk_intersection(kernel.vertices(), R)
+
+
+def _angle(v) -> float:
+    return math.atan2(v[1], v[0]) % (2.0 * math.pi)
+
+
+def _point_seg_dist(x: np.ndarray, s) -> float:
+    v = s.end_point - s.start_point
+    L2 = float(v @ v)
+    if L2 == 0.0:
+        return float(np.linalg.norm(x - s.start_point))
+    t = float(np.clip((x - s.start_point) @ v / L2, 0.0, 1.0))
+    return float(np.linalg.norm(x - (s.start_point + t * v)))
+
+
+def _point_arc_dist(x: np.ndarray, a) -> float:
+    rel = x - np.asarray(a.center)
+    if a.contains_angle(_angle(rel)):
+        return abs(float(np.linalg.norm(rel)) - a.radius)
+    return min(float(np.linalg.norm(x - a.start_point)),
+               float(np.linalg.norm(x - a.end_point)))
+
+
+def piecewise_boundary_distance(ap, X) -> np.ndarray:
+    """Distance from each row of X to the nearest boundary piece of a
+    non-singleton arc polygon, one piece at a time."""
+    from strconvex.arcpoly import Arc
+
+    return np.array([
+        min(_point_arc_dist(x, p) if isinstance(p, Arc) else _point_seg_dist(x, p)
+            for p in ap.pieces)
+        for x in np.asarray(X, dtype=float)])
+
+
+def _ray_inside(ap, o: np.ndarray, x: np.ndarray) -> bool:
+    """Whether the ray from the interior point o through x leaves the polygon
+    at or beyond x, within 1e-12."""
+    from strconvex.arcpoly import Seg
+
+    d = x - o
+    L = float(np.linalg.norm(d))
+    if L < 1e-14:
+        return True
+    u = d / L
+    hits = []
+    for p in ap.pieces:
+        if isinstance(p, Seg):
+            v = p.end_point - p.start_point
+            denom = u[0] * (-v[1]) - u[1] * (-v[0])
+            if abs(denom) < 1e-15:
+                continue
+            w = p.start_point - o
+            t = (w[0] * (-v[1]) - w[1] * (-v[0])) / denom
+            s = (u[0] * w[1] - u[1] * w[0]) / denom
+            if t > 0.0 and -1e-12 <= s <= 1.0 + 1e-12:
+                hits.append(t)
+        else:
+            oc = o - np.asarray(p.center)
+            b = 2.0 * float(u @ oc)
+            c0 = float(oc @ oc) - p.radius**2
+            disc = b * b - 4.0 * c0
+            if disc < 0.0:
+                continue
+            sq = math.sqrt(disc)
+            for t in ((-b - sq) / 2.0, (-b + sq) / 2.0):
+                if t > 0.0:
+                    pt = o + t * u
+                    if p.contains_angle(_angle(pt - np.asarray(p.center)), tol=1e-9):
+                        hits.append(t)
+    if not hits:
+        return False
+    return L <= min(hits) + 1e-12
+
+
+def ray_cast_contains(ap, X, tols) -> np.ndarray:
+    """Membership of each row of X (columns) at each tol (rows) in a
+    non-singleton arc polygon: inside when a ray cast from the mean of the
+    piece ends and piece midpoints passes x before it leaves the polygon,
+    else when the per-piece boundary distance is within tol."""
+    X = np.asarray(X, dtype=float)
+    o = np.mean([p.start_point for p in ap.pieces] + [p.point_at(0.5) for p in ap.pieces],
+                axis=0)
+    inside = np.array([_ray_inside(ap, o, x) for x in X], dtype=bool)
+    dist = np.full(len(X), np.inf)
+    if not inside.all():
+        dist[~inside] = piecewise_boundary_distance(ap, X[~inside])
+    return np.array([inside | (dist <= tol) for tol in tols])
+
+
+def loop_offset(ap, r: float):
+    """Minkowski sum with B_r(0), a vertex cap wherever the end normal of one
+    piece and the start normal of the next differ by 1e-12 to 2 pi - 1e-12."""
+    from strconvex.arcpoly import Arc, ArcPolygon, Seg, _clean_pieces, _e, _make_arc
+
+    if r == 0.0:
+        return ap
+    if ap.is_singleton:
+        return ArcPolygon.full_disk(ap.singleton_point, r)
+
+    def normal_out(piece):
+        if isinstance(piece, Arc):
+            return piece.start_angle, piece.end_angle
+        return piece.normal_angle, piece.normal_angle
+
+    grown = []
+    for piece in ap.pieces:
+        if isinstance(piece, Arc):
+            grown.append(Arc(piece.center, piece.radius + r, piece.start_angle, piece.end_angle))
+        else:
+            shift = r * _e(piece.normal_angle)
+            p0 = piece.start_point + shift
+            p1 = piece.end_point + shift
+            grown.append(Seg((p0[0], p0[1]), (p1[0], p1[1])))
+    pieces = []
+    k = len(ap.pieces)
+    for i in range(k):
+        pieces.append(grown[i])
+        _, n_end = normal_out(ap.pieces[i])
+        n_start, _ = normal_out(ap.pieces[(i + 1) % k])
+        gap = (n_start - n_end) % (2.0 * math.pi)
+        if 1e-12 < gap < 2.0 * math.pi - 1e-12:
+            pieces += _make_arc(ap.pieces[i].end_point, r, n_end, n_start)
+    return ArcPolygon(_clean_pieces(pieces))

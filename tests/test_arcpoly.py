@@ -12,8 +12,11 @@ from oracles import (
     full_input_disk_intersection,
     full_input_r_hull,
     loop_arc_support_points,
+    loop_offset,
     oracle_hull_boundary,
     oracle_hull_membership,
+    piecewise_boundary_distance,
+    ray_cast_contains,
     sampled_center_oracle,
     scipy_hull_vertices,
 )
@@ -441,6 +444,117 @@ class TestHullPathAgainstFullInput:
                 assert len(got.pieces) == len(expect.pieces)
                 s = expect.support_values(grid)
                 assert np.all(np.abs(got.support_values(grid) - s) <= 1e-12 * (1.0 + np.abs(s)))
+
+
+class TestKernelBand:
+    def test_enclosing_radius_within_1e9_gives_the_enclosing_centre(self):
+        # the diameter pair sets the enclosing circle: centre (0.2, 0.1), radius 1
+        pts = np.array([[-0.8, 0.1], [0.3, 0.5], [1.2, 0.1], [0.2, -0.6]])
+        c_seb, r_seb = smallest_enclosing_circle(pts)
+        assert np.allclose(c_seb, [0.2, 0.1], atol=1e-15) and r_seb == pytest.approx(1.0)
+        for R in r_seb - np.array([1e-12, 1e-10, 9e-10]):
+            K = sc.disk_intersection(pts, R)
+            assert K.is_singleton and np.array_equal(K.singleton_point, c_seb)
+            assert sc.r_hull(pts, R)._key() == sc.ArcPolygon.full_disk(c_seb, R)._key()
+        assert sc.disk_intersection(pts, r_seb - 2e-9) is None
+        with pytest.raises(sc.NoEnclosingBallError):
+            sc.r_hull(pts, r_seb - 2e-9)
+
+
+class TestRadiusDomain:
+    @pytest.mark.parametrize("R", [0.0, -1.0, math.nan, math.inf])
+    def test_constructions_reject_the_radius(self, R):
+        pts = np.array([[0.0, 0.0], [0.5, 0.2], [0.1, 0.6]])
+        for build in (lambda: sc.lens(pts[0], pts[1], R), lambda: sc.disk_intersection(pts, R),
+                      lambda: sc.r_hull(pts, R)):
+            with pytest.raises(ValueError):
+                build()
+
+    @pytest.mark.parametrize("r", [-0.5, math.nan, math.inf])
+    def test_offset_rejects_the_distance(self, r):
+        with pytest.raises(ValueError):
+            sc.offset(sc.lens([-0.6, 0], [0.6, 0], 1.0), r)
+
+
+class TestHausdorff:
+    def test_three_dimensional_balls_are_their_centres_apart(self):
+        a = sc.Ball([0.0, 0.0, 0.0], 1.5)
+        b = sc.Ball([0.3, -0.4, 1.2], 1.5)
+        assert sc.hausdorff_distance(a, b) == pytest.approx(1.3, abs=1e-3)
+        assert sc.hausdorff_distance(a, b) <= 1.3 + 1e-12
+
+    def test_dimensions_must_agree(self):
+        with pytest.raises(ValueError):
+            sc.hausdorff_distance(sc.Ball([0.0, 0.0], 1.0), sc.Ball([0.0, 0.0, 0.0], 1.0))
+
+
+def _mixed_body():
+    """A rectangle whose top side is an arc, meeting the vertical sides at corners."""
+    return sc.ArcPolygon([Seg((-1.0, -1.0), (1.0, -1.0)), Seg((1.0, -1.0), (1.0, 0.0)),
+                          Arc((0.0, -1.0), math.sqrt(2.0), math.pi / 4, 3 * math.pi / 4),
+                          Seg((-1.0, 0.0), (-1.0, -1.0))])
+
+
+def _normal_cone_bodies():
+    """Criterion 6's hulls at 1.1 and 1.5 r_seb and their kernels, lenses, a
+    full disk, a half disk, an all-segment triangle, a mixed arc/segment body,
+    and an offset of each."""
+    bodies = []
+    for seed in range(50):
+        rng = np.random.default_rng(seed)
+        pts = rng.random((int(rng.integers(5, 21)), 2))
+        r_seb = smallest_enclosing_circle(pts)[1]
+        for R in (1.1 * r_seb, 1.5 * r_seb):
+            bodies += [sc.r_hull(pts, R), sc.disk_intersection(pts, R)]
+    rng = np.random.default_rng(100)
+    bodies.append(sc.lens([-0.6, 0], [0.6, 0], 1.0))
+    for _ in range(5):
+        a, b = rng.uniform(-1, 1, (2, 2))
+        bodies.append(sc.lens(a, b, float(np.linalg.norm(b - a)) * rng.uniform(0.55, 3.0)))
+    triangle = sc.ArcPolygon([Seg((0.0, 0.0), (2.0, 0.3)), Seg((2.0, 0.3), (0.7, 1.6)),
+                              Seg((0.7, 1.6), (0.0, 0.0))])
+    bodies += [sc.ArcPolygon.full_disk([0.2, -0.1], 0.7), _half_disk(), triangle, _mixed_body()]
+    return bodies + [sc.offset(b, float(rng.uniform(0.05, 1.0))) for b in bodies]
+
+
+@pytest.fixture(scope="module")
+def cone_cases():
+    """Each body with its boundary_samples(100) and 20 random points of its
+    bounding box grown by a tenth on every side."""
+    rng = np.random.default_rng(17)
+    cases = []
+    for body in _normal_cone_bodies():
+        B = body.boundary_samples(100)
+        lo, hi = B.min(axis=0), B.max(axis=0)
+        lo, hi = lo - 0.1 * (hi - lo), hi + 0.1 * (hi - lo)
+        cases.append((body, np.vstack([B, lo + (hi - lo) * rng.random((20, 2))])))
+    return cases
+
+
+class TestNormalConeTable:
+    TOLS = (0.0, 1e-9, 2e-2)
+
+    def test_contains_matches_the_ray_cast(self, cone_cases):
+        assert len(cone_cases) == 420
+        for body, X in cone_cases:
+            got = np.array([[body.contains(x, tol) for x in X] for tol in self.TOLS])
+            assert np.array_equal(got, ray_cast_contains(body, X, self.TOLS))
+
+    def test_boundary_distance_matches_the_per_piece_distance(self, cone_cases):
+        for body, X in cone_cases:
+            expect = piecewise_boundary_distance(body, X)
+            got = np.array([body.boundary_distance_exact(x) for x in X])
+            assert np.all(np.abs(got - expect) <= 1e-13 * (1.0 + expect))
+
+    def test_offset_matches_the_per_vertex_caps(self, cone_cases):
+        for body, _ in cone_cases:
+            for r in (0.05, 0.7):
+                assert sc.offset(body, r)._key() == loop_offset(body, r)._key()
+
+    def test_singleton_distance_is_the_point_distance(self):
+        pt = sc.ArcPolygon.singleton([0.3, -0.4])
+        assert pt.boundary_distance_exact([0.6, 0.0]) == pytest.approx(0.5, abs=1e-15)
+        assert pt.contains([0.3, -0.4]) and not pt.contains([0.3, -0.4 + 1e-9])
 
 
 class TestSmallestEnclosingCircle:

@@ -8,6 +8,11 @@ from strconvex import jsonio, svgio
 from strconvex.cli import main
 
 
+def _read(path):
+    with open(path, encoding="utf-8") as fh:
+        return fh.read()
+
+
 def _write_body(tmp_path, name, payload):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
@@ -65,10 +70,10 @@ class TestModulusCommand:
         code = main(["modulus", "--body", ball_json, "--eps", "0.05:1.0:20",
                      "--out", out, "--resolution", "1024"])
         assert code == 0
-        rows = [r for r in open(out).read().splitlines() if not r.startswith("#")]
+        rows = [r for r in _read(out).splitlines() if not r.startswith("#")]
         assert rows[0] == "eps,delta,error_bound"
         assert len(rows) == 21
-        fit = json.load(open(str(tmp_path / "curve.fit.json")))
+        fit = json.loads(_read(str(tmp_path / "curve.fit.json")))
         assert fit["C"] == pytest.approx(0.125, rel=0.01)
         assert fit["seed"] == 0
 
@@ -82,7 +87,7 @@ class TestModulusCommand:
         code = main(["modulus", "--body", ellipse_json, "--eps", "0.08:0.8:10",
                      "--resolution", "2048", "--out", out])
         assert code == 0
-        fit = json.load(open(str(tmp_path / "e.fit.json")))
+        fit = json.loads(_read(str(tmp_path / "e.fit.json")))
         assert fit["C"] == pytest.approx(1 / 32, rel=0.05)
 
     def test_malformed_json_exit_2(self, tmp_path):
@@ -99,8 +104,8 @@ class TestModulusCommand:
         for out in (out1, out2):
             assert main(["modulus", "--body", ball_json, "--eps", "0.05:0.5:8",
                          "--resolution", "512", "--out", out, "--seed", "7"]) == 0
-        assert open(out1).read() == open(out2).read()
-        assert open(str(tmp_path / "a.fit.json")).read() == open(str(tmp_path / "b.fit.json")).read()
+        assert _read(out1) == _read(out2)
+        assert _read(str(tmp_path / "a.fit.json")) == _read(str(tmp_path / "b.fit.json"))
 
 
 class TestRadiusCommand:
@@ -110,7 +115,7 @@ class TestRadiusCommand:
     def test_check_witness(self, tmp_path, ball_json):
         out = str(tmp_path / "verdict.json")
         assert main(["radius", "--body", ball_json, "--check", "0.9", "--out", out]) == 3
-        verdict = json.load(open(out))
+        verdict = json.loads(_read(out))
         assert verdict["is_convex"] is False
         assert verdict["witness"]["violation"] > verdict["tol"]
         assert verdict["samples"] >= 4096
@@ -119,18 +124,24 @@ class TestRadiusCommand:
         out = str(tmp_path / "min.json")
         assert main(["radius", "--body", ellipse_json, "--minimize",
                      "--tol", "0.01", "--out", out]) == 0
-        data = json.load(open(out))
+        data = json.loads(_read(out))
         assert 3.96 <= data["R_min"] <= 4.04
 
     def test_predict_chain(self, tmp_path, ball_json):
         out = str(tmp_path / "chain.json")
         assert main(["radius", "--body", ball_json, "--resolution", "1024",
                      "--out", out]) == 0
-        data = json.load(open(out))
+        data = json.loads(_read(out))
         assert data["sharp_radius"] == pytest.approx(1.0, rel=0.02)
         assert data["zero_step_radius"] == pytest.approx(2.0 / 0.98, rel=0.02)
         assert data["limit"] == pytest.approx(1.0 / 0.98, rel=0.02)
         assert data["iterates"][0] == data["zero_step_radius"]
+
+
+    @pytest.mark.parametrize("args", [["--check", "nan"], ["--check", "0"],
+                                      ["--minimize", "--tol", "nan"]])
+    def test_nan_radius_or_tol_exit_2(self, ball_json, args):
+        assert main(["radius", "--body", ball_json] + args) == 2
 
 
 class TestHullCommand:
@@ -141,11 +152,11 @@ class TestHullCommand:
         svg = str(tmp_path / "hull.svg")
         assert main(["hull", "--body", body, "--radius", "1.0",
                      "--out", out, "--svg", svg]) == 0
-        data = json.load(open(out))
+        data = json.loads(_read(out))
         arcs = [p for p in data["pieces"] if p["kind"] == "arc"]
         assert len(arcs) == 2
         assert all(p["radius"] == 1.0 for p in arcs)
-        text = open(svg).read()
+        text = _read(svg)
         assert text.startswith("<svg") and " A " in text
 
     def test_determinism_across_runs(self, tmp_path):
@@ -157,7 +168,7 @@ class TestHullCommand:
             out = str(tmp_path / name)
             assert main(["hull", "--body", body, "--radius", "2.0",
                          "--out", out, "--seed", "42"]) == 0
-            outs.append(open(out).read())
+            outs.append(_read(out))
         assert outs[0] == outs[1]
 
     def test_interior_points_and_repeats_change_nothing(self, tmp_path):
@@ -177,7 +188,7 @@ class TestHullCommand:
             out, svg = str(tmp_path / f"{name}.hull.json"), str(tmp_path / f"{name}.svg")
             assert main(["hull", "--body", body, "--radius", "2.6", "--out", out,
                          "--svg", svg, "--kernel-overlay"]) == 0
-            texts.append((open(out).read(), open(svg).read().splitlines()))
+            texts.append((_read(out), _read(svg).splitlines()))
         (json_a, svg_a), (json_b, svg_b) = texts
         assert json_a == json_b
         # the SVG marks every input point; all else is byte-identical
@@ -188,6 +199,10 @@ class TestHullCommand:
     def test_too_small_radius_exit_4(self, tmp_path, square_json):
         assert main(["hull", "--body", square_json, "--radius", "0.5"]) == 4
 
+    @pytest.mark.parametrize("radius", ["nan", "inf", "0"])
+    def test_nan_or_infinite_radius_exit_2(self, square_json, radius):
+        assert main(["hull", "--body", square_json, "--radius", radius]) == 2
+
 
 class TestVerifyTheoremCommand:
     def test_ball_verifies(self, tmp_path, ball_json):
@@ -195,7 +210,7 @@ class TestVerifyTheoremCommand:
         code = main(["verify-theorem", "--body", ball_json, "--resolution", "1024",
                      "--out", out])
         assert code == 0
-        data = json.load(open(out))
+        data = json.loads(_read(out))
         assert data["verified"] is True
         assert data["predicted_radius"] == pytest.approx(1.0, rel=0.02)
         assert data["measured_radius"] == pytest.approx(1.0, rel=0.01)

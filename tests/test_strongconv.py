@@ -81,7 +81,18 @@ class TestCheckStrongConvexity:
         assert not sc.check_strong_convexity(b3, 0.9).is_convex
 
 
+    @pytest.mark.parametrize("R", [0.0, -1.0, float("nan")])
+    def test_radius_must_be_positive(self, R):
+        with pytest.raises(ValueError):
+            sc.check_strong_convexity(sc.Ball([0, 0], 1.0), R)
+
+
 class TestMinStrongRadius:
+    @pytest.mark.parametrize("tol", [0.0, -0.01, float("nan")])
+    def test_tol_must_be_positive(self, tol):
+        with pytest.raises(ValueError):
+            sc.min_strong_radius(sc.Ball([0, 0], 1.0), tol=tol)
+
     def test_unit_disk(self):
         r, (lo, hi) = sc.min_strong_radius(sc.Ball([0, 0], 1.0), tol=0.005)
         assert r == pytest.approx(1.0, rel=0.005)

@@ -89,9 +89,9 @@ def test_tracer_sees_the_hull_path_run_on_hull_vertices():
         sc.r_hull(pts, 2.0)
     finally:
         tracer.uninstall()
-    # _dedupe runs in r_hull and in the two disk intersections: on the hull
-    # vertices of the points (twice) and on the kernel's vertices
+    # _dedupe runs once per point set: on the hull vertices of the points in
+    # r_hull, and on the kernel's vertices in the second disk intersection
     dedupe = sorted(counts["points"] for name, *_, counts in tracer.spans
                     if name == "arcpoly.dedupe")
-    assert dedupe == sorted([h, h, k])
+    assert dedupe == sorted([h, k])
     assert spans.aggregate(tracer.spans)["arcpoly.clip"]["calls"] <= 2 * h + k
