@@ -6,7 +6,7 @@ the (2,1) ellipse:
 
   1. the gap-function criterion f(p) = R|p| - s(p), convex exactly when the
      body is an intersection of radius-R balls;
-  2. bisection for the minimal radius;
+  2. the minimal radius, the largest per-pair threshold of that criterion;
   3. the certified chain: modulus constant K gives radius 1/(4K) outright,
      one refinement step improves R to 2R/(8RK+1), and iterating converges
      to 1/(8K);
@@ -26,9 +26,9 @@ for R in (3.9, 4.0, 4.5):
     else:
         print(f"  R = {R}: violation {verdict.witness[2]:.2e} found")
 
-print("\n== 2. Minimal radius by bisection ==")
-measured, bracket = sc.min_strong_radius(ellipse, tol=0.005)
-print(f"  minimal radius = {measured:.5f}, bracket [{bracket[0]:.5f}, {bracket[1]:.5f}]")
+print("\n== 2. Minimal radius in closed form ==")
+measured, bracket = sc.min_strong_radius(ellipse)
+print(f"  minimal radius = {measured:.5f}, bracket [{bracket[0]!r}, {bracket[1]!r}]")
 print("  (the flattest osculating radius of the (2,1) ellipse is a^2/b = 4)")
 
 print("\n== 3. The refinement chain at K slightly below C ==")

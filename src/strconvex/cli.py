@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
@@ -153,6 +154,8 @@ def _verdict_payload(verdict, seed: int) -> dict:
 
 
 def cmd_radius(args) -> int:
+    if not 0.0 < args.tol < math.inf:
+        raise _InputError("--tol must be positive and finite")
     body = _load_body(args.body)
     if args.check is not None:
         verdict = check_strong_convexity(body, args.check, n_pairs=args.n_pairs)
@@ -165,9 +168,8 @@ def cmd_radius(args) -> int:
               f"{verdict.witness[2]:.6g}")
         return EXIT_WITNESS
     if args.minimize:
-        r_min, bracket = min_strong_radius(body, tol=args.tol, n_pairs=args.n_pairs)
-        _write_json(args.out, {"seed": args.seed, "R_min": r_min,
-                               "bracket": list(bracket), "tol": args.tol})
+        r_min, bracket = min_strong_radius(body, n_pairs=args.n_pairs)
+        _write_json(args.out, {"seed": args.seed, "R_min": r_min, "bracket": list(bracket)})
         print(f"R_min = {r_min:.12g}  bracket = [{bracket[0]:.12g}, {bracket[1]:.12g}]")
         return EXIT_OK
     # predict-from-modulus: fit C, then run the radius chain at K = C (1 - margin)
@@ -224,7 +226,7 @@ def cmd_verify_theorem(args) -> int:
     curve = scan_curve(body, eps_values, args.resolution, body_id=args.body)
     fit = fit_second_order(curve, window=_parse_window(args.window))
     predicted = sharp_radius(fit.C)
-    measured, bracket = min_strong_radius(body, tol=args.radius_tol, n_pairs=args.n_pairs)
+    measured, bracket = min_strong_radius(body, n_pairs=args.n_pairs)
     below = sharpness_check(curve, 0.95 * predicted, fit=fit, margin=args.margin,
                             measured_radius=measured)
     above = sharpness_check(curve, 1.02 * predicted, fit=fit, margin=args.margin,
@@ -281,8 +283,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("radius", help="check/minimize/predict strong-convexity radii")
     common(p)
     p.add_argument("--check", type=float, help="test strong convexity at this radius")
-    p.add_argument("--minimize", action="store_true", help="bisect the minimal radius")
-    p.add_argument("--tol", type=float, default=0.01, help="relative bracket width")
+    p.add_argument("--minimize", action="store_true",
+                   help="the smallest radius the --check test accepts")
+    p.add_argument("--tol", type=float, default=0.01,
+                   help="predict mode only: the chain stops within tol * 1/(8K) of its limit")
     p.add_argument("--n-pairs", type=int, default=4096)
     p.add_argument("--resolution", type=int, default=2048)
     p.add_argument("--margin", type=float, default=0.02,
@@ -305,7 +309,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--window", help="fit window LO:HI")
     p.add_argument("--tol", type=float, default=0.05,
                    help="relative tolerance between predicted and measured radius")
-    p.add_argument("--radius-tol", type=float, default=0.01)
     p.add_argument("--n-pairs", type=int, default=4096)
     p.add_argument("--margin", type=float, default=0.02)
     p.set_defaults(func=cmd_verify_theorem)

@@ -1,9 +1,11 @@
-"""Strong-convexity criterion, minimal-radius search and ball decompositions.
+"""Strong-convexity criterion, minimal radius and ball decompositions.
 
 A bounded closed convex set is an intersection of radius-R balls exactly when
 the gap function f(p) = R|p| - s(p) is convex.  The tester checks midpoint
 convexity of f over sampled direction pairs at several angular separations; a
 violating pair certifies non-convexity, absence of one is (dense) evidence.
+On each pair the midpoint violation is affine in R, so the smallest radius the
+test accepts is a maximum over the pairs, computed in closed form.
 """
 from __future__ import annotations
 
@@ -13,16 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arcpoly import lens
-from .bodies import (
-    ConvexBody,
-    angle_grid,
-    as_direction,
-    default_grid,
-    grid_angle_error,
-    sphere_grid,
-    steiner_point,
-    support_curvature_radii,
-)
+from .bodies import ConvexBody, as_direction, default_grid, grid_angle_error, sphere_grid
 from .errors import NotStronglyConvexError, NotUniformlyConvexError
 from .modulus import BoundaryParam, _chords_of_length, estimate_modulus
 
@@ -86,49 +79,62 @@ def _direction_pairs(dim: int, n_pairs: int, seed: int):
     return np.concatenate(p1), np.concatenate(p2)
 
 
+# a pair refutes R when its violation exceeds _REL_TOL * R
+_REL_TOL = 1e-8
+
+
+def _pair_table(body: ConvexBody, n_pairs: int, seed: int):
+    """Unit pairs (P1, P2) with their violation coefficients and thresholds.
+
+    With m = (p1 + p2) / 2, the midpoint violation of the gap function is
+    b - R a, where a = 1 - |m| and b = (s(p1) + s(p2)) / 2 - s(m).  It exceeds
+    _REL_TOL * R exactly when R < b / (a + _REL_TOL), the pair's threshold.
+    """
+    P1, P2 = _direction_pairs(body.dim, n_pairs, seed)
+    M = 0.5 * (P1 + P2)
+    s1, s2, sm = np.split(body.support_values(np.concatenate([P1, P2, M])), 3)
+    a = 1.0 - np.linalg.norm(M, axis=1)
+    b = 0.5 * (s1 + s2) - sm
+    return P1, P2, a, b, b / (a + _REL_TOL)
+
+
 def check_strong_convexity(
     body: ConvexBody,
     R: float,
     n_pairs: int = 4096,
-    tol: float | None = None,
     seed: int = 0,
 ) -> ConvexityVerdict:
     """Sampled midpoint-convexity test of f(p) = R|p| - s(p) on unit pairs.
 
     Midpoint convexity on unit pairs at fine scale propagates to convexity by
-    doubling, so the pairs mix wide and fine separations.  The first violating
-    pair (fixed ordering) becomes the witness.
+    doubling, so the pairs mix wide and fine separations.  A pair refutes R
+    when its violation exceeds tol = 1e-8 R; the first such pair (fixed
+    ordering) becomes the witness.
     """
-    if not R > 0.0:
-        raise ValueError("radius must be positive")
-    if tol is None:
-        tol = 1e-8 * R
-    g = GapFunction(body, R)
-    P1, P2 = _direction_pairs(body.dim, n_pairs, seed)
-    mids = 0.5 * (P1 + P2)
-    viol = g.values(mids) - 0.5 * (g.values(P1) + g.values(P2))
-    bad = np.nonzero(viol > tol)[0]
+    if not 0.0 < R < math.inf:
+        raise ValueError("radius must be positive and finite")
+    P1, P2, a, b, threshold = _pair_table(body, n_pairs, seed)
+    tol = _REL_TOL * float(R)
+    bad = np.flatnonzero(threshold > R)
     if len(bad):
         i = int(bad[0])
-        witness = (P1[i].copy(), P2[i].copy(), float(viol[i]))
-        return ConvexityVerdict(False, witness, len(P1), float(tol), float(R))
-    return ConvexityVerdict(True, None, len(P1), float(tol), float(R))
+        witness = (P1[i].copy(), P2[i].copy(), float(b[i] - R * a[i]))
+        return ConvexityVerdict(False, witness, len(P1), tol, float(R))
+    return ConvexityVerdict(True, None, len(P1), tol, float(R))
 
 
 def min_strong_radius(
     body: ConvexBody,
-    tol: float = 0.01,
     n_pairs: int = 4096,
     seed: int = 0,
 ) -> tuple[float, tuple[float, float]]:
-    """Minimal strong-convexity radius by bisection over the convex verdicts.
+    """Smallest radius that check_strong_convexity accepts, in closed form.
 
-    tol is the relative bracket width.  The verdict set is up-closed in R, so
-    bisection applies; the returned bracket has a failing low end and a
-    certified-convex high end.
+    The body must first show a certifiable modulus at a small chord, else
+    NotUniformlyConvexError.  R_min is the largest pair threshold, and the
+    bracket (the float below R_min, R_min) has a refuted low end and an
+    accepted high end.
     """
-    if not tol > 0.0:
-        raise ValueError("tol must be positive")
     diam = body.diameter()
     # the probe chord must sit above the estimator's noise floor
     probe_eps = diam / 50.0 if body.dim == 2 else diam / 8.0
@@ -136,41 +142,8 @@ def min_strong_radius(
     if delta <= bound:
         raise NotUniformlyConvexError(
             "no certifiable modulus at a small chord; body is not uniformly convex")
-    if body.dim == 2:
-        r_curv = float(np.max(support_curvature_radii(body, 4096)))
-        lo = 0.5 * r_curv
-        hi = max(diam, 1.25 * r_curv)
-    else:
-        # curvature-free bracket from the chord-radius relation eps^2 = 4 delta R
-        r0 = probe_eps**2 / (4.0 * delta)
-        lo = 0.5 * r0
-        hi = 4.0 * r0
-
-    def convex_at(R):
-        return check_strong_convexity(body, R, n_pairs=n_pairs, seed=seed).is_convex
-
-    if not convex_at(hi):
-        hi_try = 2.0 * hi
-        for _ in range(8):
-            if convex_at(hi_try):
-                lo, hi = hi, hi_try
-                break
-            hi, hi_try = hi_try, 2.0 * hi_try
-        else:
-            raise NotStronglyConvexError(
-                f"criterion fails up to R = {hi_try}; no strong-convexity radius found")
-    for _ in range(8):
-        if not convex_at(lo):
-            break
-        hi = lo
-        lo = 0.5 * lo
-    while hi - lo > tol * hi:
-        mid = 0.5 * (lo + hi)
-        if convex_at(mid):
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi), (lo, hi)
+    r_min = float(np.max(_pair_table(body, n_pairs, seed)[4]))
+    return r_min, (float(np.nextafter(r_min, 0.0)), r_min)
 
 
 class ComplementBody(ConvexBody):

@@ -8,7 +8,9 @@ depth and radial scans evaluate every point pair and every direction that the
 library's pruned kernels skip; the sphere-grid oracle is the scipy code the
 library's numpy Sobol generator replaced; the refinement-chain and
 support-point oracles are the step-by-step loops that the library's closed
-form and vectorised tie-breaks replaced; the hull-vertex oracle is scipy's
+forms and vectorised tie-breaks replaced, and the minimal-radius oracle is the
+bracket, expand and bisect search over full convexity checks that the
+closed-form maximum of the pair thresholds replaced; the hull-vertex oracle is scipy's
 qhull, and the full-input disk intersection clips against every input point
 where the library clips against the convex-hull vertices only; arc-polygon
 membership, boundary distance and offsets are the ray cast, per-piece distance
@@ -231,6 +233,55 @@ def iterated_fixed_point(R0: float, K: float, tol: float = 1e-9, max_iter: int =
         R = 2.0 * R / (8.0 * R * K + 1.0)
         values.append(R)
     return values, abs(R - limit) <= tol
+
+
+def bisect_min_radius(body, tol: float, n_pairs: int = 4096, seed: int = 0):
+    """(lo, hi) bracketing the minimal strong-convexity radius by bisection.
+
+    Brackets from the curvature radii in the plane and from the chord radius
+    eps^2 / (4 delta) of the modulus probe in space, widens or shrinks the
+    bracket by doublings, then bisects until hi - lo <= tol * hi.  The low end
+    fails check_strong_convexity and the high end passes it.
+    """
+    from strconvex import check_strong_convexity, estimate_modulus
+    from strconvex.bodies import support_curvature_radii
+
+    diam = body.diameter()
+    probe_eps = diam / 50.0 if body.dim == 2 else diam / 8.0
+    delta, _ = estimate_modulus(body, probe_eps, resolution=512)
+    if body.dim == 2:
+        r_curv = float(np.max(support_curvature_radii(body, 4096)))
+        lo = 0.5 * r_curv
+        hi = max(diam, 1.25 * r_curv)
+    else:
+        r0 = probe_eps**2 / (4.0 * delta)
+        lo = 0.5 * r0
+        hi = 4.0 * r0
+
+    def convex_at(R):
+        return check_strong_convexity(body, R, n_pairs=n_pairs, seed=seed).is_convex
+
+    if not convex_at(hi):
+        hi_try = 2.0 * hi
+        for _ in range(8):
+            if convex_at(hi_try):
+                lo, hi = hi, hi_try
+                break
+            hi, hi_try = hi_try, 2.0 * hi_try
+        else:
+            raise AssertionError(f"criterion fails up to R = {hi_try}")
+    for _ in range(8):
+        if not convex_at(lo):
+            break
+        hi = lo
+        lo = 0.5 * lo
+    while hi - lo > tol * hi:
+        mid = 0.5 * (lo + hi)
+        if convex_at(mid):
+            hi = mid
+        else:
+            lo = mid
+    return lo, hi
 
 
 def loop_hull_support_points(points: np.ndarray, P: np.ndarray) -> np.ndarray:

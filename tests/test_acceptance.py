@@ -52,7 +52,7 @@ def test_criterion_1_ball_round_trip(tmp_path):
         fit = sc.fit_second_order(curve)
         if abs(fit.C - 1 / (8 * r)) > 0.01 / (8 * r):
             failures.append(f"r={r} fitted C {fit.C:.6g} not within 1% of {1 / (8 * r):.6g}")
-        r_min, _ = sc.min_strong_radius(body, tol=0.005)
+        r_min, _ = sc.min_strong_radius(body)
         if abs(r_min - r) > 0.01 * r:
             failures.append(f"r={r} minimal radius {r_min:.6g} not within 1% of {r}")
         body_path = tmp_path / f"ball{r}.json"
@@ -100,7 +100,7 @@ def test_criterion_3_ellipse_pipeline():
     predicted = sc.sharp_radius(fit.C)
     if abs(predicted - 4.0) > 0.05 * 4.0:
         failures.append(f"predicted radius {predicted:.6g} not within 5% of 4")
-    measured, _ = sc.min_strong_radius(body, tol=0.005)
+    measured, _ = sc.min_strong_radius(body)
     if abs(measured - 4.0) > 0.02 * 4.0:
         failures.append(f"measured radius {measured:.6g} not within 2% of 4")
     grid = sc.angle_grid(4096)

@@ -126,6 +126,8 @@ class TestRadiusCommand:
                      "--tol", "0.01", "--out", out]) == 0
         data = json.loads(_read(out))
         assert 3.96 <= data["R_min"] <= 4.04
+        assert data["bracket"][0] <= data["bracket"][1] == data["R_min"]
+        assert "tol" not in data
 
     def test_predict_chain(self, tmp_path, ball_json):
         out = str(tmp_path / "chain.json")
@@ -139,7 +141,8 @@ class TestRadiusCommand:
 
 
     @pytest.mark.parametrize("args", [["--check", "nan"], ["--check", "0"],
-                                      ["--minimize", "--tol", "nan"]])
+                                      ["--minimize", "--tol", "nan"], ["--check", "inf"],
+                                      ["--tol", "inf"], ["--tol", "0"]])
     def test_nan_radius_or_tol_exit_2(self, ball_json, args):
         assert main(["radius", "--body", ball_json] + args) == 2
 

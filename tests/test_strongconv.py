@@ -4,7 +4,7 @@ import pytest
 import strconvex as sc
 from strconvex.strongconv import GapFunction
 
-from oracles import support_polygon
+from oracles import bisect_min_radius, support_polygon
 
 
 class TestGapFunction:
@@ -86,31 +86,55 @@ class TestCheckStrongConvexity:
         with pytest.raises(ValueError):
             sc.check_strong_convexity(sc.Ball([0, 0], 1.0), R)
 
+    def test_infinite_radius_rejected(self):
+        # at R = inf every violation would be inf - inf = NaN, which refutes nothing
+        sq = sc.PointHull([[-1, -1], [1, -1], [1, 1], [-1, 1]])
+        with pytest.raises(ValueError):
+            sc.check_strong_convexity(sq, float("inf"))
+
+
+BRACKET_BODIES = {
+    "unit_ball": sc.Ball([0, 0], 1.0),
+    "ellipse_rotated": sc.Ellipsoid([0.3, -0.2], [2, 1], [[np.cos(0.7), -np.sin(0.7)],
+                                                          [np.sin(0.7), np.cos(0.7)]]),
+    "lens": sc.lens([-0.6, 0], [0.6, 0], 1.0),
+    "ellipse_plus_ball": sc.MinkowskiSum([sc.Ellipsoid([0, 0], [1.5, 1]),
+                                          sc.Ball([0.2, 0.1], 0.5)]),
+    "ball_3d": sc.Ball([0.1, -0.2, 0.3], 1.2),
+    "ellipsoid_3d": sc.Ellipsoid([0, 0, 0], [2, 1.5, 1]),
+}
+
 
 class TestMinStrongRadius:
-    @pytest.mark.parametrize("tol", [0.0, -0.01, float("nan")])
-    def test_tol_must_be_positive(self, tol):
-        with pytest.raises(ValueError):
-            sc.min_strong_radius(sc.Ball([0, 0], 1.0), tol=tol)
-
     def test_unit_disk(self):
-        r, (lo, hi) = sc.min_strong_radius(sc.Ball([0, 0], 1.0), tol=0.005)
+        r, (lo, hi) = sc.min_strong_radius(sc.Ball([0, 0], 1.0))
         assert r == pytest.approx(1.0, rel=0.005)
         assert hi - lo <= 0.005 * hi
 
     def test_ellipse(self):
-        r, _ = sc.min_strong_radius(sc.Ellipsoid([0, 0], [2, 1]), tol=0.005)
+        r, _ = sc.min_strong_radius(sc.Ellipsoid([0, 0], [2, 1]))
         assert r == pytest.approx(4.0, rel=0.02)
 
     def test_lens_boundary_arc_radius(self):
         L = sc.lens([-0.6, 0], [0.6, 0], 1.0)
-        r, _ = sc.min_strong_radius(L, tol=0.005)
+        r, _ = sc.min_strong_radius(L)
         assert r == pytest.approx(1.0, rel=0.01)
 
     def test_square_rejected(self):
         sq = sc.PointHull([[-1, -1], [1, -1], [1, 1], [-1, 1]])
         with pytest.raises(sc.NotUniformlyConvexError):
-            sc.min_strong_radius(sq, tol=0.01)
+            sc.min_strong_radius(sq)
+
+    @pytest.mark.parametrize("name", list(BRACKET_BODIES))
+    def test_bracket_is_certified_and_inside_the_bisection_bracket(self, name):
+        # both ends of the bracket are certified by the check itself
+        body = BRACKET_BODIES[name]
+        r, (lo, hi) = sc.min_strong_radius(body)
+        assert lo < hi == r
+        assert sc.check_strong_convexity(body, hi).is_convex
+        assert not sc.check_strong_convexity(body, lo).is_convex
+        ref_lo, ref_hi = bisect_min_radius(body, tol=0.005)
+        assert ref_lo < r <= ref_hi
 
 
 class TestComplementBody:

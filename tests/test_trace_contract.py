@@ -72,6 +72,21 @@ def test_tracer_records_sphere_grid_calls_of_a_three_dimensional_radius():
     assert spans.aggregate(tracer.spans)["bodies.sphere_grid"]["calls"] > 0
 
 
+def test_planar_minimal_radius_runs_no_convexity_check():
+    spans = _load_spans()
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        assert tracer.absent == []
+        sc.min_strong_radius(sc.Ellipsoid([0.0, 0.0], [2.0, 1.0]))
+    finally:
+        tracer.uninstall()
+    agg = spans.aggregate(tracer.spans)
+    assert agg["strongconv.min_radius"]["calls"] == 1
+    assert "strongconv.check" not in agg
+    assert "strongconv.min_radius.checks" not in agg
+
+
 def test_tracer_sees_the_hull_path_run_on_hull_vertices():
     rng = np.random.default_rng(3)
     t = rng.uniform(0.0, 2.0 * np.pi, 200)
