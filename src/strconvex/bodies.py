@@ -502,17 +502,6 @@ def boundary_distance(body: ConvexBody, x, grid: np.ndarray | None = None) -> fl
     return slack
 
 
-def support_curvature_radii(body: ConvexBody, n: int = DEFAULT_GRID_2D) -> np.ndarray:
-    """Osculating-radius estimates h + h'' of a planar body from its support function."""
-    if body.dim != 2:
-        raise ValueError("curvature radii via support differences need a planar body")
-    grid = angle_grid(n)
-    h = body.support_values(grid)
-    step = 2.0 * np.pi / n
-    h_dd = (np.roll(h, -1) - 2.0 * h + np.roll(h, 1)) / step**2
-    return h + h_dd
-
-
 def steiner_point(body: ConvexBody, grid: np.ndarray | None = None) -> np.ndarray:
     """Average of support points over the grid; interior for full-dimensional bodies."""
     if grid is None:

@@ -158,7 +158,8 @@ def cmd_radius(args) -> int:
         raise _InputError("--tol must be positive and finite")
     body = _load_body(args.body)
     if args.check is not None:
-        verdict = check_strong_convexity(body, args.check, n_pairs=args.n_pairs)
+        verdict = check_strong_convexity(body, args.check, n_pairs=args.n_pairs,
+                                         seed=args.seed)
         _write_json(args.out, _verdict_payload(verdict, args.seed))
         if verdict.is_convex:
             print(f"convex at R = {args.check:.12g} "
@@ -168,9 +169,10 @@ def cmd_radius(args) -> int:
               f"{verdict.witness[2]:.6g}")
         return EXIT_WITNESS
     if args.minimize:
-        r_min, bracket = min_strong_radius(body, n_pairs=args.n_pairs)
+        r_min, bracket = min_strong_radius(body, n_pairs=args.n_pairs, seed=args.seed)
         _write_json(args.out, {"seed": args.seed, "R_min": r_min, "bracket": list(bracket)})
-        print(f"R_min = {r_min:.12g}  bracket = [{bracket[0]:.12g}, {bracket[1]:.12g}]")
+        # the ends are adjacent floats: only repr tells them apart
+        print(f"R_min = {r_min!r}  bracket = [{bracket[0]!r}, {bracket[1]!r}]")
         return EXIT_OK
     # predict-from-modulus: fit C, then run the radius chain at K = C (1 - margin)
     curve = scan_curve(body, _default_eps_grid(body), args.resolution, body_id=args.body)
@@ -226,7 +228,7 @@ def cmd_verify_theorem(args) -> int:
     curve = scan_curve(body, eps_values, args.resolution, body_id=args.body)
     fit = fit_second_order(curve, window=_parse_window(args.window))
     predicted = sharp_radius(fit.C)
-    measured, bracket = min_strong_radius(body, n_pairs=args.n_pairs)
+    measured, bracket = min_strong_radius(body, n_pairs=args.n_pairs, seed=args.seed)
     below = sharpness_check(curve, 0.95 * predicted, fit=fit, margin=args.margin,
                             measured_radius=measured)
     above = sharpness_check(curve, 1.02 * predicted, fit=fit, margin=args.margin,
@@ -270,7 +272,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--body", required=True, help="path to a body JSON description")
-        p.add_argument("--seed", type=int, default=0, help="seed recorded in outputs")
+        p.add_argument("--seed", type=int, default=0,
+                       help="seed of the sphere grid of the radius tests (d >= 3); "
+                            "recorded in outputs")
         p.add_argument("--out", help="output path (JSON or CSV depending on command)")
 
     p = sub.add_parser("modulus", help="scan the modulus of convexity and fit C")

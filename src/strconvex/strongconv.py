@@ -16,8 +16,8 @@ import numpy as np
 
 from .arcpoly import lens
 from .bodies import ConvexBody, as_direction, default_grid, grid_angle_error, sphere_grid
-from .errors import NotStronglyConvexError, NotUniformlyConvexError
-from .modulus import BoundaryParam, _chords_of_length, estimate_modulus
+from .errors import NotStronglyConvexError, NotUniformlyConvexError, OutOfDomainError
+from .modulus import BoundaryParam, _chords_of_length
 
 _GAP_SCALES = [math.pi / 2**m for m in range(1, 11)]
 
@@ -55,47 +55,152 @@ class ConvexityVerdict:
     R: float
 
 
-def _direction_pairs(dim: int, n_pairs: int, seed: int):
-    """Deterministic unit-direction pairs at dyadic angular separations."""
-    scales = _GAP_SCALES
-    n_base = max(8, -(-n_pairs // len(scales)))
-    if dim == 2:
-        base = np.arange(n_base) * (2.0 * np.pi / n_base)
-        p1 = []
-        p2 = []
-        for gap in scales:
-            p1.append(np.stack([np.cos(base), np.sin(base)], axis=1))
-            p2.append(np.stack([np.cos(base + gap), np.sin(base + gap)], axis=1))
-        return np.concatenate(p1), np.concatenate(p2)
-    base = sphere_grid(n_base, dim, seed=seed)
-    tang = sphere_grid(n_base, dim, seed=seed + 1)
-    tang = tang - np.sum(tang * base, axis=1)[:, None] * base
-    tang /= np.linalg.norm(tang, axis=1)[:, None]
-    p1 = []
-    p2 = []
-    for gap in scales:
-        p1.append(base)
-        p2.append(math.cos(gap) * base + math.sin(gap) * tang)
-    return np.concatenate(p1), np.concatenate(p2)
+def _tangent_bases(P: np.ndarray) -> np.ndarray:
+    """(n, d - 1, d) orthonormal bases of the tangent spaces of the unit rows of P.
+
+    Row i holds columns 1..d-1 of the Householder reflection that maps e_0 to
+    -sign(p_0) p, which are orthogonal to p and to each other.
+    """
+    v = P.copy()
+    v[:, 0] += np.where(P[:, 0] < 0.0, -1.0, 1.0)
+    scale = 2.0 / np.einsum("ij,ij->i", v, v)
+    return np.eye(P.shape[1])[1:] - (scale[:, None] * P[:, 1:])[:, :, None] * v[:, None, :]
+
+
+def _principal_tangents(body: ConvexBody, base: np.ndarray) -> np.ndarray:
+    """Unit tangent at each base along the top eigenvector of the support Hessian.
+
+    The Hessian is taken on a tangent basis by central differences of step
+    _HESSIAN_STEP; its top eigenvalue is the largest curvature radius at the
+    base, and the direction that carries it is where the gap function is
+    least convex (Polovinkin, Sb. Math. 187, 1996).
+    """
+    n, d = base.shape
+    E = _tangent_bases(base)
+    m = d - 1
+    iu, ju = np.triu_indices(m, 1)
+    plus, minus = E[:, iu] + E[:, ju], E[:, iu] - E[:, ju]
+    offsets = np.concatenate([E, -E, plus, minus, -minus, -plus], axis=1)
+    h = _HESSIAN_STEP
+    pts = np.concatenate([base[:, None, :], base[:, None, :] + h * offsets], axis=1)
+    vals = body.support_values(pts.reshape(-1, d)).reshape(n, -1)
+    s0, vals = vals[:, 0], vals[:, 1:]
+    hess = np.zeros((n, m, m))
+    diag = np.arange(m)
+    hess[:, diag, diag] = (vals[:, :m] + vals[:, m:2 * m] - 2.0 * s0[:, None]) / h**2
+    pp, pm, mp, mm = np.split(vals[:, 2 * m:], 4, axis=1)
+    hess[:, iu, ju] = hess[:, ju, iu] = (pp - pm - mp + mm) / (4.0 * h**2)
+    top = np.linalg.eigh(hess)[1][:, :, -1]
+    return np.einsum("nmd,nm->nd", E, top)
+
+
+def _direction_pairs(body: ConvexBody, n_pairs: int, seed: int):
+    """Unit base directions, and their partners at every scale, scale by scale.
+
+    In the plane the bases are uniform angles.  In space they are a sphere
+    grid, and each base's partners lie along the top eigenvector of the
+    support Hessian at the base.
+    """
+    n_base = max(8, -(-n_pairs // len(_GAP_SCALES)))
+    gaps = np.array(_GAP_SCALES)[:, None]
+    if body.dim == 2:
+        theta = np.arange(n_base) * (2.0 * np.pi / n_base)
+        partner = theta + gaps
+        return (np.stack([np.cos(theta), np.sin(theta)], axis=1),
+                np.stack([np.cos(partner), np.sin(partner)], axis=-1).reshape(-1, 2))
+    base = sphere_grid(n_base, body.dim, seed=seed)
+    tang = _principal_tangents(body, base)
+    partner = np.cos(gaps)[:, :, None] * base + np.sin(gaps)[:, :, None] * tang
+    return base, partner.reshape(-1, body.dim)
 
 
 # a pair refutes R when its violation exceeds _REL_TOL * R
 _REL_TOL = 1e-8
+# step of the finite-difference support Hessian
+_HESSIAN_STEP = 1e-3
+# the gate reads the growth from pi/128 to pi/256, the finest scales at which
+# the _REL_TOL floor lowers thresholds by less than 0.1 %
+_GATE_SCALES = (6, 7)
+_SMOOTH_GROWTH = 0.1
+_FLAT_GROWTH = 0.85
+_NOISE_GROWTH = 1.5
+# base offsets of the cascade pairs along an anchor's great circle, in gaps
+_FINE_OFFSETS = np.arange(-4, 5) / 32.0
+_COARSE_OFFSETS = np.arange(-16, 17) / 4.0
+
+
+def _cascade_steps() -> list[np.ndarray]:
+    """Coefficients, in the frame (p, t) of an anchor pair's great circle, of
+    the cascade pairs that step s adds: the rows of the first points, of
+    their partners and of the midpoints.
+
+    Step s refines scale s with 9 pairs whose bases step by g_s / 32 around
+    the anchor, and opens scale s + 1 with 33 pairs whose bases step by
+    g_{s+1} / 4 over four gaps either side of it.
+    """
+    steps = []
+    for s, gap in enumerate(_GAP_SCALES):
+        theta, gaps = _FINE_OFFSETS * gap, np.full(len(_FINE_OFFSETS), gap)
+        if s + 1 < len(_GAP_SCALES):
+            nxt = _GAP_SCALES[s + 1]
+            theta = np.concatenate([theta, _COARSE_OFFSETS * nxt])
+            gaps = np.concatenate([gaps, np.full(len(_COARSE_OFFSETS), nxt)])
+        first = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+        partner = np.stack([np.cos(theta + gaps), np.sin(theta + gaps)], axis=1)
+        steps.append(np.concatenate([first, partner, 0.5 * (first + partner)]))
+    return steps
+
+
+_CASCADE = _cascade_steps()
 
 
 def _pair_table(body: ConvexBody, n_pairs: int, seed: int):
-    """Unit pairs (P1, P2) with their violation coefficients and thresholds.
+    """Unit pairs (P1, P2), their violation coefficients and thresholds, and
+    the largest threshold per scale.
 
     With m = (p1 + p2) / 2, the midpoint violation of the gap function is
     b - R a, where a = 1 - |m| and b = (s(p1) + s(p2)) / 2 - s(m).  It exceeds
     _REL_TOL * R exactly when R < b / (a + _REL_TOL), the pair's threshold.
+
+    The base pairs come first: every base with its partner at each scale.
+    The cascade pairs of _cascade_steps follow, from coarse to fine; each step
+    is anchored at the best pair so far of its scale, so every scale's maximum
+    follows the worst base to within 1/64 of its gap, far below the spacing
+    of the base grid.
     """
-    P1, P2 = _direction_pairs(body.dim, n_pairs, seed)
+    base, P2 = _direction_pairs(body, n_pairs, seed)
+    n_scales, n_base = len(_GAP_SCALES), len(base)
+    P1 = np.tile(base, (n_scales, 1))
     M = 0.5 * (P1 + P2)
-    s1, s2, sm = np.split(body.support_values(np.concatenate([P1, P2, M])), 3)
+    s = body.support_values(np.concatenate([base, P2, M]))
     a = 1.0 - np.linalg.norm(M, axis=1)
-    b = 0.5 * (s1 + s2) - sm
-    return P1, P2, a, b, b / (a + _REL_TOL)
+    b = 0.5 * (np.tile(s[:n_base], n_scales) + s[n_base:n_base + len(P2)]) - s[n_base + len(P2):]
+    per_scale = (b / (a + _REL_TOL)).reshape(n_scales, n_base)
+    best = np.argmax(per_scale, axis=1) + n_base * np.arange(n_scales)
+    top = per_scale.ravel()[best]
+    anchors = [(P1[i], P2[i]) for i in best]
+    rows = [(P1, P2, a, b)]
+    n_fine = len(_FINE_OFFSETS)
+    for k, coeffs in enumerate(_CASCADE):
+        p, w = anchors[k]
+        t = w - (w @ p) * p
+        Q = coeffs @ np.stack([p, t / np.linalg.norm(t)])
+        n = len(Q) // 3
+        sq = body.support_values(Q)
+        Q1, Q2 = Q[:n], Q[n:2 * n]
+        qa = 1.0 - np.linalg.norm(Q[2 * n:], axis=1)
+        qb = 0.5 * (sq[:n] + sq[n:2 * n]) - sq[2 * n:]
+        rows.append((Q1, Q2, qa, qb))
+        thr = qb / (qa + _REL_TOL)
+        # the fine pairs refine scale k, the coarse ones open scale k + 1
+        for scale, lo, hi in ((k, 0, n_fine), (k + 1, n_fine, n)):
+            if lo < hi:
+                j = lo + int(np.argmax(thr[lo:hi]))
+                if thr[j] > top[scale]:
+                    top[scale] = thr[j]
+                    anchors[scale] = Q1[j], Q2[j]
+    P1, P2, a, b = (np.concatenate(c) for c in zip(*rows))
+    return P1, P2, a, b, b / (a + _REL_TOL), top
 
 
 def check_strong_convexity(
@@ -113,7 +218,7 @@ def check_strong_convexity(
     """
     if not 0.0 < R < math.inf:
         raise ValueError("radius must be positive and finite")
-    P1, P2, a, b, threshold = _pair_table(body, n_pairs, seed)
+    P1, P2, a, b, threshold, _ = _pair_table(body, n_pairs, seed)
     tol = _REL_TOL * float(R)
     bad = np.flatnonzero(threshold > R)
     if len(bad):
@@ -130,19 +235,40 @@ def min_strong_radius(
 ) -> tuple[float, tuple[float, float]]:
     """Smallest radius that check_strong_convexity accepts, in closed form.
 
-    The body must first show a certifiable modulus at a small chord, else
-    NotUniformlyConvexError.  R_min is the largest pair threshold, and the
-    bracket (the float below R_min, R_min) has a refuted low end and an
-    accepted high end.
+    The table's largest threshold per scale, T(g), decides first.  It settles
+    to R_min when the modulus is of the second order and doubles per halving
+    of g on a flat piece; the growth gamma = log2(T(pi/256) / T(pi/128)) reads
+    which:
+    - gamma <= 0.1: R_min is the largest pair threshold, and the bracket (the
+      float below R_min, R_min) has a refuted low end and an accepted high end;
+    - 0.85 <= gamma < 1.5: NotUniformlyConvexError;
+    - in between: NotStronglyConvexError naming gamma, the order
+      alpha = (2 - gamma) / (1 - gamma) it suggests and the per-scale ratios.
+      This is an undecided answer, not a verdict.
+    Thresholds of a convex body grow at most like 1/g.  Growth of 1.5 or more
+    is rounding noise over a vanishing a ~ g^2 / 8, as on a point, and raises
+    OutOfDomainError.
     """
-    diam = body.diameter()
-    # the probe chord must sit above the estimator's noise floor
-    probe_eps = diam / 50.0 if body.dim == 2 else diam / 8.0
-    delta, bound = estimate_modulus(body, probe_eps, resolution=512)
-    if delta <= bound:
+    # only the per-scale maxima stay alive, so a raised error holds no table
+    top = _pair_table(body, n_pairs, seed)[5]
+    wide, narrow = top[list(_GATE_SCALES)]
+    growth = math.log2(narrow / wide) if wide > 0.0 and narrow > 0.0 else math.inf
+    if growth >= _NOISE_GROWTH:
+        raise OutOfDomainError(
+            f"pair thresholds grow like 1/g^2 (growth {growth:.3g}), as rounding noise "
+            "does; the body has no curvature to measure")
+    if growth >= _FLAT_GROWTH:
         raise NotUniformlyConvexError(
-            "no certifiable modulus at a small chord; body is not uniformly convex")
-    r_min = float(np.max(_pair_table(body, n_pairs, seed)[4]))
+            f"pair thresholds double per halving of the gap (growth {growth:.3g} >= "
+            f"{_FLAT_GROWTH}); body is not uniformly convex")
+    if growth > _SMOOTH_GROWTH:
+        ratios = ", ".join(f"{r:.3g}" for r in top[1:] / top[:-1])
+        alpha = (2.0 - growth) / (1.0 - growth)
+        raise NotStronglyConvexError(
+            f"undecided: pair thresholds grow by 2^{growth:.3g} per halving of the gap, "
+            f"between second order (<= {_SMOOTH_GROWTH}) and flat (>= {_FLAT_GROWTH}); "
+            f"order alpha = {alpha:.3g}; per-scale ratios {ratios}")
+    r_min = float(np.max(top))
     return r_min, (float(np.nextafter(r_min, 0.0)), r_min)
 
 

@@ -10,7 +10,10 @@ library's numpy Sobol generator replaced; the refinement-chain and
 support-point oracles are the step-by-step loops that the library's closed
 forms and vectorised tie-breaks replaced, and the minimal-radius oracle is the
 bracket, expand and bisect search over full convexity checks that the
-closed-form maximum of the pair thresholds replaced; the hull-vertex oracle is scipy's
+closed-form maximum of the pair thresholds replaced, with the curvature radii
+h + h'' of the support function that bracket it in the plane; the closed
+minimal radii of ellipsoids and l_p discs, and the l_p disc itself, test the
+growth gate of the minimal radius; the hull-vertex oracle is scipy's
 qhull, and the full-input disk intersection clips against every input point
 where the library clips against the convex-hull vertices only; arc-polygon
 membership, boundary distance and offsets are the ray cast, per-piece distance
@@ -235,6 +238,19 @@ def iterated_fixed_point(R0: float, K: float, tol: float = 1e-9, max_iter: int =
     return values, abs(R - limit) <= tol
 
 
+def support_curvature_radii(body, n: int = 4096) -> np.ndarray:
+    """Osculating-radius estimates h + h'' of a planar body from its support function."""
+    from strconvex import angle_grid
+
+    if body.dim != 2:
+        raise ValueError("curvature radii via support differences need a planar body")
+    grid = angle_grid(n)
+    h = body.support_values(grid)
+    step = 2.0 * np.pi / n
+    h_dd = (np.roll(h, -1) - 2.0 * h + np.roll(h, 1)) / step**2
+    return h + h_dd
+
+
 def bisect_min_radius(body, tol: float, n_pairs: int = 4096, seed: int = 0):
     """(lo, hi) bracketing the minimal strong-convexity radius by bisection.
 
@@ -244,7 +260,6 @@ def bisect_min_radius(body, tol: float, n_pairs: int = 4096, seed: int = 0):
     fails check_strong_convexity and the high end passes it.
     """
     from strconvex import check_strong_convexity, estimate_modulus
-    from strconvex.bodies import support_curvature_radii
 
     diam = body.diameter()
     probe_eps = diam / 50.0 if body.dim == 2 else diam / 8.0
@@ -490,3 +505,40 @@ def loop_offset(ap, r: float):
         if 1e-12 < gap < 2.0 * math.pi - 1e-12:
             pieces += _make_arc(ap.pieces[i].end_point, r, n_end, n_start)
     return ArcPolygon(_clean_pieces(pieces))
+
+
+def ellipsoid_min_radius(semi_axes) -> float:
+    """Minimal strong-convexity radius a_max^2 / a_min of an ellipsoid: the
+    largest curvature radius of its boundary, at the ends of the shortest axis."""
+    axes = np.asarray(semi_axes, dtype=float)
+    return float(axes.max() ** 2 / axes.min())
+
+
+def lp_disc_min_radius(p: float, r: float = 1.0) -> float:
+    """Minimal strong-convexity radius of the planar l_p ball of radius r, 1 < p <= 2.
+
+    Its largest curvature radius sits where the boundary crosses a diagonal,
+    r 2^(1/2 - 1/p) / (p - 1).
+    """
+    return r * 2.0 ** (0.5 - 1.0 / p) / (p - 1.0)
+
+
+class LpDisc:
+    """The planar l_p ball of radius r, through its support function r |u|_q,
+    with 1/p + 1/q = 1.
+
+    For p > 2 its boundary is flat to an order between 2 and infinity where it
+    meets the axes, so it is uniformly convex but strongly convex for no radius.
+    It has the support-value oracle only, which is all the pair table reads.
+    """
+
+    dim = 2
+
+    def __init__(self, p: float, r: float = 1.0):
+        self.p = float(p)
+        self.q = self.p / (self.p - 1.0)
+        self.r = float(r)
+
+    def support_values(self, P):
+        P = np.asarray(P, dtype=float)
+        return self.r * np.sum(np.abs(P) ** self.q, axis=1) ** (1.0 / self.q)

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from oracles import loop_hull_support_points, scipy_sphere_grid
+from oracles import loop_hull_support_points, scipy_sphere_grid, support_curvature_radii
 
 import strconvex as sc
 from strconvex.bodies import (
@@ -16,7 +16,6 @@ from strconvex.bodies import (
     _ndtri,
     _sobol_points,
     grid_angle_error,
-    support_curvature_radii,
 )
 
 SQ2 = math.sqrt(2.0)

@@ -129,6 +129,45 @@ class TestRadiusCommand:
         assert data["bracket"][0] <= data["bracket"][1] == data["R_min"]
         assert "tol" not in data
 
+    def test_minimize_prints_two_distinct_bracket_ends(self, capsys, ellipse_json):
+        assert main(["radius", "--body", ellipse_json, "--minimize"]) == 0
+        line = capsys.readouterr().out
+        lo, hi = line.split("bracket = [")[1].split("]")[0].split(", ")
+        assert lo != hi
+        assert float(lo) < float(hi)
+
+    @pytest.mark.parametrize("semi_axes", [None, [2.0, 1.5, 1.0]])
+    def test_minimize_seed_reaches_the_search(self, tmp_path, semi_axes):
+        if semi_axes is None:
+            body = sc.Ball([0.1, -0.2, 0.3], 1.2)
+            payload = {"type": "ball", "center": [0.1, -0.2, 0.3], "radius": 1.2}
+        else:
+            body = sc.Ellipsoid([0, 0, 0], semi_axes)
+            payload = {"type": "ellipsoid", "center": [0, 0, 0], "semi_axes": semi_axes}
+        path = _write_body(tmp_path, "body3.json", payload)
+        out = str(tmp_path / "min3.json")
+        assert main(["radius", "--body", path, "--minimize", "--seed", "3", "--out", out]) == 0
+        data = json.loads(_read(out))
+        assert data["seed"] == 3
+        # the JSON keeps 12 significant digits
+        assert data["R_min"] == pytest.approx(sc.min_strong_radius(body, seed=3)[0], rel=1e-11)
+        if semi_axes is not None:
+            # the seed moves the sphere grid, so it moves the sampled answer
+            assert data["R_min"] != pytest.approx(sc.min_strong_radius(body, seed=0)[0],
+                                                  rel=1e-11)
+
+    def test_check_seed_reaches_the_test(self, tmp_path):
+        path = _write_body(tmp_path, "e3.json", {"type": "ellipsoid", "center": [0, 0, 0],
+                                                 "semi_axes": [2.0, 1.5, 1.0]})
+        out = str(tmp_path / "check3.json")
+        assert main(["radius", "--body", path, "--check", "3.9", "--seed", "3",
+                     "--out", out]) == 3
+        verdict = sc.check_strong_convexity(sc.Ellipsoid([0, 0, 0], [2.0, 1.5, 1.0]), 3.9,
+                                            seed=3)
+        witness = json.loads(_read(out))["witness"]
+        assert witness["p1"] == pytest.approx(verdict.witness[0].tolist(), rel=1e-11)
+        assert witness["violation"] == pytest.approx(verdict.witness[2], rel=1e-11)
+
     def test_predict_chain(self, tmp_path, ball_json):
         out = str(tmp_path / "chain.json")
         assert main(["radius", "--body", ball_json, "--resolution", "1024",

@@ -1,10 +1,32 @@
+import math
+
 import numpy as np
 import pytest
 
 import strconvex as sc
-from strconvex.strongconv import GapFunction
+from strconvex.strongconv import GapFunction, _tangent_bases
 
-from oracles import bisect_min_radius, support_polygon
+from oracles import (
+    LpDisc,
+    bisect_min_radius,
+    ellipsoid_min_radius,
+    lp_disc_min_radius,
+    support_polygon,
+)
+
+
+def _rotation_2d(theta):
+    c, s = math.cos(theta), math.sin(theta)
+    return np.array([[c, -s], [s, c]])
+
+
+def _rotated_cube():
+    c, s = math.cos(0.7), math.sin(0.7)
+    rx = np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
+    c, s = math.cos(0.4), math.sin(0.4)
+    rz = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+    corners = np.array([[i, j, k] for i in (0, 1) for j in (0, 1) for k in (0, 1)], float)
+    return sc.PointHull(corners @ (rz @ rx).T)
 
 
 class TestGapFunction:
@@ -135,6 +157,77 @@ class TestMinStrongRadius:
         assert not sc.check_strong_convexity(body, lo).is_convex
         ref_lo, ref_hi = bisect_min_radius(body, tol=0.005)
         assert ref_lo < r <= ref_hi
+
+
+class TestGrowthGate:
+    """The minimal radius reads the growth of the per-scale maxima of the pair
+    table: settled (second order) gives R_min, doubling (flat) is rejected,
+    anything between is undecided."""
+
+    @pytest.mark.parametrize("aspect", [1, 2, 3, 4, 6])
+    @pytest.mark.parametrize("theta", [0.0, 0.7])
+    def test_ellipse_reaches_closed_form(self, aspect, theta):
+        axes = [1.7, 1.7 / aspect]
+        body = sc.Ellipsoid([0.3, -0.2], axes, _rotation_2d(theta))
+        r, _ = sc.min_strong_radius(body)
+        assert r == pytest.approx(ellipsoid_min_radius(axes), rel=0.01)
+        assert r <= ellipsoid_min_radius(axes)
+
+    @pytest.mark.parametrize("body, want", [
+        (sc.Ellipsoid([0.0, 0.0, 0.0], [2.0, 1.5, 1.0]), ellipsoid_min_radius([2.0, 1.5, 1.0])),
+        (sc.Ball([0.0, 0.0, 0.0, 0.0], 1.0), 1.0),
+    ], ids=["ellipsoid_3d", "ball_4d"])
+    def test_solid_reaches_closed_form(self, body, want):
+        r, _ = sc.min_strong_radius(body)
+        assert r == pytest.approx(want, rel=0.01)
+
+    def test_ellipsoid_check_below_closed_form_has_witness(self):
+        body = sc.Ellipsoid([0, 0, 0], [2.0, 1.5, 1.0])
+        v = sc.check_strong_convexity(body, 0.97 * 4.0)
+        assert not v.is_convex
+        p1, p2, violation = v.witness
+        replay = GapFunction(body, 0.97 * 4.0)
+        assert (replay.value(0.5 * (p1 + p2))
+                - 0.5 * (replay.value(p1) + replay.value(p2))) == pytest.approx(violation,
+                                                                                rel=1e-6)
+
+    @pytest.mark.parametrize("body", [
+        sc.PointHull([[-1, -1], [1, -1], [1, 1], [-1, 1]]),
+        sc.PointHull([[0, 0], [1, 0], [0.3, 0.8]]),
+        sc.MinkowskiSum([sc.Ball([0, 0], 1.0), sc.PointHull([[-0.7, 0.2], [0.7, -0.2]])]),
+        _rotated_cube(),
+    ], ids=["square", "triangle", "ball_plus_segment", "rotated_cube"])
+    def test_flat_bodies_rejected(self, body):
+        with pytest.raises(sc.NotUniformlyConvexError):
+            sc.min_strong_radius(body)
+
+    @pytest.mark.parametrize("point", [[0.3, 0.2], [0.3, 0.2, 0.1], [0.0, 0.0]])
+    def test_point_has_no_curvature_to_measure(self, point):
+        # its thresholds are rounding noise (or exactly 0 at the origin)
+        with pytest.raises(sc.OutOfDomainError):
+            sc.min_strong_radius(sc.PointHull([point]))
+
+    @pytest.mark.parametrize("p", [1.5, 1.8])
+    def test_lp_disc_below_two_reaches_closed_form(self, p):
+        r, _ = sc.min_strong_radius(LpDisc(p, 1.3))
+        assert r == pytest.approx(lp_disc_min_radius(p, 1.3), rel=0.01)
+
+    @pytest.mark.parametrize("p", [3, 4])
+    def test_lp_disc_above_two_is_undecided(self, p):
+        # the modulus has order p: thresholds grow by 2^((p-2)/(p-1)) per halving
+        with pytest.raises(sc.NotStronglyConvexError, match="alpha") as info:
+            sc.min_strong_radius(LpDisc(p))
+        alpha = float(info.value.args[0].split("alpha = ")[1].split(";")[0])
+        assert alpha == pytest.approx(p, rel=0.05)
+
+    def test_tangent_bases_are_orthonormal_and_tangent(self):
+        P = sc.sphere_grid(64, 4, seed=0)
+        P = np.concatenate([P, np.eye(4), -np.eye(4)])
+        E = _tangent_bases(P)
+        assert E.shape == (len(P), 3, 4)
+        gram = np.einsum("nid,njd->nij", E, E)
+        assert np.allclose(gram, np.eye(3), atol=1e-14)
+        assert np.max(np.abs(np.einsum("nid,nd->ni", E, P))) <= 1e-14
 
 
 class TestComplementBody:

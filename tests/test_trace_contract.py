@@ -87,6 +87,23 @@ def test_planar_minimal_radius_runs_no_convexity_check():
     assert "strongconv.min_radius.checks" not in agg
 
 
+def test_minimal_radius_runs_no_modulus_estimate():
+    # the growth gate reads the pair table; no modulus probe runs first
+    spans = _load_spans()
+    for body in (sc.Ellipsoid([0.0, 0.0], [2.0, 1.0]), sc.Ball([0.1, -0.2, 0.3], 1.2)):
+        tracer = spans.Tracer()
+        tracer.install()
+        try:
+            assert tracer.absent == []
+            sc.min_strong_radius(body)
+        finally:
+            tracer.uninstall()
+        agg = spans.aggregate(tracer.spans)
+        assert agg["strongconv.min_radius"]["calls"] == 1
+        assert "modulus.sectioned" not in agg
+        assert "modulus.boundary_param" not in agg
+
+
 def test_tracer_sees_the_hull_path_run_on_hull_vertices():
     rng = np.random.default_rng(3)
     t = rng.uniform(0.0, 2.0 * np.pi, 200)
