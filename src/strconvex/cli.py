@@ -170,7 +170,9 @@ def cmd_radius(args) -> int:
         return EXIT_WITNESS
     if args.minimize:
         r_min, bracket = min_strong_radius(body, n_pairs=args.n_pairs, seed=args.seed)
-        _write_json(args.out, {"seed": args.seed, "R_min": r_min, "bracket": list(bracket)})
+        # the bracket ends are adjacent floats, so they are written in full
+        _write_json(args.out, {"seed": args.seed, "R_min": jsonio.Exact(r_min),
+                               "bracket": [jsonio.Exact(b) for b in bracket]})
         # the ends are adjacent floats: only repr tells them apart
         print(f"R_min = {r_min!r}  bracket = [{bracket[0]!r}, {bracket[1]!r}]")
         return EXIT_OK
@@ -243,7 +245,7 @@ def cmd_verify_theorem(args) -> int:
         "window": list(fit.window),
         "predicted_radius": predicted,
         "measured_radius": measured,
-        "bracket": list(bracket),
+        "bracket": [jsonio.Exact(b) for b in bracket],
         "relative_error": rel_err,
         "sharpness_below": {
             "radius": below.below_radius_tested,

@@ -14,8 +14,14 @@ from .arcpoly import Arc, ArcPolygon, Seg
 from .bodies import Ball, ConvexBody, Ellipsoid, MinkowskiSum, PointHull
 
 
+class Exact(float):
+    """A float that dumps_canonical writes in full, so that it reads back unchanged."""
+
+
 def _round12(x):
-    """Round floats to 12 significant digits, recursively."""
+    """Round floats other than Exact ones to 12 significant digits, recursively."""
+    if isinstance(x, Exact):
+        return float(x)
     if isinstance(x, dict):
         return {k: _round12(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
@@ -32,7 +38,7 @@ def _round12(x):
 
 
 def dumps_canonical(obj) -> str:
-    """Deterministic JSON text: 12 significant digits, stable key order."""
+    """Deterministic JSON text: 12 significant digits but for Exact values, stable key order."""
     return json.dumps(_round12(obj), indent=2, sort_keys=True) + "\n"
 
 

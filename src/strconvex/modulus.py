@@ -27,11 +27,9 @@ from .errors import NotUniformlyConvexError, OutOfDomainError
 
 _CHORD_BLOCK = 32          # boundary points per block of the chord search
 _CHORD_PAIRS = 512         # block pairs per evaluated chunk of the chord search
-_DEPTH_BLOCK = 16          # query points per block of the depth kernel
-_DEPTH_ENTRIES = 1 << 16   # block-direction bounds per chunk of the depth kernel
-_DEPTH_PAIRS = 8192        # block-direction pairs per evaluated chunk of the depth kernel
 _U32 = 2.0 ** -24          # unit roundoff of float32
-_U64 = 2.0 ** -53          # unit roundoff of float64
+_HULL_DIRS = angle_grid(16)  # directions whose extreme points prefilter a hull
+_PLANE = np.eye(2)         # in-plane axes of a planar body
 
 
 def ball_modulus(r: float, eps: float) -> float:
@@ -94,18 +92,118 @@ class SecondOrderFit:
     residual: float
 
 
-def _radial_extents(grid: np.ndarray, numer: np.ndarray, rays: np.ndarray) -> np.ndarray:
+def _hull_cycle(xy: np.ndarray) -> np.ndarray:
+    """Indices of the vertices of the convex hull of planar points, counter-clockwise.
+
+    Points strictly inside the polygon of the extreme points in _HULL_DIRS
+    cannot be vertices and are dropped first.  The rest, sorted by (x, y) and
+    without exact repeats, are split by the line from the first to the last
+    into a lower and an upper chain, and every point that makes no strict left
+    turn with its current neighbours is dropped, pass after pass, until none
+    is: an extreme point always turns strictly left, and a chain of strict
+    left turns through all of them is the hull (Andrew's monotone chain, with
+    simultaneous removals).  One vertex for one distinct point, two for
+    collinear points.
+    """
+    ext = np.argmax(_HULL_DIRS @ xy.T, axis=1)
+    ext = ext[np.r_[True, ext[1:] != ext[:-1]]]
+    if ext[0] == ext[-1] and len(ext) > 1:
+        ext = ext[:-1]
+    idx = np.arange(len(xy))
+    if len(ext) >= 3:
+        a = xy[ext]
+        edge = np.roll(a, -1, axis=0) - a
+        inward = np.stack([-edge[:, 1], edge[:, 0]], axis=1)
+        # cross(edge, p - a) > 0 on every edge: strictly inside
+        inside = np.all(inward @ xy.T > np.einsum("ij,ij->i", a, inward)[:, None], axis=0)
+        inside[ext] = False
+        idx = idx[~inside]
+    idx = idx[np.lexsort((xy[idx, 1], xy[idx, 0]))]
+    srt = xy[idx]
+    idx = idx[np.r_[True, np.any(srt[1:] != srt[:-1], axis=1)]]
+    if len(idx) <= 2:
+        return idx
+    inner = idx[1:-1]
+    side = _cross(xy[idx[-1]] - xy[idx[0]], xy[inner] - xy[idx[0]])
+    lower = _left_chain(xy, np.r_[idx[0], inner[side < 0.0], idx[-1]])
+    upper = _left_chain(xy, np.r_[idx[-1], inner[side > 0.0][::-1], idx[0]])
+    return np.concatenate([lower[:-1], upper[:-1]])
+
+
+def _cross(u: np.ndarray, w: np.ndarray) -> np.ndarray:
+    return u[..., 0] * w[..., 1] - u[..., 1] * w[..., 0]
+
+
+def _left_chain(xy: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    # drop, pass after pass, every inner point that makes no strict left turn
+    while len(idx) > 2:
+        p = xy[idx]
+        left = _cross(p[1:-1] - p[:-2], p[2:] - p[1:-1]) > 0.0
+        if left.all():
+            break
+        idx = np.concatenate([idx[:1], idx[1:-1][left], idx[-1:]])
+    return idx
+
+
+def _plane_angles(dirs: np.ndarray, basis: np.ndarray):
+    """Sort order and sorted angles of directions projected into a plane.
+
+    basis is (2, d), the orthonormal in-plane axes; the angles are those of
+    (d, basis[0]), (d, basis[1]) in [-pi, pi].  _support reads them.
+    """
+    xy = dirs @ basis.T
+    psi = np.arctan2(xy[:, 1], xy[:, 0])
+    order = np.argsort(psi)
+    return order, psi[order]
+
+
+def _support(points: np.ndarray, coords: np.ndarray, dirs: np.ndarray, angles) -> np.ndarray:
+    """max over the points x of (x, d) for each direction d.
+
+    The points lie in a plane; coords are their in-plane coordinates and
+    angles the _plane_angles of dirs in the same plane.  The maximum is taken
+    at the hull vertex whose normal cone holds the direction's projection
+    (Schneider, Convex Bodies, 2nd ed., sec. 1.7), found by one searchsorted
+    among the angles of the outward edge normals.  That vertex and its two
+    hull neighbours are evaluated with the full-dimensional dot product, which
+    covers rounding at the ends of the cones.
+    """
+    hull = _hull_cycle(coords)
+    h = len(hull)
+    edge = coords[np.roll(hull, -1)] - coords[hull]
+    alpha = np.arctan2(-edge[:, 0], edge[:, 1])
+    start = int(np.argmin(alpha))
+    alpha = np.maximum.accumulate(np.roll(alpha, -start))
+    # the sorted directions from pos[j - 1] to pos[j] lie in the normal cone
+    # of vertex start + j, which is row j + 1 of ring
+    order, psi = angles
+    pos = np.searchsorted(psi, alpha, side="left")
+    cone = np.empty(len(order), dtype=np.intp)
+    cone[order] = np.repeat(np.arange(h + 1), np.diff(pos, prepend=0, append=len(psi)))
+    ring = points[hull[(start + np.arange(-1, h + 2)) % h]]
+    best = np.full(len(dirs), -np.inf)
+    for shift in range(3):
+        x = np.take(ring[shift:], cone, axis=0)
+        np.maximum(best, np.einsum("ij,ij->i", x, dirs), out=best)
+    return best
+
+
+def _radial_extents(scaled: np.ndarray, basis: np.ndarray, rays: np.ndarray, angles) -> np.ndarray:
     """Distance along each ray direction to the supporting-half-space boundary.
 
-    T(u) = min over grid directions p with (p, u) > 0 of slack(p) / (p, u),
-    which is 1/max over all p of (u, p/slack(p)), valid because some dot is
-    always positive and nonpositive dots cannot attain the maximum.  That
-    maximum is minus the depth of u below the directions p/slack(p) with zero
-    support, so the pruned depth kernel computes it.  The floor on slack(p)
-    keeps the squared lengths of the scaled directions finite.
+    With scaled = p / slack(p) over the grid directions p, T(u) = min over p
+    with (p, u) > 0 of slack(p) / (p, u) = 1 / max over p of (u, p / slack(p)),
+    valid because some dot is always positive and nonpositive dots cannot
+    attain the maximum.  The rays lie in the plane of basis, and angles are
+    their _plane_angles, so that maximum is the support of the scaled
+    directions' projection into that plane.
     """
-    scaled = grid / np.maximum(numer, 1e-150)[:, None]
-    return -1.0 / _min_gaps(rays, scaled, np.zeros(len(grid)))
+    return 1.0 / _support(scaled, scaled @ basis.T, rays, angles)
+
+
+def _scaled_directions(grid: np.ndarray, numer: np.ndarray) -> np.ndarray:
+    # the floor on slack(p) keeps the scaled directions finite
+    return grid / np.maximum(numer, 1e-150)[:, None]
 
 
 class BoundaryParam:
@@ -113,6 +211,8 @@ class BoundaryParam:
 
     Boundary points are the radial hits of the body's supporting-half-space
     intersection, so flat faces are traced as well as strictly convex arcs.
+    The radial extents and the inscribed radii both come from the support
+    function of a planar point set, read off its convex hull.
     """
 
     def __init__(self, body: ConvexBody, resolution: int):
@@ -129,12 +229,20 @@ class BoundaryParam:
         numer = self.support - self.grid @ self.origin
         if np.min(numer) < -1e-12 * (1.0 + self.diameter):
             raise ValueError("reference point is not interior to the body")
-        self.radial = _radial_extents(self.grid, numer, self.grid)
+        self._angles = _plane_angles(self.grid, _PLANE)
+        self.radial = _radial_extents(_scaled_directions(self.grid, numer), _PLANE,
+                                      self.grid, self._angles)
         self.points = self.origin + self.radial[:, None] * self.grid
 
-    def inscribed_radii(self, pts: np.ndarray) -> np.ndarray:
-        """Grid-supported inscribed-ball radius for each query point."""
-        return _min_gaps(pts, self.grid, self.support)
+    def inscribed_radii(self, pts: np.ndarray) -> float:
+        """Least grid-supported inscribed-ball radius over the query points.
+
+        min over x of min over k of support_k - (x, p_k) is
+        min over k of support_k - max over x of (x, p_k), and that inner
+        maximum is the support function of the points at the grid directions.
+        """
+        best = _support(pts, pts - self.origin, self.grid, self._angles)
+        return float(np.min(self.support - best))
 
 
 def _bounding_balls(blocks: np.ndarray):
@@ -233,61 +341,19 @@ def _chords_of_length(points: np.ndarray, eps: float):
     return points[anchors[ok]], companions[ok]
 
 
-def _min_gaps(pts: np.ndarray, dirs: np.ndarray, support: np.ndarray) -> np.ndarray:
-    """min over k of support[k] - (p, dirs[k]) for each query point p.
-
-    Blocks of _DEPTH_BLOCK consecutive query points get bounding balls (centre
-    c, radius r).  Since gap_k(p) >= gap_k(c) - r |dirs[k]|, a direction is
-    evaluated on a block only when that bound, widened by a float64 rounding
-    slack, reaches the block's largest gap along the centre's best direction,
-    which is at least every point's minimum.
-    """
-    m = len(pts)
-    if m == 0:
-        return np.zeros(0)
-    size = _DEPTH_BLOCK
-    nb = -(-m // size)
-    blocks = pts[np.minimum(np.arange(nb * size), m - 1)].reshape(nb, size, -1)
-    centre, radius = _bounding_balls(blocks)
-    blocks = np.ascontiguousarray(blocks.transpose(0, 2, 1))  # (block, coordinate, point)
-    norms = np.sqrt(np.einsum("ij,ij->i", pts, pts))
-    lengths = np.sqrt(np.einsum("ij,ij->i", dirs, dirs))
-    slack = 64.0 * _U64 * (float(np.max(np.abs(support)))
-                           + float(np.max(norms)) * float(np.max(lengths)))
-    out = np.full((nb, size), np.inf)
-    step = max(1, _DEPTH_ENTRIES // len(dirs))
-    for b0 in range(0, nb, step):
-        gaps_c = support[None, :] - centre[b0:b0 + step] @ dirs.T
-        best = gaps_c.argmin(axis=1)
-        upper = (support[best][:, None]
-                 - np.einsum("bdi,bd->bi", blocks[b0:b0 + step], dirs[best])).max(axis=1)
-        reach = radius[b0:b0 + step, None] * lengths[None, :]
-        bi, k = np.nonzero(gaps_c - reach <= (upper + slack)[:, None])
-        bi += b0
-        for p0 in range(0, len(bi), _DEPTH_PAIRS):
-            b = bi[p0:p0 + _DEPTH_PAIRS]
-            kk = k[p0:p0 + _DEPTH_PAIRS]
-            gaps = support[kk][:, None] - np.einsum("pdi,pd->pi", blocks[b], dirs[kk])
-            starts = np.flatnonzero(np.r_[True, b[1:] != b[:-1]])
-            u = b[starts]
-            out[u] = np.minimum(out[u], np.minimum.reduceat(gaps, starts, axis=0))
-    return out.reshape(-1)[:m]
-
-
 def _planar_estimate(param: BoundaryParam, eps: float) -> float:
     found = _chords_of_length(param.points, eps)
     if found is None:
         raise OutOfDomainError(f"no boundary chord of length {eps}")
     a_pts, companions = found
-    mids = 0.5 * (a_pts + companions)
-    return float(param.inscribed_radii(mids).min())
+    return param.inscribed_radii(0.5 * (a_pts + companions))
 
 
-def _section_points(origin, u, v, numer, grid, resolution):
-    # radial parametrization of the planar section span{u, v} + origin
+def _section_points(origin, basis, scaled, resolution):
+    # radial parametrization of the planar section origin + span(basis)
     t = np.arange(resolution) * (2.0 * np.pi / resolution)
-    U = np.outer(np.cos(t), u) + np.outer(np.sin(t), v)
-    T = _radial_extents(grid, numer, U)
+    U = np.outer(np.cos(t), basis[0]) + np.outer(np.sin(t), basis[1])
+    T = _radial_extents(scaled, basis, U, _plane_angles(U, basis))
     return origin + T[:, None] * U
 
 
@@ -337,25 +403,33 @@ def _section_planes(body, grid, origin, sections: int, seed: int):
 def _sectioned_estimate(body, eps, resolution, sections, seed) -> np.ndarray:
     """Sectioned modulus at each eps of a sequence: the least depth of a section
     chord's midpoint.  The sections are built once and searched for every eps.
+
+    The depth at eps is min over grid directions p of s(p) minus the largest
+    support value at p of any section's chord midpoints; each section keeps
+    only the sort order and the in-plane angles of the grid directions.
     """
     grid = default_grid(body.dim)
     support = body.support_values(grid)
     origin = steiner_point(body)
-    numer = support - grid @ origin
-    polylines = [_section_points(origin, u, v, numer, grid, resolution)
-                 for u, v in _section_planes(body, grid, origin, sections, seed)]
+    scaled = _scaled_directions(grid, support - grid @ origin)
+    planes = []
+    for u, v in _section_planes(body, grid, origin, sections, seed):
+        basis = np.stack([u, v])
+        planes.append((basis, _section_points(origin, basis, scaled, resolution),
+                       _plane_angles(grid, basis)))
+    del scaled
     out = np.empty(len(eps))
     for i, e in enumerate(eps):
-        best = np.inf
-        for pts in polylines:
+        best = np.full(len(grid), -np.inf)
+        for basis, pts, angles in planes:
             found = _chords_of_length(pts, float(e))
             if found is None:
                 continue
-            a_pts, comps = found
-            best = min(best, float(_min_gaps(0.5 * (a_pts + comps), grid, support).min()))
-        if not np.isfinite(best):
+            mids = 0.5 * (found[0] + found[1])
+            np.maximum(best, _support(mids, (mids - origin) @ basis.T, grid, angles), out=best)
+        out[i] = np.min(support - best)
+        if not np.isfinite(out[i]):
             raise OutOfDomainError(f"no section chord of length {e}")
-        out[i] = best
     return out
 
 

@@ -192,6 +192,14 @@ def dense_min_gaps(pts: np.ndarray, dirs: np.ndarray, support: np.ndarray) -> np
     return out
 
 
+def dense_support(points: np.ndarray, dirs: np.ndarray) -> np.ndarray:
+    """max over all points x of (x, d) for each direction d, in chunks of 512 directions."""
+    out = np.empty(len(dirs))
+    for k0 in range(0, len(dirs), 512):
+        out[k0:k0 + 512] = (dirs[k0:k0 + 512] @ points.T).max(axis=1)
+    return out
+
+
 def dense_radial_extents(grid: np.ndarray, numer: np.ndarray, rays: np.ndarray) -> np.ndarray:
     """Distance along each ray to the boundary of the half-spaces (p, x) <= numer(p).
 
@@ -384,87 +392,79 @@ def full_input_r_hull(points, R: float):
     return full_input_disk_intersection(kernel.vertices(), R)
 
 
-def _angle(v) -> float:
-    return math.atan2(v[1], v[0]) % (2.0 * math.pi)
+def _angles(V: np.ndarray) -> np.ndarray:
+    return np.arctan2(V[:, 1], V[:, 0]) % (2.0 * math.pi)
 
 
-def _point_seg_dist(x: np.ndarray, s) -> float:
+def _seg_distances(X: np.ndarray, s) -> np.ndarray:
     v = s.end_point - s.start_point
     L2 = float(v @ v)
     if L2 == 0.0:
-        return float(np.linalg.norm(x - s.start_point))
-    t = float(np.clip((x - s.start_point) @ v / L2, 0.0, 1.0))
-    return float(np.linalg.norm(x - (s.start_point + t * v)))
+        return np.linalg.norm(X - s.start_point, axis=1)
+    t = np.clip((X - s.start_point) @ v / L2, 0.0, 1.0)
+    return np.linalg.norm(X - (s.start_point + t[:, None] * v), axis=1)
 
 
-def _point_arc_dist(x: np.ndarray, a) -> float:
-    rel = x - np.asarray(a.center)
-    if a.contains_angle(_angle(rel)):
-        return abs(float(np.linalg.norm(rel)) - a.radius)
-    return min(float(np.linalg.norm(x - a.start_point)),
-               float(np.linalg.norm(x - a.end_point)))
+def _arc_distances(X: np.ndarray, a) -> np.ndarray:
+    rel = X - np.asarray(a.center)
+    ends = np.minimum(np.linalg.norm(X - a.start_point, axis=1),
+                      np.linalg.norm(X - a.end_point, axis=1))
+    return np.where(a.contains_angle(_angles(rel)),
+                    np.abs(np.linalg.norm(rel, axis=1) - a.radius), ends)
 
 
 def piecewise_boundary_distance(ap, X) -> np.ndarray:
     """Distance from each row of X to the nearest boundary piece of a
-    non-singleton arc polygon, one piece at a time."""
+    non-singleton arc polygon, one piece at a time over all the points."""
     from strconvex.arcpoly import Arc
 
-    return np.array([
-        min(_point_arc_dist(x, p) if isinstance(p, Arc) else _point_seg_dist(x, p)
-            for p in ap.pieces)
-        for x in np.asarray(X, dtype=float)])
+    X = np.asarray(X, dtype=float)
+    return np.min([_arc_distances(X, p) if isinstance(p, Arc) else _seg_distances(X, p)
+                   for p in ap.pieces], axis=0)
 
 
-def _ray_inside(ap, o: np.ndarray, x: np.ndarray) -> bool:
-    """Whether the ray from the interior point o through x leaves the polygon
-    at or beyond x, within 1e-12."""
+def _ray_hits(ap, o: np.ndarray, U: np.ndarray) -> np.ndarray:
+    """The nearest positive t at which o + t u meets a boundary piece, for each
+    unit row u of U; inf where the ray meets none."""
     from strconvex.arcpoly import Seg
 
-    d = x - o
-    L = float(np.linalg.norm(d))
-    if L < 1e-14:
-        return True
-    u = d / L
-    hits = []
-    for p in ap.pieces:
-        if isinstance(p, Seg):
-            v = p.end_point - p.start_point
-            denom = u[0] * (-v[1]) - u[1] * (-v[0])
-            if abs(denom) < 1e-15:
-                continue
-            w = p.start_point - o
-            t = (w[0] * (-v[1]) - w[1] * (-v[0])) / denom
-            s = (u[0] * w[1] - u[1] * w[0]) / denom
-            if t > 0.0 and -1e-12 <= s <= 1.0 + 1e-12:
-                hits.append(t)
-        else:
-            oc = o - np.asarray(p.center)
-            b = 2.0 * float(u @ oc)
-            c0 = float(oc @ oc) - p.radius**2
-            disc = b * b - 4.0 * c0
-            if disc < 0.0:
-                continue
-            sq = math.sqrt(disc)
-            for t in ((-b - sq) / 2.0, (-b + sq) / 2.0):
-                if t > 0.0:
-                    pt = o + t * u
-                    if p.contains_angle(_angle(pt - np.asarray(p.center)), tol=1e-9):
-                        hits.append(t)
-    if not hits:
-        return False
-    return L <= min(hits) + 1e-12
+    best = np.full(len(U), np.inf)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for p in ap.pieces:
+            if isinstance(p, Seg):
+                v = p.end_point - p.start_point
+                denom = U[:, 0] * (-v[1]) - U[:, 1] * (-v[0])
+                w = p.start_point - o
+                t = (w[0] * (-v[1]) - w[1] * (-v[0])) / denom
+                s = (U[:, 0] * w[1] - U[:, 1] * w[0]) / denom
+                hit = (np.abs(denom) >= 1e-15) & (t > 0.0) & (-1e-12 <= s) & (s <= 1.0 + 1e-12)
+                best = np.where(hit, np.minimum(best, t), best)
+            else:
+                oc = o - np.asarray(p.center)
+                b = 2.0 * (U @ oc)
+                disc = b * b - 4.0 * (float(oc @ oc) - p.radius**2)
+                sq = np.sqrt(np.maximum(disc, 0.0))
+                for t in ((-b - sq) / 2.0, (-b + sq) / 2.0):
+                    on = p.contains_angle(_angles(o + t[:, None] * U - np.asarray(p.center)),
+                                          tol=1e-9)
+                    best = np.where((disc >= 0.0) & (t > 0.0) & on, np.minimum(best, t), best)
+    return best
 
 
 def ray_cast_contains(ap, X, tols) -> np.ndarray:
     """Membership of each row of X (columns) at each tol (rows) in a
     non-singleton arc polygon: inside when a ray cast from the mean of the
     piece ends and piece midpoints passes x before it leaves the polygon,
-    else when the per-piece boundary distance is within tol."""
+    within 1e-12, else when the per-piece boundary distance is within tol."""
     X = np.asarray(X, dtype=float)
     o = np.mean([p.start_point for p in ap.pieces] + [p.point_at(0.5) for p in ap.pieces],
                 axis=0)
-    inside = np.array([_ray_inside(ap, o, x) for x in X], dtype=bool)
+    D = X - o
+    L = np.linalg.norm(D, axis=1)
+    near = L < 1e-14
+    U = D / np.where(near, 1.0, L)[:, None]
+    hits = _ray_hits(ap, o, U)
+    inside = near | (np.isfinite(hits) & (L <= hits + 1e-12))
     dist = np.full(len(X), np.inf)
     if not inside.all():
         dist[~inside] = piecewise_boundary_distance(ap, X[~inside])

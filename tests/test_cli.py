@@ -63,6 +63,14 @@ class TestJsonRoundTrip:
         text = jsonio.dumps_canonical({"x": 0.1234567890123456789})
         assert "0.123456789012" in text
 
+    def test_exact_values_read_back_unchanged(self):
+        lo = 3.99863509861
+        hi = float(np.nextafter(lo, np.inf))
+        data = json.loads(jsonio.dumps_canonical(
+            {"bracket": [jsonio.Exact(lo), jsonio.Exact(hi)], "x": hi}))
+        assert data["bracket"] == [lo, hi]
+        assert data["x"] == lo
+
 
 class TestModulusCommand:
     def test_ball_scan_and_fit(self, tmp_path, ball_json):
@@ -126,7 +134,11 @@ class TestRadiusCommand:
                      "--tol", "0.01", "--out", out]) == 0
         data = json.loads(_read(out))
         assert 3.96 <= data["R_min"] <= 4.04
-        assert data["bracket"][0] <= data["bracket"][1] == data["R_min"]
+        assert data["bracket"][0] < data["bracket"][1] == data["R_min"]
+        # R_min and the bracket read back as the floats the search returned
+        r_min, bracket = sc.min_strong_radius(sc.Ellipsoid([0, 0], [2, 1]))
+        assert data["R_min"] == r_min
+        assert data["bracket"] == list(bracket)
         assert "tol" not in data
 
     def test_minimize_prints_two_distinct_bracket_ends(self, capsys, ellipse_json):
@@ -149,8 +161,8 @@ class TestRadiusCommand:
         assert main(["radius", "--body", path, "--minimize", "--seed", "3", "--out", out]) == 0
         data = json.loads(_read(out))
         assert data["seed"] == 3
-        # the JSON keeps 12 significant digits
-        assert data["R_min"] == pytest.approx(sc.min_strong_radius(body, seed=3)[0], rel=1e-11)
+        # R_min is written in full
+        assert data["R_min"] == sc.min_strong_radius(body, seed=3)[0]
         if semi_axes is not None:
             # the seed moves the sphere grid, so it moves the sampled answer
             assert data["R_min"] != pytest.approx(sc.min_strong_radius(body, seed=0)[0],
@@ -258,6 +270,11 @@ class TestVerifyTheoremCommand:
         assert data["measured_radius"] == pytest.approx(1.0, rel=0.01)
         assert data["sharpness_below"]["contradiction"] is True
         assert data["sharpness_above"]["contradiction"] is False
+        bracket = sc.min_strong_radius(sc.Ball([0, 0], 1.0))[1]
+        assert data["bracket"] == list(bracket)
+        assert data["bracket"][0] < data["bracket"][1]
+        # every other value keeps 12 significant digits
+        assert data["C"] == float(f"{data['C']:.12g}")
 
     def test_square_exit_4(self, square_json):
         assert main(["verify-theorem", "--body", square_json, "--resolution", "512"]) == 4

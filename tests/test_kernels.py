@@ -1,9 +1,10 @@
-"""The pruned chord search and depth kernel against the dense all-pairs oracles.
+"""The pruned chord search and the hull-based support kernel against dense oracles.
 
-The kernels skip blocks of points that cannot change the answer, so they must
-return what the full scans in tests/oracles.py return: the same crossings, in
-the same order, and the same per-point minima and radial extents up to
-rounding.
+The chord search skips blocks of points that cannot hold a crossing, and the
+support kernel reads the maximum of (x, d) over a planar point set off the
+set's convex hull, so they must return what the full scans in
+tests/oracles.py return: the same crossings, in the same order, and the same
+support values, least depths and radial extents up to rounding.
 """
 import math
 import tracemalloc
@@ -12,15 +13,23 @@ import numpy as np
 import pytest
 
 import strconvex as sc
-from strconvex.bodies import steiner_point
+from scipy.spatial import ConvexHull
+
+from strconvex.bodies import angle_grid, steiner_point
 from strconvex.modulus import (
     BoundaryParam,
     _chord_crossings,
     _chords_of_length,
-    _min_gaps,
     _companions,
+    _hull_cycle,
+    _plane_angles,
     _radial_extents,
+    _scaled_directions,
     _section_planes,
+    _section_points,
+    _sectioned_estimate,
+    _support,
+    _PLANE,
 )
 from oracles import (
     bisect_companions,
@@ -28,6 +37,7 @@ from oracles import (
     dense_chords_of_length,
     dense_min_gaps,
     dense_radial_extents,
+    dense_support,
 )
 
 RESOLUTIONS = (16, 17, 33, 257, 1000, 2047, 4096)
@@ -89,35 +99,148 @@ def test_kernels_match_dense_oracle(name):
             lengths = np.linalg.norm(a_pts - comps, axis=1)
             assert np.max(np.abs(lengths - eps)) <= 1e-12 * (1.0 + param.diameter), where
 
-            queries = np.concatenate([0.5 * (a_pts + comps),
-                                      _shuffled_interior(param, 200, n)])
-            got = param.inscribed_radii(queries)
-            want = dense_min_gaps(queries, param.grid, param.support)
-            assert got.shape == want.shape, where
-            assert np.all(np.isfinite(got)), where
-            assert np.max(np.abs(got - want)) <= tol, where
+            mids = 0.5 * (a_pts + comps)
+            cloud = _shuffled_interior(param, 200, n)
+            for X in (mids, cloud):
+                got = _support(X, X - param.origin, param.grid, param._angles)
+                assert np.max(np.abs(got - dense_support(X, param.grid))) <= tol, where
+            for X in (mids, np.concatenate([mids, cloud])):
+                got = param.inscribed_radii(X)
+                assert isinstance(got, float), where
+                want = dense_min_gaps(X, param.grid, param.support).min()
+                assert abs(got - want) <= tol, where
+
+
+SOLIDS = {
+    "ellipsoid": sc.Ellipsoid([0.2, -0.1, 0.3], [2.0, 1.5, 1.0]),
+    "ball": sc.Ball([-0.3, 0.4, 0.1], 1.2),
+    "ellipsoid_plus_ball": sc.MinkowskiSum([sc.Ellipsoid([0.0, 0.0, 0.0], [2.0, 1.5, 1.0]),
+                                            sc.Ball([0.1, 0.2, -0.2], 0.5)]),
+}
 
 
 def test_three_dimensional_sections_match_dense_oracle():
-    body = sc.Ellipsoid([0.0, 0.0, 0.0], [2.0, 1.5, 1.0])
+    body = SOLIDS["ellipsoid"]
+    tol = 1e-14 * (1.0 + 4.0)  # diameter 4
     grid = sc.default_grid(3)
     support = body.support_values(grid)
-    rng = np.random.default_rng(3)
-    for _ in range(2):
-        u, v = np.linalg.qr(rng.standard_normal((3, 2)))[0].T
-        t = np.linspace(0.0, 2.0 * np.pi, 300, endpoint=False)
-        rays = np.outer(np.cos(t), u) + np.outer(np.sin(t), v)
-        points = body.support_points(rays)
-        for eps in (0.3, 1.5):
+    origin = steiner_point(body)
+    scaled = _scaled_directions(grid, support - grid @ origin)
+    planes = [np.stack(uv) for uv in _section_planes(body, grid, origin, 8, 0)]
+    polylines = [_section_points(origin, basis, scaled, 300) for basis in planes]
+    for eps in (0.3, 1.5):
+        pooled, best = [], np.full(len(grid), -np.inf)
+        for basis, points in zip(planes, polylines):
             anchors, segs = _chord_crossings(points, eps)
             want_anchors, want_segs = dense_chord_crossings(points, eps)
             assert np.array_equal(anchors, want_anchors)
             assert np.array_equal(segs, want_segs)
             a_pts, comps = _chords_of_length(points, eps)
             mids = 0.5 * (a_pts + comps)
-            got = _min_gaps(mids, grid, support)
-            want = dense_min_gaps(mids, grid, support)
-            assert np.max(np.abs(got - want)) <= 1e-14 * (1.0 + 4.0)  # diameter 4
+            got = _support(mids, (mids - origin) @ basis.T, grid, _plane_angles(grid, basis))
+            assert np.max(np.abs(got - dense_support(mids, grid))) <= tol
+            best = np.maximum(best, got)
+            pooled.append(mids)
+        # the least depth over all sections' midpoints, from the pooled support values
+        want = dense_min_gaps(np.concatenate(pooled), grid, support).min()
+        assert abs(np.min(support - best) - want) <= tol
+        assert abs(_sectioned_estimate(body, [eps], 300, 8, 0)[0] - want) <= tol
+
+
+THIN_TRIANGLE = sc.PointHull([[0.0, 0.0], [10.0, 0.0], [0.0, 0.3]])
+
+
+def _degenerate_sets():
+    rng = np.random.default_rng(12)
+    cloud = rng.uniform(-1.0, 1.0, (60, 2))
+    t = rng.uniform(0.0, 2.0 * np.pi, 40)
+    param = BoundaryParam(THIN_TRIANGLE, 1000)
+    a_pts, comps = _chords_of_length(param.points, 0.2 * param.diameter)
+    return {
+        "one_point": cloud[:1],
+        "two_points": cloud[:2],
+        "three_points": cloud[:3],
+        "collinear": np.outer(rng.integers(-20, 20, 30), [3.0, 4.0]) + [1.0, 2.0],
+        "nearly_collinear": np.outer(rng.uniform(-1.0, 1.0, 30), [0.6, 0.8]) + [0.1, 0.2],
+        "repeats": np.concatenate([cloud[:10]] * 3)[rng.permutation(30)],
+        "repeated_point": np.repeat(cloud[:1], 5, axis=0),
+        "circle": 1.3 * np.stack([np.cos(t), np.sin(t)], axis=1) + [0.2, -0.1],
+        "thin_triangle_midpoints": 0.5 * (a_pts + comps),
+        "shifted_1e5": cloud + [1e5, -1e5],
+    }
+
+
+DEGENERATE = _degenerate_sets()
+
+
+def _assert_support_matches_dense(X, coords, dirs, basis, where):
+    got = _support(X, coords, dirs, _plane_angles(dirs, basis))
+    want = dense_support(X, dirs)
+    # the dot products, and so their rounding, are as large as the points
+    assert np.max(np.abs(got - want)) <= 1e-14 * (1.0 + np.max(np.abs(X))), where
+
+
+@pytest.mark.parametrize("name", sorted(DEGENERATE))
+def test_support_on_degenerate_sets_matches_dense_oracle(name):
+    X = DEGENERATE[name]
+    for n in (16, 17, 1000):
+        dirs = angle_grid(n)
+        # hull coordinates about an inner point, as the estimators pass them, and raw
+        for coords in (X - X.mean(axis=0), X):
+            _assert_support_matches_dense(X, coords, dirs, _PLANE, f"{name} n={n}")
+    # the same set in a plane of R^3, against directions off that plane
+    basis = np.linalg.qr(np.random.default_rng(4).standard_normal((3, 2)))[0].T
+    origin = np.array([0.3, -0.2, 0.5])
+    coords = X - X.mean(axis=0)
+    _assert_support_matches_dense(origin + coords @ basis, coords, sc.default_grid(3), basis,
+                                  f"{name} in R^3")
+
+
+def _turns_left(P):
+    u = np.roll(P, -1, axis=0) - P
+    w = np.roll(u, -1, axis=0)
+    return np.all(u[:, 0] * w[:, 1] - u[:, 1] * w[:, 0] > 0.0)
+
+
+def _hull_rows(X, idx):
+    return np.unique(X[idx], axis=0)
+
+
+@pytest.mark.parametrize("name", sorted(DEGENERATE))
+def test_hull_cycle_on_degenerate_sets(name):
+    X = DEGENERATE[name]
+    hull = _hull_cycle(X)
+    assert len(np.unique(hull)) == len(hull)
+    distinct = np.unique(X, axis=0)
+    if len(distinct) == 1:
+        assert len(hull) == 1
+    elif name in ("collinear", "two_points"):
+        # the two ends of the segment
+        key = X @ (distinct[-1] - distinct[0])
+        assert sorted(hull) == sorted([np.argmin(key), np.argmax(key)])
+    elif name == "nearly_collinear":
+        # the two ends, and whatever rounding bends the segment to
+        key = X @ [0.6, 0.8]
+        assert {np.argmin(key), np.argmax(key)} <= set(hull)
+        assert len(hull) == 2 or _turns_left(X[hull])
+    else:
+        # qhull merges vertices within its rounding tolerance of an edge; the
+        # cycle keeps every strict turn
+        mine = _hull_rows(X, hull)
+        for row in _hull_rows(X, ConvexHull(X).vertices):
+            assert np.any(np.all(mine == row, axis=1))
+        assert _turns_left(X[hull])
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_hull_cycle_matches_qhull_counter_clockwise(seed):
+    rng = np.random.default_rng(seed)
+    for X in (rng.standard_normal((7, 2)), rng.standard_normal((5000, 2)),
+              rng.uniform(-1.0, 1.0, (3000, 2)), np.round(4.0 * rng.standard_normal((400, 2))),
+              rng.integers(0, 3, (50, 2)).astype(float)):
+        hull = _hull_cycle(X)
+        assert np.array_equal(_hull_rows(X, hull), _hull_rows(X, ConvexHull(X).vertices))
+        assert _turns_left(X[hull])
 
 
 def _assert_radial_matches_dense(got, grid, numer, rays, where):
@@ -125,9 +248,6 @@ def _assert_radial_matches_dense(got, grid, numer, rays, where):
     assert got.shape == want.shape, where
     assert np.all(want > 0.0), where
     assert np.max(np.abs(got - want) / want) <= 1e-14, where
-
-
-THIN_TRIANGLE = sc.PointHull([[0.0, 0.0], [10.0, 0.0], [0.0, 0.3]])
 
 
 @pytest.mark.parametrize("name", sorted(BODIES) + ["thin_triangle"])
@@ -144,14 +264,6 @@ def test_planar_radial_extents_match_dense_oracle(name):
                                      f"{name} n={n}")
 
 
-SOLIDS = {
-    "ellipsoid": sc.Ellipsoid([0.2, -0.1, 0.3], [2.0, 1.5, 1.0]),
-    "ball": sc.Ball([-0.3, 0.4, 0.1], 1.2),
-    "ellipsoid_plus_ball": sc.MinkowskiSum([sc.Ellipsoid([0.0, 0.0, 0.0], [2.0, 1.5, 1.0]),
-                                            sc.Ball([0.1, 0.2, -0.2], 0.5)]),
-}
-
-
 def _section_rays(u, v, count):
     t = np.arange(count) * (2.0 * np.pi / count)
     return np.outer(np.cos(t), u) + np.outer(np.sin(t), v)
@@ -166,8 +278,10 @@ def test_section_radial_extents_match_dense_oracle(name):
     for u, v in _section_planes(body, grid, origin, 8, 0):
         for count in (256, 512):
             rays = _section_rays(u, v, count)
-            _assert_radial_matches_dense(_radial_extents(grid, numer, rays), grid, numer, rays,
-                                         f"{name} rays={count}")
+            basis = np.stack([u, v])
+            got = _radial_extents(_scaled_directions(grid, numer), basis, rays,
+                                  _plane_angles(rays, basis))
+            _assert_radial_matches_dense(got, grid, numer, rays, f"{name} rays={count}")
 
 
 def _peak_bytes(fn, *args):
@@ -199,7 +313,9 @@ def test_radial_memory_stays_below_dense_code():
     numer = body.support_values(grid) - grid @ steiner_point(body)
     u, v = np.linalg.qr(np.random.default_rng(5).standard_normal((3, 2)))[0].T
     rays = _section_rays(u, v, 512)
-    peak = _peak_bytes(_radial_extents, grid, numer, rays)
+    basis = np.stack([u, v])
+    peak = _peak_bytes(lambda: _radial_extents(_scaled_directions(grid, numer), basis, rays,
+                                               _plane_angles(rays, basis)))
     dense_peak = _peak_bytes(dense_radial_extents, grid, numer, rays)
     assert peak <= min(dense_peak, 25e6), (peak, dense_peak)
 
