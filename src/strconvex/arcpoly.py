@@ -20,6 +20,7 @@ from .errors import (
     NoEnclosingBallError,
     TooFarApartError,
 )
+from .modulus import _hull_cycle
 from .seb import smallest_enclosing_circle
 
 TWO_PI = 2.0 * math.pi
@@ -453,40 +454,40 @@ def clip_with_disk(ap: ArcPolygon, center, R: float) -> ArcPolygon | None:
 
 
 def _dedupe(points: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    out = []
-    for p in points:
-        if not any(math.hypot(p[0] - q[0], p[1] - q[1]) <= tol for q in out):
-            out.append(p)
-    return np.array(out)
+    """Hull vertices without near repeats, in input order.
+
+    Near repeats among hull vertices are neighbours on the hull cycle, so the
+    pass compares only those: sorted by angle about their mean, the cycle is
+    cut wherever a point lies farther than tol from the next, and each run
+    keeps its first point in input order.  It can differ from a greedy pass
+    against every kept point only on a hull narrower than 2 tol, or on a
+    chain of near points longer than tol.
+    """
+    c = points - points.mean(axis=0)
+    order = np.argsort(np.arctan2(c[:, 1], c[:, 0]))
+    near = np.hypot(*(points[np.roll(order, -1)] - points[order]).T) <= tol
+    if near.all():
+        return points[:1]
+    # start the cycle after a split, so that no run wraps around
+    shift = -1 - int(np.argmin(near))
+    order, near = np.roll(order, shift), np.roll(near, shift)
+    runs = np.flatnonzero(np.r_[True, ~near[:-1]])
+    return points[np.sort(np.minimum.reduceat(order, runs))]
 
 
 def _hull_vertices(points: np.ndarray) -> np.ndarray:
-    """The points that are vertices of their convex hull, in input order.
+    """The vertices of the convex hull (_hull_cycle's), in input order: points
+    inside a hull edge are dropped, and of equal points the first is kept."""
+    return points[np.sort(_hull_cycle(points))]
 
-    Andrew's monotone chain (Inf. Proc. Lett. 9, 1979) over the points sorted
-    by (x, y): interior points, repeats of a point and points inside a hull
-    edge are dropped; of equal points the first is kept.
-    """
-    order = np.lexsort((points[:, 1], points[:, 0]))
-    srt = points[order]
-    order = order[np.r_[True, np.any(srt[1:] != srt[:-1], axis=1)]]
-    if len(order) <= 2:
-        return points[np.sort(order)]
-    xs, ys = points[order].T.tolist()
 
-    def chain(idx):
-        h = []
-        for k in idx:
-            # drop the last vertex while it makes no strict left turn
-            while len(h) >= 2 and ((xs[h[-1]] - xs[h[-2]]) * (ys[k] - ys[h[-2]])
-                                   - (ys[h[-1]] - ys[h[-2]]) * (xs[k] - xs[h[-2]])) <= 0.0:
-                h.pop()
-            h.append(k)
-        return h[:-1]
-
-    m = len(order)
-    keep = order[chain(range(m)) + chain(range(m - 1, -1, -1))]
-    return points[np.sort(keep)]
+def _planar_points(points, name: str) -> np.ndarray:
+    points = np.asarray(points, dtype=float)
+    if points.ndim != 2 or points.shape[1] != 2 or len(points) == 0:
+        raise EmptyInputError(f"need a nonempty (n, 2) array of {name}")
+    if not np.all(np.isfinite(points)):
+        raise ValueError(f"{name} have non-finite entries")
+    return points
 
 
 def _check_radius(R: float) -> None:
@@ -513,9 +514,7 @@ def _kernel(pts: np.ndarray, c_seb, r_seb: float, R: float) -> ArcPolygon | None
 
 def disk_intersection(centers, R: float) -> ArcPolygon | None:
     """Exact arc polygon of the intersection of radius-R disks, or None if void."""
-    centers = np.asarray(centers, dtype=float)
-    if centers.ndim != 2 or centers.shape[1] != 2 or len(centers) == 0:
-        raise EmptyInputError("need a nonempty (n, 2) array of centers")
+    centers = _planar_points(centers, "centers")
     _check_radius(R)
     # a disk holds the centres exactly when it holds their hull vertices
     pts = _dedupe(_hull_vertices(centers))
@@ -533,9 +532,7 @@ def r_hull(points, R: float) -> ArcPolygon:
     A ball holds the points exactly when it holds the vertices of their convex
     hull, so only those vertices enter.
     """
-    points = np.asarray(points, dtype=float)
-    if points.ndim != 2 or points.shape[1] != 2 or len(points) == 0:
-        raise EmptyInputError("need a nonempty (n, 2) point array")
+    points = _planar_points(points, "points")
     _check_radius(R)
     pts = _dedupe(_hull_vertices(points))
     if len(pts) == 1:

@@ -14,8 +14,10 @@ closed-form maximum of the pair thresholds replaced, with the curvature radii
 h + h'' of the support function that bracket it in the plane; the closed
 minimal radii of ellipsoids and l_p discs, and the l_p disc itself, test the
 growth gate of the minimal radius; the hull-vertex oracle is scipy's
-qhull, and the full-input disk intersection clips against every input point
-where the library clips against the convex-hull vertices only; arc-polygon
+qhull, the near-repeat oracle is the greedy loop over every kept point that
+the library's pass over hull-cycle neighbours replaced, and the full-input
+disk intersection clips against every input point where the library clips
+against the convex-hull vertices only; arc-polygon
 membership, boundary distance and offsets are the ray cast, per-piece distance
 loops and per-vertex normal pairs that the library's normal-cone table
 replaced.
@@ -348,6 +350,15 @@ def scipy_hull_vertices(points: np.ndarray) -> np.ndarray:
     verts = points[ConvexHull(points).vertices]
     first = [int(np.flatnonzero(np.all(points == v, axis=1))[0]) for v in verts]
     return points[np.sort(first)]
+
+
+def greedy_dedupe(points: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+    """Points in input order, each dropped if within tol of an earlier kept one."""
+    out = []
+    for p in points:
+        if not any(math.hypot(p[0] - q[0], p[1] - q[1]) <= tol for q in out):
+            out.append(p)
+    return np.array(out)
 
 
 def full_input_disk_intersection(centers, R: float):

@@ -11,6 +11,7 @@ from strconvex.seb import smallest_enclosing_circle
 from oracles import (
     full_input_disk_intersection,
     full_input_r_hull,
+    greedy_dedupe,
     loop_arc_support_points,
     loop_offset,
     oracle_hull_boundary,
@@ -404,6 +405,54 @@ class TestHullVertices:
         assert np.array_equal(_hull_vertices(points), points[on_ring])
 
 
+class TestDedupe:
+    """_dedupe over hull-cycle neighbours against the greedy loop it replaced."""
+
+    @staticmethod
+    def _check(points):
+        """Compare with the greedy loop; return the hull vertices, the row of
+        each kept one among them, and the near pairs (i < j) of rows."""
+        verts = _hull_vertices(points)
+        got = _dedupe(verts)
+        assert np.array_equal(got, greedy_dedupe(verts))
+        rows = [int(np.flatnonzero(np.all(verts == g, axis=1))[0]) for g in got]
+        assert rows == sorted(set(rows)), "input order is kept"
+        gap = np.hypot(*(verts[:, None, :] - verts[None, :, :]).transpose(2, 0, 1))
+        return verts, rows, list(zip(*np.nonzero(np.triu(gap <= 1e-12, k=1))))
+
+    @pytest.mark.parametrize("n", [64, 512])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_r_hull_boundary_samples(self, n, seed):
+        rng = np.random.default_rng(seed)
+        S = sc.r_hull(rng.random((9, 2)), 1.8).boundary_samples(n)
+        m = len(S)
+        _, _, pairs = self._check(S[rng.permutation(m)])
+        assert pairs == []
+        # isolated near repeats 1e-14 along the boundary, so that both points
+        # of most pairs stay hull vertices
+        k = rng.choice(m, 8, replace=False)
+        t = np.roll(S, -1, axis=0)[k] - np.roll(S, 1, axis=0)[k]
+        near = S[k] + 1e-14 * t / np.linalg.norm(t, axis=1)[:, None]
+        _, rows, pairs = self._check(np.vstack([S, near])[rng.permutation(m + 8)])
+        assert pairs
+        for i, j in pairs:
+            assert i in rows and j not in rows, "the earlier of a near pair stays"
+
+    def test_cluster_of_three_mutually_near_points(self):
+        t = np.linspace(0.0, 2.0 * np.pi, 12, endpoint=False)
+        ring = np.stack([np.cos(t), np.sin(t)], axis=1)
+        # a cap at (0, 1) whose three points are all hull vertices
+        cluster = np.array([[0.0, 1.0], [3e-13, 1.0 - 2e-14], [-3e-13, 1.0 - 2e-14]])
+        sets = [np.vstack([ring[:3], cluster[1:], ring[4:], cluster[:1]]),
+                np.vstack([cluster[::-1], ring[4:], ring[:3]])]
+        # turned a quarter (exactly), the cap straddles the angle pi about the mean
+        for points in sets + [np.stack([-p[:, 1], p[:, 0]], axis=1) for p in sets]:
+            verts, rows, pairs = self._check(points)
+            assert len(verts) == 14 and len(rows) == 12 and len(pairs) == 3
+            first = min(i for i, _ in pairs)
+            assert first in rows and not {j for _, j in pairs} & set(rows)
+
+
 def _point_set(kind, n):
     """Square, disk and thin-annulus ("circle") samples with an antipodal pair
     on the enclosing circle."""
@@ -474,6 +523,18 @@ class TestRadiusDomain:
     def test_offset_rejects_the_distance(self, r):
         with pytest.raises(ValueError):
             sc.offset(sc.lens([-0.6, 0], [0.6, 0], 1.0), r)
+
+
+class TestPointDomain:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_constructions_reject_non_finite_points(self, bad):
+        pts = np.array([[0.0, 0.0], [0.5, 0.2], [0.1, 0.6], [0.3, 0.3]])
+        for row, col in ((0, 0), (3, 1)):
+            bent = pts.copy()
+            bent[row, col] = bad
+            for build in (sc.disk_intersection, sc.r_hull):
+                with pytest.raises(ValueError, match="non-finite"):
+                    build(bent, 2.0)
 
 
 class TestHausdorff:
