@@ -164,17 +164,36 @@ class ArcPolygon(ConvexBody):
         return sum(p.length() for p in self.pieces)
 
     def boundary_samples(self, n: int = 256) -> np.ndarray:
-        """n points spread along the boundary, piecewise by arc length."""
+        """Exactly n points along the boundary, piecewise by arc length.
+
+        Each piece gets one point, its start point, and the other n - m points
+        (m pieces) go by largest remainder of each piece's share of the
+        perimeter; a piece with k points has them at the fractions 0, 1/k,
+        ..., (k - 1)/k of its length.  Raises ValueError for n < m.
+        """
         if self.is_singleton:
             return np.repeat(self._point[None, :], n, axis=0)
+        m = len(self.pieces)
+        if n < m:
+            raise ValueError(f"n = {n} is below the number of boundary pieces, {m}")
         lengths = np.array([p.length() for p in self.pieces])
-        total = lengths.sum()
-        counts = np.maximum(1, np.round(n * lengths / total).astype(int))
-        pts = []
-        for piece, k in zip(self.pieces, counts):
-            for i in range(k):
-                pts.append(piece.point_at(i / k))
-        return np.array(pts)
+        share = (n - m) * lengths / lengths.sum()
+        counts = 1 + np.floor(share).astype(int)
+        rest = n - int(counts.sum())
+        counts[np.argsort(np.floor(share) - share, kind="stable")[:rest]] += 1
+        first = np.cumsum(counts) - counts
+        piece = np.repeat(np.arange(m), counts)
+        frac = (np.arange(n) - first[piece]) / counts[piece]
+        # arcs: centre + radius e(start angle + frac span); segments: (1 - frac) start + frac end
+        on = np.array([isinstance(p, Arc) for p in self.pieces])[piece]
+        params = np.array([(*p.center, p.radius, p.start_angle, p.span) if isinstance(p, Arc)
+                           else (*p.start, *p.end, 0.0) for p in self.pieces])[piece]
+        f = frac[:, None]
+        pts = (1.0 - f) * params[:, 0:2] + f * params[:, 2:4]
+        t = params[on, 3] + frac[on] * params[on, 4]
+        pts[on] = params[on, 0:2] + params[on, 2:3] * np.stack([np.cos(t), np.sin(t)], axis=1)
+        pts[first] = self.vertices()
+        return pts
 
     # -- support oracle -----------------------------------------------------
 

@@ -106,28 +106,34 @@ def _hull_cycle(xy: np.ndarray) -> np.ndarray:
     collinear points.
     """
     ext = np.argmax(_HULL_DIRS @ xy.T, axis=1)
-    ext = ext[np.r_[True, ext[1:] != ext[:-1]]]
+    ext = ext[np.concatenate(([True], ext[1:] != ext[:-1]))]
     if ext[0] == ext[-1] and len(ext) > 1:
         ext = ext[:-1]
     idx = np.arange(len(xy))
     if len(ext) >= 3:
         a = xy[ext]
-        edge = np.roll(a, -1, axis=0) - a
+        edge = _rotate(a, 1) - a
         inward = np.stack([-edge[:, 1], edge[:, 0]], axis=1)
         # cross(edge, p - a) > 0 on every edge: strictly inside
         inside = np.all(inward @ xy.T > np.einsum("ij,ij->i", a, inward)[:, None], axis=0)
         inside[ext] = False
         idx = idx[~inside]
-    idx = idx[np.lexsort((xy[idx, 1], xy[idx, 0]))]
-    srt = xy[idx]
-    idx = idx[np.r_[True, np.any(srt[1:] != srt[:-1], axis=1)]]
+    x, y = xy[:, 0], xy[:, 1]
+    idx = idx[np.lexsort((y[idx], x[idx]))]
+    sx, sy = x[idx], y[idx]
+    idx = idx[np.concatenate(([True], (sx[1:] != sx[:-1]) | (sy[1:] != sy[:-1])))]
     if len(idx) <= 2:
         return idx
     inner = idx[1:-1]
     side = _cross(xy[idx[-1]] - xy[idx[0]], xy[inner] - xy[idx[0]])
-    lower = _left_chain(xy, np.r_[idx[0], inner[side < 0.0], idx[-1]])
-    upper = _left_chain(xy, np.r_[idx[-1], inner[side > 0.0][::-1], idx[0]])
+    lower = _left_chain(xy, np.concatenate((idx[:1], inner[side < 0.0], idx[-1:])))
+    upper = _left_chain(xy, np.concatenate((idx[-1:], inner[side > 0.0][::-1], idx[:1])))
     return np.concatenate([lower[:-1], upper[:-1]])
+
+
+def _rotate(a: np.ndarray, k: int) -> np.ndarray:
+    # np.roll(a, -k, axis=0), without its overhead on short arrays
+    return np.concatenate((a[k:], a[:k]))
 
 
 def _cross(u: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -149,7 +155,8 @@ def _plane_angles(dirs: np.ndarray, basis: np.ndarray):
     """Sort order and sorted angles of directions projected into a plane.
 
     basis is (2, d), the orthonormal in-plane axes; the angles are those of
-    (d, basis[0]), (d, basis[1]) in [-pi, pi].  _support reads them.
+    (d, basis[0]), (d, basis[1]) in [-pi, pi].  _support takes dirs[order]
+    with these angles.
     """
     xy = dirs @ basis.T
     psi = np.arctan2(xy[:, 1], xy[:, 0])
@@ -157,33 +164,34 @@ def _plane_angles(dirs: np.ndarray, basis: np.ndarray):
     return order, psi[order]
 
 
-def _support(points: np.ndarray, coords: np.ndarray, dirs: np.ndarray, angles) -> np.ndarray:
-    """max over the points x of (x, d) for each direction d.
+def _support(points: np.ndarray, coords: np.ndarray, dirs: np.ndarray,
+             psi: np.ndarray) -> np.ndarray:
+    """max over the points x of (x, d) for each direction d, in the order of dirs.
 
-    The points lie in a plane; coords are their in-plane coordinates and
-    angles the _plane_angles of dirs in the same plane.  The maximum is taken
-    at the hull vertex whose normal cone holds the direction's projection
-    (Schneider, Convex Bodies, 2nd ed., sec. 1.7), found by one searchsorted
-    among the angles of the outward edge normals.  That vertex and its two
-    hull neighbours are evaluated with the full-dimensional dot product, which
-    covers rounding at the ends of the cones.
+    The points lie in a plane; coords are their in-plane coordinates.  The
+    directions come sorted by psi, their angles in the same plane, as
+    _plane_angles returns them.  The maximum is taken at the hull vertex whose
+    normal cone holds the direction's projection (Schneider, Convex Bodies,
+    2nd ed., sec. 1.7); in angle order the cones are consecutive runs of
+    directions, cut by one searchsorted among the angles of the outward edge
+    normals.  That vertex and its two hull neighbours are evaluated with the
+    full-dimensional dot product, which covers rounding at the ends of the
+    cones.
     """
     hull = _hull_cycle(coords)
     h = len(hull)
-    edge = coords[np.roll(hull, -1)] - coords[hull]
+    edge = coords[_rotate(hull, 1)] - coords[hull]
     alpha = np.arctan2(-edge[:, 0], edge[:, 1])
     start = int(np.argmin(alpha))
-    alpha = np.maximum.accumulate(np.roll(alpha, -start))
-    # the sorted directions from pos[j - 1] to pos[j] lie in the normal cone
-    # of vertex start + j, which is row j + 1 of ring
-    order, psi = angles
+    alpha = np.maximum.accumulate(_rotate(alpha, start))
+    # the directions from pos[j - 1] to pos[j] lie in the normal cone of
+    # vertex start + j, which is row j + 1 of ring
     pos = np.searchsorted(psi, alpha, side="left")
-    cone = np.empty(len(order), dtype=np.intp)
-    cone[order] = np.repeat(np.arange(h + 1), np.diff(pos, prepend=0, append=len(psi)))
+    run = np.diff(np.concatenate(([0], pos, [len(psi)])))
     ring = points[hull[(start + np.arange(-1, h + 2)) % h]]
     best = np.full(len(dirs), -np.inf)
     for shift in range(3):
-        x = np.take(ring[shift:], cone, axis=0)
+        x = np.repeat(ring[shift:shift + h + 1], run, axis=0)
         np.maximum(best, np.einsum("ij,ij->i", x, dirs), out=best)
     return best
 
@@ -198,7 +206,10 @@ def _radial_extents(scaled: np.ndarray, basis: np.ndarray, rays: np.ndarray, ang
     their _plane_angles, so that maximum is the support of the scaled
     directions' projection into that plane.
     """
-    return 1.0 / _support(scaled, scaled @ basis.T, rays, angles)
+    order, psi = angles
+    out = np.empty(len(rays))
+    out[order] = 1.0 / _support(scaled, scaled @ basis.T, np.take(rays, order, axis=0), psi)
+    return out
 
 
 def _scaled_directions(grid: np.ndarray, numer: np.ndarray) -> np.ndarray:
@@ -229,27 +240,54 @@ class BoundaryParam:
         numer = self.support - self.grid @ self.origin
         if np.min(numer) < -1e-12 * (1.0 + self.diameter):
             raise ValueError("reference point is not interior to the body")
-        self._angles = _plane_angles(self.grid, _PLANE)
+        angles = _plane_angles(self.grid, _PLANE)
         self.radial = _radial_extents(_scaled_directions(self.grid, numer), _PLANE,
-                                      self.grid, self._angles)
+                                      self.grid, angles)
         self.points = self.origin + self.radial[:, None] * self.grid
+        # the grid in angle order, for the depth step
+        order, self._psi = angles
+        self._dirs = self.grid[order]
+        self._dir_support = self.support[order]
 
     def inscribed_radii(self, pts: np.ndarray) -> float:
         """Least grid-supported inscribed-ball radius over the query points.
 
         min over x of min over k of support_k - (x, p_k) is
         min over k of support_k - max over x of (x, p_k), and that inner
-        maximum is the support function of the points at the grid directions.
+        maximum is the support function of the points at the grid directions,
+        taken in angle order; the minimum does not need the grid order back.
         """
-        best = _support(pts, pts - self.origin, self.grid, self._angles)
-        return float(np.min(self.support - best))
+        best = _support(pts, pts - self.origin, self._dirs, self._psi)
+        return float(np.min(self._dir_support - best))
 
 
-def _bounding_balls(blocks: np.ndarray):
-    """Centre and radius of a ball holding each block of points, (b, m, d)."""
-    centre = 0.5 * (blocks.min(axis=1) + blocks.max(axis=1))
-    radius = np.sqrt(((blocks - centre[:, None, :]) ** 2).sum(axis=2).max(axis=1))
-    return centre, radius
+def _bounding_balls(points: np.ndarray, blocks: np.ndarray):
+    """Centre coordinates and radius of a ball holding each block of points.
+
+    blocks is (b, m), the point indices of each block.  The work runs on one
+    coordinate column at a time, and the squared offsets are summed over the
+    columns in coordinate order.
+    """
+    centre, r2 = [], 0.0
+    for x in points.T:
+        x = x[blocks]
+        c = 0.5 * (x.min(axis=1) + x.max(axis=1))
+        r2 = r2 + (x - c[:, None]) ** 2
+        centre.append(c)
+    return centre, np.sqrt(r2.max(axis=1))
+
+
+def _chord_blocks(n: int):
+    """First and last index of each block of _CHORD_BLOCK points, and the
+    blocks' row and column indices; a column block also holds the point after
+    it.  Padding repeats the last row, and repeats column 0 after the wrap,
+    where it crosses nothing."""
+    first = np.arange(0, n, _CHORD_BLOCK)
+    last = np.minimum(first + _CHORD_BLOCK, n) - 1
+    offs = np.arange(_CHORD_BLOCK + 1)
+    rows = np.minimum(first[:, None] + offs[:-1], n - 1)
+    cols = np.minimum(first[:, None] + offs, n) % n
+    return first, last, rows, cols
 
 
 def _chord_crossings(points: np.ndarray, eps: float):
@@ -265,15 +303,10 @@ def _chord_crossings(points: np.ndarray, eps: float):
     """
     n = len(points)
     size = _CHORD_BLOCK
-    first = np.arange(0, n, size)
-    last = np.minimum(first + size, n) - 1
-    offs = np.arange(size + 1)
-    # padding repeats the last row, and repeats column 0 after the wrap, where it crosses nothing
-    rows = np.minimum(first[:, None] + offs[:-1], n - 1)
-    cols = np.minimum(first[:, None] + offs, n) % n
-    centre_r, radius_r = _bounding_balls(points[rows])
-    centre_c, radius_c = _bounding_balls(points[cols])
-    dist = np.sqrt(((centre_r[:, None, :] - centre_c[None, :, :]) ** 2).sum(axis=2))
+    first, last, rows, cols = _chord_blocks(n)
+    centre_r, radius_r = _bounding_balls(points, rows)
+    centre_c, radius_c = _bounding_balls(points, cols)
+    dist = np.sqrt(sum((r[:, None] - c[None, :]) ** 2 for r, c in zip(centre_r, centre_c)))
     reach = radius_r[:, None] + radius_c[None, :]
     pts32 = points.astype(np.float32)
     sq32 = np.einsum("ij,ij->i", pts32, pts32)
@@ -295,13 +328,18 @@ def _chord_crossings(points: np.ndarray, eps: float):
         dots = pts32[R] @ pts32[C].transpose(0, 2, 1)
         d2 = sq32[R][:, :, None] + sq32[C][:, None, :] - 2.0 * dots
         below = d2 <= eps2
-        k, r, c = np.nonzero(below[:, :, :-1] != below[:, :, 1:])
+        # flat indices in C order, so (k, r, c) come out as np.nonzero gives them
+        k, rc = np.divmod(np.flatnonzero(below[:, :, :-1] != below[:, :, 1:]), size * size)
+        r, c = np.divmod(rc, size)
         anchors.append(first[bi[k0 + k]] + r)
         segs.append(C[k, c])
     anchors, segs = np.concatenate(anchors), np.concatenate(segs)
     keep = (anchors < n) & ((segs - anchors) % n <= n // 2)
     anchors, segs = anchors[keep], segs[keep]
-    order = np.lexsort((segs, anchors))
+    # the block pairs come row by row and each pair's crossings in C order, so
+    # the segments of one anchor are already ascending: a stable sort by anchor
+    # is the sort by (anchor, segment)
+    order = np.argsort(anchors, kind="stable")
     return anchors[order], segs[order]
 
 
@@ -406,7 +444,8 @@ def _sectioned_estimate(body, eps, resolution, sections, seed) -> np.ndarray:
 
     The depth at eps is min over grid directions p of s(p) minus the largest
     support value at p of any section's chord midpoints; each section keeps
-    only the sort order and the in-plane angles of the grid directions.
+    only the sort order and the in-plane angles of the grid directions, and
+    the sorted grid it hands to _support is made afresh for each eps.
     """
     grid = default_grid(body.dim)
     support = body.support_values(grid)
@@ -421,12 +460,13 @@ def _sectioned_estimate(body, eps, resolution, sections, seed) -> np.ndarray:
     out = np.empty(len(eps))
     for i, e in enumerate(eps):
         best = np.full(len(grid), -np.inf)
-        for basis, pts, angles in planes:
+        for basis, pts, (order, psi) in planes:
             found = _chords_of_length(pts, float(e))
             if found is None:
                 continue
             mids = 0.5 * (found[0] + found[1])
-            np.maximum(best, _support(mids, (mids - origin) @ basis.T, grid, angles), out=best)
+            h = _support(mids, (mids - origin) @ basis.T, np.take(grid, order, axis=0), psi)
+            best[order] = np.maximum(best[order], h)
         out[i] = np.min(support - best)
         if not np.isfinite(out[i]):
             raise OutOfDomainError(f"no section chord of length {e}")

@@ -38,7 +38,7 @@ class _Frame:
 def _bounds(polygons, points) -> tuple[np.ndarray, np.ndarray]:
     pts = []
     for ap in polygons:
-        pts.append(ap.boundary_samples(256))
+        pts.append(ap.boundary_samples(max(256, len(ap.pieces))))
     if points is not None and len(points):
         pts.append(np.asarray(points, dtype=float))
     allp = np.concatenate(pts) if pts else np.zeros((1, 2))

@@ -299,6 +299,33 @@ class TestSupportPoints:
         assert pt.support_points(np.eye(2)).tolist() == [[0.3, -0.4], [0.3, -0.4]]
 
 
+class TestBoundarySamples:
+    @pytest.mark.parametrize("n", [64, 512])
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4])
+    def test_exactly_n_points_on_the_boundary(self, n, seed):
+        H = sc.r_hull(np.random.default_rng(seed).random((9, 2)), 1.8)
+        S = H.boundary_samples(n)
+        assert S.shape == (n, 2)
+        scale = float(np.max(np.abs(S)))
+        assert max(H.boundary_distance_exact(x) for x in S) <= 1e-12 * scale
+        assert np.array_equal(S[0], H.pieces[0].start_point)
+
+    def test_every_piece_starts_a_run_of_samples(self):
+        P = sc.ArcPolygon([Seg((0.0, 0.0), (3.0, 0.0)), Seg((3.0, 0.0), (0.0, 4.0)),
+                           Seg((0.0, 4.0), (0.0, 0.0))])
+        # 9 points beyond the three vertices, by largest remainder of 3:5:4
+        S = P.boundary_samples(12)
+        assert S.shape == (12, 2)
+        assert [tuple(S[i]) for i in (0, 3, 8)] == [(0.0, 0.0), (3.0, 0.0), (0.0, 4.0)]
+        assert np.allclose(S[:3, 1], 0.0) and np.allclose(S[8:, 0], 0.0)
+
+    def test_fewer_points_than_pieces_raise(self):
+        D = sc.ArcPolygon.full_disk([0.0, 0.0], 1.0)
+        assert len(D.boundary_samples(len(D.pieces))) == len(D.pieces)
+        with pytest.raises(ValueError):
+            D.boundary_samples(len(D.pieces) - 1)
+
+
 class TestClip:
     def test_clip_disjoint_returns_none(self):
         D = sc.ArcPolygon.full_disk([0, 0], 1.0)

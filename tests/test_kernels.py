@@ -18,6 +18,8 @@ from scipy.spatial import ConvexHull
 from strconvex.bodies import angle_grid, steiner_point
 from strconvex.modulus import (
     BoundaryParam,
+    _bounding_balls,
+    _chord_blocks,
     _chord_crossings,
     _chords_of_length,
     _companions,
@@ -101,9 +103,11 @@ def test_kernels_match_dense_oracle(name):
 
             mids = 0.5 * (a_pts + comps)
             cloud = _shuffled_interior(param, 200, n)
+            # _support takes the grid sorted by in-plane angle, as the depth step does
+            order, psi = _plane_angles(param.grid, _PLANE)
             for X in (mids, cloud):
-                got = _support(X, X - param.origin, param.grid, param._angles)
-                assert np.max(np.abs(got - dense_support(X, param.grid))) <= tol, where
+                got = _support(X, X - param.origin, param.grid[order], psi)
+                assert np.max(np.abs(got - dense_support(X, param.grid[order]))) <= tol, where
             for X in (mids, np.concatenate([mids, cloud])):
                 got = param.inscribed_radii(X)
                 assert isinstance(got, float), where
@@ -127,24 +131,49 @@ def test_three_dimensional_sections_match_dense_oracle():
     origin = steiner_point(body)
     scaled = _scaled_directions(grid, support - grid @ origin)
     planes = [np.stack(uv) for uv in _section_planes(body, grid, origin, 8, 0)]
-    polylines = [_section_points(origin, basis, scaled, 300) for basis in planes]
-    for eps in (0.3, 1.5):
-        pooled, best = [], np.full(len(grid), -np.inf)
-        for basis, points in zip(planes, polylines):
-            anchors, segs = _chord_crossings(points, eps)
-            want_anchors, want_segs = dense_chord_crossings(points, eps)
-            assert np.array_equal(anchors, want_anchors)
-            assert np.array_equal(segs, want_segs)
-            a_pts, comps = _chords_of_length(points, eps)
-            mids = 0.5 * (a_pts + comps)
-            got = _support(mids, (mids - origin) @ basis.T, grid, _plane_angles(grid, basis))
-            assert np.max(np.abs(got - dense_support(mids, grid))) <= tol
-            best = np.maximum(best, got)
-            pooled.append(mids)
-        # the least depth over all sections' midpoints, from the pooled support values
-        want = dense_min_gaps(np.concatenate(pooled), grid, support).min()
-        assert abs(np.min(support - best) - want) <= tol
-        assert abs(_sectioned_estimate(body, [eps], 300, 8, 0)[0] - want) <= tol
+    # 257 points leave a one-point last block of the chord search
+    for resolution in (257, 300):
+        polylines = [_section_points(origin, basis, scaled, resolution) for basis in planes]
+        for eps in (0.3, 1.5):
+            where = f"resolution={resolution} eps={eps}"
+            pooled, best = [], np.full(len(grid), -np.inf)
+            for basis, points in zip(planes, polylines):
+                anchors, segs = _chord_crossings(points, eps)
+                want_anchors, want_segs = dense_chord_crossings(points, eps)
+                assert np.array_equal(anchors, want_anchors), where
+                assert np.array_equal(segs, want_segs), where
+                a_pts, comps = _chords_of_length(points, eps)
+                mids = 0.5 * (a_pts + comps)
+                order, psi = _plane_angles(grid, basis)
+                got = _support(mids, (mids - origin) @ basis.T, grid[order], psi)
+                assert np.max(np.abs(got - dense_support(mids, grid[order]))) <= tol, where
+                best[order] = np.maximum(best[order], got)
+                pooled.append(mids)
+            # the least depth over all sections' midpoints, from the pooled support values
+            want = dense_min_gaps(np.concatenate(pooled), grid, support).min()
+            assert abs(np.min(support - best) - want) <= tol, where
+            assert abs(_sectioned_estimate(body, [eps], resolution, 8, 0)[0] - want) <= tol, where
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("n", [255, 256, 257])
+def test_block_balls_hold_their_blocks(d, n):
+    # the pruning skips a block pair on its balls alone, so each ball must hold
+    # every point of its block, the column blocks' wrap point included
+    rng = np.random.default_rng(10 * n + d)
+    t = 2.0 * np.pi * np.arange(n) / n
+    polyline = np.zeros((n, d))
+    polyline[:, 0], polyline[:, 1] = 3.0 * np.cos(t), 0.5 * np.sin(t)
+    polyline += rng.uniform(-1.0, 1.0, d)
+    for points in (polyline, rng.standard_normal((n, d)) * [4.0, 1.0, 0.1][:d]):
+        first, last, rows, cols = _chord_blocks(n)
+        assert np.array_equal(np.unique(rows), np.arange(n))
+        # each column block ends with the point after its block, 0 after the wrap
+        assert np.array_equal(cols[np.arange(len(first)), last - first + 1], (last + 1) % n)
+        for blocks in (rows, cols):
+            centre, radius = _bounding_balls(points, blocks)
+            off = points[blocks] - np.stack(centre, axis=1)[:, None, :]
+            assert np.all(np.sqrt((off ** 2).sum(axis=2)) <= radius[:, None]), (d, n)
 
 
 THIN_TRIANGLE = sc.PointHull([[0.0, 0.0], [10.0, 0.0], [0.0, 0.3]])
@@ -156,6 +185,10 @@ def _degenerate_sets():
     t = rng.uniform(0.0, 2.0 * np.pi, 40)
     param = BoundaryParam(THIN_TRIANGLE, 1000)
     a_pts, comps = _chords_of_length(param.points, 0.2 * param.diameter)
+    # a generator of its own, so that the sets above keep their draws
+    other = np.random.default_rng(13)
+    shared_x = np.stack([other.integers(0, 4, 40).astype(float), other.uniform(-1.0, 1.0, 40)],
+                        axis=1)
     return {
         "one_point": cloud[:1],
         "two_points": cloud[:2],
@@ -167,6 +200,9 @@ def _degenerate_sets():
         "circle": 1.3 * np.stack([np.cos(t), np.sin(t)], axis=1) + [0.2, -0.1],
         "thin_triangle_midpoints": 0.5 * (a_pts + comps),
         "shifted_1e5": cloud + [1e5, -1e5],
+        # exact repeats among points that share one coordinate and not the other
+        "repeats_sharing_x": np.concatenate([shared_x, shared_x[:12]])[other.permutation(52)],
+        "repeats_sharing_y": np.concatenate([shared_x, shared_x[:12]])[other.permutation(52), ::-1],
     }
 
 
@@ -174,8 +210,9 @@ DEGENERATE = _degenerate_sets()
 
 
 def _assert_support_matches_dense(X, coords, dirs, basis, where):
-    got = _support(X, coords, dirs, _plane_angles(dirs, basis))
-    want = dense_support(X, dirs)
+    order, psi = _plane_angles(dirs, basis)
+    got = _support(X, coords, dirs[order], psi)
+    want = dense_support(X, dirs[order])
     # the dot products, and so their rounding, are as large as the points
     assert np.max(np.abs(got - want)) <= 1e-14 * (1.0 + np.max(np.abs(X))), where
 
@@ -230,6 +267,17 @@ def test_hull_cycle_on_degenerate_sets(name):
         for row in _hull_rows(X, ConvexHull(X).vertices):
             assert np.any(np.all(mine == row, axis=1))
         assert _turns_left(X[hull])
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+def test_hull_cycle_keeps_points_that_share_one_coordinate(axis):
+    # corners that share x (axis 0) or y (axis 1) are neighbours once sorted
+    corners = np.array([[0.0, 0.0], [0.0, 1.0], [2.0, 0.0], [2.0, 1.0]])[:, [axis, 1 - axis]]
+    X = np.concatenate([corners, [[1.0, 0.5]], corners[::-1]])
+    hull = _hull_cycle(X)
+    # the four corners, each as its first copy
+    assert sorted(hull) == [0, 1, 2, 3]
+    assert _turns_left(X[hull])
 
 
 @pytest.mark.parametrize("seed", range(4))
