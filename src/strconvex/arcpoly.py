@@ -545,11 +545,10 @@ def disk_intersection(centers, R: float) -> ArcPolygon | None:
 def r_hull(points, R: float) -> ArcPolygon:
     """Strongly convex hull of radius R: intersection of all R-balls containing the points.
 
-    Computed by intersecting the balls centered at the vertices of the kernel
-    (the region of admissible centers); the kernel-vertex reduction is
-    cross-checked against a dense-center sampling oracle in the test suite.
-    A ball holds the points exactly when it holds the vertices of their convex
-    hull, so only those vertices enter.
+    Read off the kernel K of admissible centres: s_hull(u) = R - s_K(-u), so
+    each vertex of K gives the hull arc of radius R about it over its normal
+    cone turned by pi.  A ball holds the points exactly when it holds the
+    vertices of their convex hull, so only those vertices enter.
     """
     points = _planar_points(points, "points")
     _check_radius(R)
@@ -565,10 +564,11 @@ def r_hull(points, R: float) -> ArcPolygon:
         raise NoEnclosingBallError("no admissible centers at this radius")
     if kernel.is_singleton:
         return ArcPolygon.full_disk(kernel.singleton_point, R)
-    hull = disk_intersection(kernel.vertices(), R)
-    if hull is None:
-        raise GeometryError("kernel vertices produced an empty intersection")
-    return hull
+    x, y, radius, a0, a1, *_, span = kernel._normal_cones()
+    pieces = []
+    for vx, vy, n_end, n_start in np.array([x, y, a0, a1]).T[(radius == 0.0) & (span > 1e-12)]:
+        pieces += _make_arc((vx, vy), R, n_end + math.pi, n_start + math.pi)
+    return ArcPolygon(_clean_pieces(pieces))
 
 
 def offset(ap: ArcPolygon, r: float) -> ArcPolygon:

@@ -34,9 +34,9 @@ _PLANE = np.eye(2)         # in-plane axes of a planar body
 
 def ball_modulus(r: float, eps: float) -> float:
     """Exact modulus of a radius-r ball: r - sqrt(r^2 - eps^2/4)."""
-    if r <= 0.0:
-        raise OutOfDomainError("radius must be positive")
-    if eps < 0.0 or eps >= 2.0 * r:
+    if not 0.0 < r < math.inf:
+        raise OutOfDomainError("radius must be positive and finite")
+    if not 0.0 <= eps < 2.0 * r:
         raise OutOfDomainError(f"eps must lie in [0, 2r) = [0, {2 * r})")
     return r - math.sqrt(r * r - 0.25 * eps * eps)
 
@@ -57,9 +57,9 @@ class ModulusCurve:
 
     def __post_init__(self):
         e = self.eps
-        if len(e) and (np.any(np.diff(e) <= 0.0) or e[0] <= 0.0):
-            raise ValueError("eps values must be positive and strictly increasing")
-        if np.any(self.delta < -self.error_bound - 1e-15):
+        if len(e) and not (0.0 < e[0] and e[-1] < math.inf and np.all(np.diff(e) > 0.0)):
+            raise ValueError("eps values must be positive, finite and strictly increasing")
+        if not np.all(self.delta >= -self.error_bound - 1e-15):
             raise ValueError("delta below -error_bound; estimator output inconsistent")
 
     @property
@@ -218,12 +218,14 @@ def _scaled_directions(grid: np.ndarray, numer: np.ndarray) -> np.ndarray:
 
 
 class BoundaryParam:
-    """Radial boundary parametrization of a planar convex body on an angle grid.
+    """Radial boundary parametrization of the planar section origin + span(basis).
 
     Boundary points are the radial hits of the body's supporting-half-space
     intersection, so flat faces are traced as well as strictly convex arcs.
     The radial extents and the inscribed radii both come from the support
     function of a planar point set, read off its convex hull.
+    BoundaryParam(body, n) is a planar body as its own single section: the
+    basis is the identity, and the rays and depth directions are angle_grid(n).
     """
 
     def __init__(self, body: ConvexBody, resolution: int):
@@ -232,22 +234,35 @@ class BoundaryParam:
         if body.dim != 2:
             raise ValueError("BoundaryParam is planar; use sections for d >= 3")
         self.body = body
-        self.n = int(resolution)
-        self.grid = angle_grid(self.n)
+        self.grid = angle_grid(int(resolution))
         self.support = body.support_values(self.grid)
         self.origin = steiner_point(body)
         self.diameter = body.diameter(self.grid)
         numer = self.support - self.grid @ self.origin
         if np.min(numer) < -1e-12 * (1.0 + self.diameter):
             raise ValueError("reference point is not interior to the body")
-        angles = _plane_angles(self.grid, _PLANE)
-        self.radial = _radial_extents(_scaled_directions(self.grid, numer), _PLANE,
-                                      self.grid, angles)
-        self.points = self.origin + self.radial[:, None] * self.grid
-        # the grid in angle order, for the depth step
-        order, self._psi = angles
-        self._dirs = self.grid[order]
-        self._dir_support = self.support[order]
+        self._build(_PLANE, self.grid, self.grid, self.support,
+                    _scaled_directions(self.grid, numer))
+
+    @classmethod
+    def _of_plane(cls, origin, basis, resolution, grid, support, scaled) -> "BoundaryParam":
+        # a section of a solid; its rays are angle_grid(resolution) turned into the plane
+        self = cls.__new__(cls)
+        self.origin = origin
+        t = np.arange(resolution) * (2.0 * np.pi / resolution)
+        rays = np.outer(np.cos(t), basis[0]) + np.outer(np.sin(t), basis[1])
+        self._build(basis, rays, grid, support, scaled)
+        return self
+
+    def _build(self, basis, rays, grid, support, scaled):
+        angles = _plane_angles(rays, basis)
+        self.n, self.basis = len(rays), basis
+        self.radial = _radial_extents(scaled, basis, rays, angles)
+        self.points = self.origin + self.radial[:, None] * rays
+        # the depth directions in angle order
+        order, self._psi = angles if grid is rays else _plane_angles(grid, basis)
+        self._dirs = grid[order]
+        self._dir_support = support[order]
 
     def inscribed_radii(self, pts: np.ndarray) -> float:
         """Least grid-supported inscribed-ball radius over the query points.
@@ -257,7 +272,7 @@ class BoundaryParam:
         maximum is the support function of the points at the grid directions,
         taken in angle order; the minimum does not need the grid order back.
         """
-        best = _support(pts, pts - self.origin, self._dirs, self._psi)
+        best = _support(pts, (pts - self.origin) @ self.basis.T, self._dirs, self._psi)
         return float(np.min(self._dir_support - best))
 
 
@@ -379,20 +394,13 @@ def _chords_of_length(points: np.ndarray, eps: float):
     return points[anchors[ok]], companions[ok]
 
 
-def _planar_estimate(param: BoundaryParam, eps: float) -> float:
-    found = _chords_of_length(param.points, eps)
+def _planar_estimate(section: BoundaryParam, eps: float) -> float:
+    # least depth of the section's chord midpoints at length eps; inf for no chord
+    found = _chords_of_length(section.points, eps)
     if found is None:
-        raise OutOfDomainError(f"no boundary chord of length {eps}")
+        return math.inf
     a_pts, companions = found
-    return param.inscribed_radii(0.5 * (a_pts + companions))
-
-
-def _section_points(origin, basis, scaled, resolution):
-    # radial parametrization of the planar section origin + span(basis)
-    t = np.arange(resolution) * (2.0 * np.pi / resolution)
-    U = np.outer(np.cos(t), basis[0]) + np.outer(np.sin(t), basis[1])
-    T = _radial_extents(scaled, basis, U, _plane_angles(U, basis))
-    return origin + T[:, None] * U
+    return section.inscribed_radii(0.5 * (a_pts + companions))
 
 
 def _row_dots(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -439,59 +447,49 @@ def _section_planes(body, grid, origin, sections: int, seed: int):
 
 
 def _sectioned_estimate(body, eps, resolution, sections, seed) -> np.ndarray:
-    """Sectioned modulus at each eps of a sequence: the least depth of a section
-    chord's midpoint.  The sections are built once and searched for every eps.
+    """Sectioned modulus at each eps of a sequence: the least section depth.
 
-    The depth at eps is min over grid directions p of s(p) minus the largest
-    support value at p of any section's chord midpoints; each section keeps
-    only the sort order and the in-plane angles of the grid directions, and
-    the sorted grid it hands to _support is made afresh for each eps.
+    A section's depth is min over grid directions p of s(p) - h_S(p), with h_S
+    the support function of its chord midpoints; the least over the sections
+    is the depth of all midpoints together, bit for bit, as rounded
+    subtraction is monotone.  The sections are built and searched one at a time.
     """
     grid = default_grid(body.dim)
     support = body.support_values(grid)
     origin = steiner_point(body)
     scaled = _scaled_directions(grid, support - grid @ origin)
-    planes = []
+    out = np.full(len(eps), np.inf)
     for u, v in _section_planes(body, grid, origin, sections, seed):
-        basis = np.stack([u, v])
-        planes.append((basis, _section_points(origin, basis, scaled, resolution),
-                       _plane_angles(grid, basis)))
-    del scaled
-    out = np.empty(len(eps))
-    for i, e in enumerate(eps):
-        best = np.full(len(grid), -np.inf)
-        for basis, pts, (order, psi) in planes:
-            found = _chords_of_length(pts, float(e))
-            if found is None:
-                continue
-            mids = 0.5 * (found[0] + found[1])
-            h = _support(mids, (mids - origin) @ basis.T, np.take(grid, order, axis=0), psi)
-            best[order] = np.maximum(best[order], h)
-        out[i] = np.min(support - best)
-        if not np.isfinite(out[i]):
-            raise OutOfDomainError(f"no section chord of length {e}")
+        section = BoundaryParam._of_plane(origin, np.stack([u, v]), resolution,
+                                          grid, support, scaled)
+        np.minimum(out, [_planar_estimate(section, float(e)) for e in eps], out=out)
+        # free this section's sorted grid before the next one is built
+        del section
     return out
 
 
-def _modulus_samples(body, eps_values, resolution, param, sections, seed):
+def _modulus_samples(body, eps_values, resolution, sections, seed):
     """delta at each eps, and the grid error bound they share."""
     if resolution < 16:
         raise ValueError("resolution must be at least 16")
+    param = BoundaryParam(body, resolution) if body.dim == 2 else None
     diam = param.diameter if param is not None else body.diameter()
     for eps in eps_values:
         if not 0.0 < eps < diam:
             raise OutOfDomainError(f"eps must lie in (0, diam) = (0, {diam})")
         if eps > 0.95 * diam:
-            warnings.warn("modulus estimate near the diameter is noisy", stacklevel=4)
-    if body.dim == 2:
-        if param is None:
-            param = BoundaryParam(body, resolution)
-        delta = [_planar_estimate(param, float(eps)) for eps in eps_values]
-        return delta, grid_angle_error(diam, param.n)
-    delta = _sectioned_estimate(body, eps_values, resolution, sections, seed)
-    # the sphere grid's facet sagitta dominates the sectioned estimate
-    theta = sphere_grid_angle(DEFAULT_GRID_ND, body.dim)
-    return delta, 0.75 * diam * theta**2
+            warnings.warn("modulus estimate near the diameter is noisy", stacklevel=3)
+    if param is not None:
+        delta = np.array([_planar_estimate(param, float(eps)) for eps in eps_values])
+        bound = grid_angle_error(diam, param.n)
+    else:
+        delta = _sectioned_estimate(body, eps_values, resolution, sections, seed)
+        # the sphere grid's facet sagitta dominates the sectioned estimate
+        bound = 0.75 * diam * sphere_grid_angle(DEFAULT_GRID_ND, body.dim) ** 2
+    missing = np.flatnonzero(np.isinf(delta))
+    if missing.size:
+        raise OutOfDomainError(f"no section chord of length {eps_values[missing[0]]}")
+    return delta, bound
 
 
 def estimate_modulus(
@@ -499,7 +497,6 @@ def estimate_modulus(
     eps: float,
     resolution: int = 2048,
     *,
-    param: BoundaryParam | None = None,
     sections: int = 8,
     seed: int = 0,
 ) -> tuple[float, float]:
@@ -509,7 +506,7 @@ def estimate_modulus(
     planar central sections through the flattest support directions, which is
     a lower-confidence estimate (the error bound is inflated accordingly).
     """
-    delta, bound = _modulus_samples(body, [eps], resolution, param, sections, seed)
+    delta, bound = _modulus_samples(body, [eps], resolution, sections, seed)
     return float(delta[0]), bound
 
 
@@ -524,13 +521,12 @@ def modulus_curve(
 ) -> ModulusCurve:
     """Scan the modulus over an increasing eps grid, reusing one boundary model.
 
-    The model is the planar boundary parametrization in 2-D and the set of
-    section polylines in d >= 3; each eps then costs one chord search and one
-    depth step per polyline.
+    The model is one section in 2-D, the body itself, and a set of central
+    sections in d >= 3; each eps then costs one chord search and one depth
+    step per section.
     """
     eps_values = np.asarray(eps_values, dtype=float)
-    param = BoundaryParam(body, resolution) if body.dim == 2 else None
-    delta, bound = _modulus_samples(body, eps_values, resolution, param, sections, seed)
+    delta, bound = _modulus_samples(body, eps_values, resolution, sections, seed)
     return ModulusCurve.from_arrays(eps_values, delta, np.full(len(eps_values), bound), body_id)
 
 

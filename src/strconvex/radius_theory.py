@@ -27,8 +27,8 @@ def chord_radius(eps: float, delta: float) -> float:
 
 def zero_step_radius(K: float) -> float:
     """Strong-convexity radius 1/(4K) certified directly by the chord construction."""
-    if K <= 0.0:
-        raise OutOfDomainError("K must be positive")
+    if not 0.0 < K < math.inf:
+        raise OutOfDomainError("K must be positive and finite")
     return 1.0 / (4.0 * K)
 
 
@@ -55,18 +55,18 @@ def refined_rho(eps: float, sin_phi: float) -> float:
 
 def radius_map(R: float, K: float) -> float:
     """Refinement map 2R/(8RK + 1); increasing in R on R >= 0, fixed point 1/(8K)."""
-    if K <= 0.0:
-        raise OutOfDomainError("K must be positive")
-    if R < 0.0:
-        raise OutOfDomainError("R must be nonnegative")
+    if not 0.0 < K < math.inf:
+        raise OutOfDomainError("K must be positive and finite")
+    if not 0.0 <= R < math.inf:
+        raise OutOfDomainError("R must be nonnegative and finite")
     return 2.0 * R / (8.0 * R * K + 1.0)
 
 
 def refine_radius(R: float, K: float) -> float:
     """One refinement step; requires R above the fixed point 1/(8K)."""
-    if K <= 0.0:
-        raise OutOfDomainError("K must be positive")
-    if R <= 1.0 / (8.0 * K):
+    if not 0.0 < K < math.inf:
+        raise OutOfDomainError("K must be positive and finite")
+    if not R > 1.0 / (8.0 * K):
         raise PreconditionError(f"refinement needs R > 1/(8K) = {1.0 / (8.0 * K)}")
     return radius_map(R, K)
 
@@ -124,8 +124,8 @@ def radius_fixed_point(
 
 def sharp_radius(C: float) -> float:
     """The sharp ball radius 1/(8C) for second-order constant C."""
-    if C <= 0.0:
-        raise OutOfDomainError("C must be positive")
+    if not 0.0 < C < math.inf:
+        raise OutOfDomainError("C must be positive and finite")
     return 1.0 / (8.0 * C)
 
 
@@ -164,8 +164,10 @@ def sharpness_check(
     1/(8r) by more than the margin certifies that the claimed r is impossible.
     The pointwise ball-modulus bound is evaluated alongside.
     """
-    if r <= 0.0:
-        raise OutOfDomainError("r must be positive")
+    if not 0.0 < r < math.inf:
+        raise OutOfDomainError("r must be positive and finite")
+    if not 0.0 <= margin < math.inf:
+        raise OutOfDomainError("margin must be nonnegative and finite")
     if fit is None:
         fit = fit_second_order(curve, window=window)
     required = 1.0 / (8.0 * r)

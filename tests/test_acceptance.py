@@ -12,7 +12,6 @@ import pytest
 
 import strconvex as sc
 from strconvex.cli import main
-from strconvex.modulus import BoundaryParam
 from strconvex.seb import smallest_enclosing_circle
 
 from oracles import oracle_hull_boundary, oracle_hull_membership, sampled_center_oracle
@@ -37,18 +36,12 @@ def test_criterion_1_ball_round_trip(tmp_path):
     t0 = time.monotonic()
     for r in (0.5, 1.0, 3.0):
         body = sc.Ball([0, 0], r)
-        param = BoundaryParam(body, 4096)
         eps_values = np.arange(0.1, 1.51, 0.1) * r
-        deltas = []
-        bounds = []
-        for eps in eps_values:
-            d, b = sc.estimate_modulus(body, float(eps), 4096, param=param)
-            deltas.append(d)
-            bounds.append(b)
+        curve = sc.modulus_curve(body, eps_values, 4096, f"ball{r}")
+        for eps, d in zip(eps_values, curve.delta):
             if abs(d - sc.ball_modulus(r, float(eps))) > 1e-3:
                 failures.append(f"r={r} eps={eps:.2f} modulus off by "
                                 f"{abs(d - sc.ball_modulus(r, float(eps))):.2e}")
-        curve = sc.ModulusCurve.from_arrays(eps_values, deltas, bounds, f"ball{r}")
         fit = sc.fit_second_order(curve)
         if abs(fit.C - 1 / (8 * r)) > 0.01 / (8 * r):
             failures.append(f"r={r} fitted C {fit.C:.6g} not within 1% of {1 / (8 * r):.6g}")

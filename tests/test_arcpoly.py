@@ -522,6 +522,50 @@ class TestHullPathAgainstFullInput:
                 assert np.all(np.abs(got.support_values(grid) - s) <= 1e-12 * (1.0 + np.abs(s)))
 
 
+def _kernel_vertex_hull(pts, R):
+    """The hull as the intersection of the R-disks about the kernel's vertices."""
+    return sc.disk_intersection(sc.disk_intersection(pts, R).vertices(), R)
+
+
+class TestHullReadOffKernel:
+    """r_hull reads its arcs off the kernel's vertices and their normal cones."""
+
+    GRID = sc.angle_grid(512)
+
+    def _check(self, pts, R, want):
+        H = sc.r_hull(pts, R)
+        assert all(isinstance(p, Arc) and p.radius == R for p in H.pieces)
+        assert sc.hausdorff_distance(H, want, self.GRID) <= 1e-12
+        for x in pts:
+            assert H.contains(x)
+        return H
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_sets_match_the_kernel_vertex_intersection(self, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(5):
+            R = rng.uniform(0.8, 3.0)
+            pts = rng.uniform(-0.5, 0.5, (rng.integers(3, 60), 2)) * R
+            want = _kernel_vertex_hull(pts, R)
+            assert len(self._check(pts, R, want).pieces) == len(want.pieces)
+
+    def test_collinear_triple(self):
+        pts = np.array([[0.0, 0.0], [0.3, 0.1], [0.6, 0.2]])
+        self._check(pts, 1.0, _kernel_vertex_hull(pts, 1.0))
+
+    def test_points_on_a_common_circle(self):
+        t = np.array([0.1, 1.3, 2.0, 4.0, 5.5])
+        pts = 0.5 * np.stack([np.cos(t), np.sin(t)], axis=1) + [0.2, -0.1]
+        self._check(pts, 0.7, _kernel_vertex_hull(pts, 0.7))
+
+    def test_pair_a_billionth_apart_is_their_lens(self):
+        # the intersection of the disks about the kernel's two vertices rounds
+        # to a single point here, which holds only one of the two points
+        pts = np.array([[0.2, 0.1], [0.2 + 1e-9, 0.1]])
+        H = self._check(pts, 1.0, sc.lens(pts[0], pts[1], 1.0))
+        assert len(H.pieces) == 2
+
+
 class TestKernelBand:
     def test_enclosing_radius_within_1e9_gives_the_enclosing_centre(self):
         # the diameter pair sets the enclosing circle: centre (0.2, 0.1), radius 1

@@ -28,7 +28,6 @@ from strconvex.modulus import (
     _radial_extents,
     _scaled_directions,
     _section_planes,
-    _section_points,
     _sectioned_estimate,
     _support,
     _PLANE,
@@ -133,7 +132,8 @@ def test_three_dimensional_sections_match_dense_oracle():
     planes = [np.stack(uv) for uv in _section_planes(body, grid, origin, 8, 0)]
     # 257 points leave a one-point last block of the chord search
     for resolution in (257, 300):
-        polylines = [_section_points(origin, basis, scaled, resolution) for basis in planes]
+        polylines = [BoundaryParam._of_plane(origin, basis, resolution, grid, support,
+                                             scaled).points for basis in planes]
         for eps in (0.3, 1.5):
             where = f"resolution={resolution} eps={eps}"
             pooled, best = [], np.full(len(grid), -np.inf)

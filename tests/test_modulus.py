@@ -1,10 +1,12 @@
+import inspect
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 import strconvex as sc
-from strconvex.modulus import BoundaryParam, default_fit_window
+from strconvex.modulus import default_fit_window
 
 # Brute-force chord-scan oracle value for the (2,1)-ellipse at eps = 0.1
 # (tests/oracles.py::ellipse_chord_modulus with n_anchor=4000, n_dense=200000).
@@ -73,26 +75,24 @@ class TestEstimateModulus:
     def test_ball_within_error_bound_across_eps(self):
         for r in (0.5, 2.0):
             body = sc.Ball([0.1, -0.3], r)
-            param = BoundaryParam(body, 2048)
-            for mult in (0.1, 0.5, 1.0, 1.5):
-                delta, bound = sc.estimate_modulus(body, mult * r, 2048, param=param)
+            mults = (0.1, 0.5, 1.0, 1.5)
+            curve = sc.modulus_curve(body, [mult * r for mult in mults], 2048)
+            for mult, delta, bound in zip(mults, curve.delta, curve.error_bound):
                 assert abs(delta - sc.ball_modulus(r, mult * r)) <= bound
 
     def test_lens_respects_strong_convexity_lower_bound(self):
         L = sc.lens([-0.6, 0], [0.6, 0], 1.0)
-        param = BoundaryParam(L, 2048)
-        for eps in (0.2, 0.5, 0.9):
-            delta, bound = sc.estimate_modulus(L, eps, 2048, param=param)
+        curve = sc.modulus_curve(L, [0.2, 0.5, 0.9], 2048)
+        for eps, delta, bound in zip(curve.eps, curve.delta, curve.error_bound):
             assert delta >= sc.ball_modulus(1.0, eps) - bound
 
     def test_disk_intersection_respects_lower_bound(self):
         rng = np.random.default_rng(21)
         centers = rng.uniform(-0.3, 0.3, (3, 2))
         D = sc.disk_intersection(centers, 1.0)
-        param = BoundaryParam(D, 2048)
         diam = D.diameter()
-        for eps in (0.3 * diam, 0.6 * diam):
-            delta, bound = sc.estimate_modulus(D, eps, 2048, param=param)
+        curve = sc.modulus_curve(D, [0.3 * diam, 0.6 * diam], 2048)
+        for eps, delta, bound in zip(curve.eps, curve.delta, curve.error_bound):
             assert delta >= sc.ball_modulus(1.0, eps) - bound
 
     def test_ratio_monotonicity(self):
@@ -105,6 +105,40 @@ class TestEstimateModulus:
     def test_three_dimensional_ball(self):
         delta, bound = sc.estimate_modulus(sc.Ball([0, 0, 0], 1.0), 0.5, 512)
         assert abs(delta - sc.ball_modulus(1.0, 0.5)) <= bound
+
+
+class TestOneModulusModel:
+    """A point estimate and a curve read the same boundary model, so they agree
+    byte for byte, the error bound included."""
+
+    BODIES = {
+        "lens": (sc.lens([0.1, 0.2], [0.9, 0.7], 1.0), 1000),
+        # turned, so that no direction of either angle grid is a widest one
+        "ellipse_plus_ball": (sc.MinkowskiSum([sc.Ellipsoid([0.0, 0.0], [2.0, 1.0],
+                                                            [[0.8, -0.6], [0.6, 0.8]]),
+                                               sc.Ball([0.4, 0.2], 0.5)]), 1000),
+        "ellipsoid": (sc.Ellipsoid([0.2, -0.1, 0.3], [2.0, 1.5, 1.0]), 256),
+    }
+
+    @pytest.mark.parametrize("name", sorted(BODIES))
+    def test_point_estimate_equals_curve(self, name):
+        body, n = self.BODIES[name]
+        for frac in (0.1, 0.3, 0.6):
+            eps = frac * body.diameter()
+            curve = sc.modulus_curve(body, [eps], n)
+            delta, bound = sc.estimate_modulus(body, eps, n)
+            assert np.float64(delta).tobytes() == curve.delta[0].tobytes(), frac
+            assert np.float64(bound).tobytes() == curve.error_bound[0].tobytes(), frac
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_near_diameter_warning_names_the_calling_line(self, dim):
+        ball = sc.Ball(np.zeros(dim), 1.0)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            line = inspect.currentframe().f_lineno + 1
+            sc.estimate_modulus(ball, 1.95, 128)
+            sc.modulus_curve(ball, [0.5, 1.95], 128)
+        assert [(w.filename, w.lineno) for w in caught] == [(__file__, line), (__file__, line + 1)]
 
 
 class TestSectionedCurve:
@@ -206,3 +240,9 @@ class TestCurveValidation:
     def test_delta_not_below_error_band(self):
         with pytest.raises(ValueError):
             sc.ModulusCurve.from_arrays([0.1, 0.2], [-0.05, 0.02], [1e-6, 1e-6])
+
+    def test_nan_delta_or_bound_is_rejected(self):
+        nan = float("nan")
+        for delta, bound in (([nan, 0.02], [0.0, 0.0]), ([0.01, 0.02], [0.0, nan])):
+            with pytest.raises(ValueError):
+                sc.ModulusCurve.from_arrays([0.1, 0.2], delta, bound)

@@ -246,3 +246,30 @@ class TestSharpnessCheck:
             assert sc.zero_step_radius(fit.C) == pytest.approx(2 * r, rel=0.01)
             seq = sc.radius_fixed_point(2 * r, fit.C, tol=1e-9 * r)
             assert seq.values[-1] == pytest.approx(sc.sharp_radius(fit.C), abs=1e-8 * r)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+class TestNonFiniteArguments:
+    """NaN and infinite arguments raise instead of reaching a number or a verdict."""
+
+    def test_radius_functions_raise(self, bad):
+        for call in (lambda: sc.ball_modulus(bad, 0.1), lambda: sc.ball_modulus(1.0, bad),
+                     lambda: sc.zero_step_radius(bad), lambda: sc.sharp_radius(bad),
+                     lambda: radius_map(bad, 1.0), lambda: radius_map(1.0, bad),
+                     lambda: sc.refine_radius(1.0, bad)):
+            with pytest.raises(sc.OutOfDomainError):
+                call()
+        with pytest.raises((sc.OutOfDomainError, sc.PreconditionError)):
+            sc.refine_radius(bad, 1.0)
+
+    def test_sharpness_check_raises(self, bad):
+        curve = _exact_ball_curve(1.0)
+        with pytest.raises(sc.OutOfDomainError):
+            sc.sharpness_check(curve, bad)
+        with pytest.raises(sc.OutOfDomainError):
+            sc.sharpness_check(curve, 1.0, margin=bad)
+
+    def test_curve_rejects_the_eps(self, bad):
+        for eps in ([bad, 0.2], [0.1, bad], [0.1, bad, 0.3]):
+            with pytest.raises(ValueError):
+                sc.ModulusCurve.from_arrays(eps, [0.01] * len(eps), [0.0] * len(eps))

@@ -58,6 +58,10 @@ def test_tracer_records_one_sectioned_call_per_three_dimensional_curve():
     assert chords["calls"] == 2 * 8
     assert chords["counts"]["pairs"] == 2 * 8 * 64 * 64
     assert chords["counts"]["chords"] > 0
+    # each section runs the one depth step, once per eps
+    radii = agg["modulus.inscribed_radii"]
+    assert radii["calls"] == 2 * 8
+    assert radii["counts"]["points"] == chords["counts"]["chords"]
 
 
 def test_tracer_records_sphere_grid_calls_of_a_three_dimensional_radius():
@@ -121,9 +125,9 @@ def test_tracer_sees_the_hull_path_run_on_hull_vertices():
         sc.r_hull(pts, 2.0)
     finally:
         tracer.uninstall()
-    # _dedupe runs once per point set: on the hull vertices of the points in
-    # r_hull, and on the kernel's vertices in the second disk intersection
+    # _dedupe runs once, on the hull vertices of the points; the hull is read
+    # off the kernel, with no second disk intersection
     dedupe = sorted(counts["points"] for name, *_, counts in tracer.spans
                     if name == "arcpoly.dedupe")
-    assert dedupe == sorted([h, k])
+    assert dedupe == [h]
     assert spans.aggregate(tracer.spans)["arcpoly.clip"]["calls"] <= 2 * h + k
