@@ -19,8 +19,8 @@ bodies = {
 directions = {"+x": [1, 0], "+y": [0, 1], "diag": np.array([1, 1]) / np.sqrt(2)}
 for name, body in bodies.items():
     for dname, p in directions.items():
-        ev = sc.support_eval(body, p)
-        print(f"  {name:14s} s({dname}) = {ev.value:+.6f}   support point {np.round(ev.point, 6)}")
+        print(f"  {name:14s} s({dname}) = {body.support_value(p):+.6f}"
+              f"   support point {np.round(body.support_point(p), 6)}")
 
 print("\n== Minkowski sums: supports add ==")
 parts = [sc.Ball([0, 0], 1.0), sc.Ball([0, 0], 2.0)]

@@ -14,7 +14,7 @@ from strconvex import svgio
 print("== The lens: strongly convex hull of two points ==")
 L = sc.lens([-0.6, 0], [0.6, 0], 1.0)
 print("  arcs centered at:", [tuple(np.round(a.center, 6).tolist()) for a in L.arcs()])
-print("  half-thickness at the midpoint:", round(sc.support_eval(L, [0, 1]).value, 6),
+print("  half-thickness at the midpoint:", round(L.support_value([0, 1]), 6),
       " (= 1 - sqrt(1 - 0.36))")
 
 print("\n== Equal-radius disk intersections ==")
@@ -40,8 +40,8 @@ print("  hulls shrink as R grows: R=3 hull inside R=2 hull?", nested)
 print("\n== Offsets: Minkowski sums with a disk ==")
 off = sc.offset(L, 0.5)
 print("  lens offset by 0.5: support in +y grows from",
-      round(sc.support_eval(L, [0, 1]).value, 4), "to",
-      round(sc.support_eval(off, [0, 1]).value, 4))
+      round(L.support_value([0, 1]), 4), "to",
+      round(off.support_value([0, 1]), 4))
 
 svg_path = "hull_demo.svg"
 with open(svg_path, "w") as fh:

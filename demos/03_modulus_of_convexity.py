@@ -14,15 +14,16 @@ import strconvex as sc
 print("== Calibration: unit ball against the closed form ==")
 ball = sc.Ball([0, 0], 1.0)
 print(f"  {'eps':>5s} {'estimate':>12s} {'exact':>12s} {'error':>10s}")
-for eps in (0.2, 0.6, 1.0, 1.4):
-    est, bound = sc.estimate_modulus(ball, eps, resolution=2048)
+curve = sc.modulus_curve(ball, [0.2, 0.6, 1.0, 1.4], resolution=2048)
+for eps, est in zip(curve.eps, curve.delta):
     exact = sc.ball_modulus(1.0, eps)
     print(f"  {eps:5.2f} {est:12.8f} {exact:12.8f} {est - exact:+10.1e}")
 
 print("\n== A flat body has zero modulus ==")
 square = sc.PointHull([[-1, -1], [1, -1], [1, 1], [-1, 1]])
-est, bound = sc.estimate_modulus(square, 0.5, resolution=1024)
-print(f"  square, eps = 0.5: estimate {est:.2e} (within noise {bound:.1e} of zero;"
+curve = sc.modulus_curve(square, [0.5], resolution=1024)
+print(f"  square, eps = 0.5: estimate {curve.delta[0]:.2e}"
+      f" (within noise {curve.error_bound[0]:.1e} of zero;"
       " a chord along an edge has its midpoint on the boundary)")
 
 print("\n== Second-order constants ==")

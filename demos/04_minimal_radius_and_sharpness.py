@@ -44,9 +44,9 @@ print(f"  limit 1/(8K) = {seq.values[-1]:.5f} after {len(seq.values) - 1} steps"
 print("\n== 4. Sharpness of 1/(8C) ==")
 predicted = sc.sharp_radius(fit.C)
 for r in (0.95 * predicted, 1.02 * predicted):
-    rep = sc.sharpness_check(curve, r, fit=fit, measured_radius=measured)
-    verdict = "IMPOSSIBLE (contradiction)" if rep.below_verdict.contradiction else "consistent"
-    print(f"  claimed ball radius {r:.4f}: {verdict}"
-          f"  [needs C >= {rep.below_verdict.required_constant:.6f},"
-          f" fitted {rep.C:.6f}]")
+    rep = sc.sharpness_check(curve, r, fit=fit)
+    verdict = "IMPOSSIBLE (contradiction)" if rep.contradiction else "consistent"
+    print(f"  claimed ball radius {rep.radius:.4f}: {verdict}"
+          f"  [needs C >= {rep.required_constant:.6f},"
+          f" fitted {rep.fitted_constant:.6f}]")
 print(f"\n  predicted 1/(8C) = {predicted:.5f}  vs  measured minimal radius = {measured:.5f}")

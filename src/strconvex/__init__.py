@@ -17,14 +17,12 @@ from .bodies import (
     Ellipsoid,
     MinkowskiSum,
     PointHull,
-    SupportEval,
     angle_grid,
     as_direction,
     as_vector,
     boundary_distance,
     default_grid,
     sphere_grid,
-    support_eval,
     unit,
 )
 from .errors import (
@@ -46,22 +44,18 @@ from .modulus import (
     ModulusSample,
     SecondOrderFit,
     ball_modulus,
-    estimate_modulus,
     fit_second_order,
     modulus_curve,
 )
 from .radius_theory import (
     RadiusSequence,
-    SharpnessReport,
     SharpnessVerdict,
     chord_radius,
     radius_fixed_point,
     radius_map,
     refine_radius,
-    refined_rho,
     sharp_radius,
     sharpness_check,
-    sin_phi_bound,
     zero_step_radius,
 )
 from .seb import smallest_enclosing_circle

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -215,14 +214,6 @@ def default_grid(dim: int, n: int | None = None) -> np.ndarray:
 def grid_angle_error(diameter: float, n: int) -> float:
     """Second-order support error bound for an n-point angular grid."""
     return 0.5 * diameter * (np.pi / n) ** 2
-
-
-@dataclass(frozen=True)
-class SupportEval:
-    """Support value s(p) together with one maximizing point of the body."""
-
-    value: float
-    point: np.ndarray
 
 
 class ConvexBody:
@@ -479,15 +470,6 @@ class MinkowskiSum(ConvexBody):
 
     def _key(self):
         return tuple(p._key() for p in self.parts)
-
-
-def support_eval(body: ConvexBody, p) -> SupportEval:
-    """Exact support value and one support point in the unit direction p."""
-    p = as_direction(p)
-    P = p[None, :]
-    value = float(body.support_values(P)[0])
-    point = body.support_points(P)[0]
-    return SupportEval(value=value, point=point)
 
 
 def boundary_distance(body: ConvexBody, x, grid: np.ndarray | None = None) -> float:

@@ -90,9 +90,9 @@ def _parse_window(spec: str | None):
     return lo, hi
 
 
-def scan_curve(body: ConvexBody, eps_values, resolution: int, body_id: str) -> ModulusCurve:
+def scan_curve(body: ConvexBody, eps_values, resolution: int) -> ModulusCurve:
     """Modulus scan with one shared boundary model."""
-    return modulus_curve(body, eps_values, resolution, body_id=body_id)
+    return modulus_curve(body, eps_values, resolution)
 
 
 def _default_eps_grid(body: ConvexBody) -> np.ndarray:
@@ -115,7 +115,7 @@ class _InputError(Exception):
 def cmd_modulus(args) -> int:
     body = _load_body(args.body)
     eps_values = _parse_eps(args.eps) if args.eps else _default_eps_grid(body)
-    curve = scan_curve(body, eps_values, args.resolution, body_id=args.body)
+    curve = scan_curve(body, eps_values, args.resolution)
     if args.out:
         _atomic_write(args.out, _curve_csv(curve, args.seed))
     fit_path = (os.path.splitext(args.out)[0] + ".fit.json") if args.out else None
@@ -153,9 +153,13 @@ def _verdict_payload(verdict, seed: int) -> dict:
     }
 
 
-def cmd_radius(args) -> int:
-    if not 0.0 < args.tol < math.inf:
+def _check_tol(tol: float) -> None:
+    if not 0.0 < tol < math.inf:
         raise _InputError("--tol must be positive and finite")
+
+
+def cmd_radius(args) -> int:
+    _check_tol(args.tol)
     body = _load_body(args.body)
     if args.check is not None:
         verdict = check_strong_convexity(body, args.check, n_pairs=args.n_pairs,
@@ -177,7 +181,7 @@ def cmd_radius(args) -> int:
         print(f"R_min = {r_min!r}  bracket = [{bracket[0]!r}, {bracket[1]!r}]")
         return EXIT_OK
     # predict-from-modulus: fit C, then run the radius chain at K = C (1 - margin)
-    curve = scan_curve(body, _default_eps_grid(body), args.resolution, body_id=args.body)
+    curve = scan_curve(body, _default_eps_grid(body), args.resolution)
     fit = fit_second_order(curve)
     K = fit.C * (1.0 - args.margin)
     r_zero = zero_step_radius(K)
@@ -224,21 +228,23 @@ def cmd_hull(args) -> int:
     return EXIT_OK
 
 
+def _sharpness_payload(verdict) -> dict:
+    return {"radius": verdict.radius, "contradiction": verdict.contradiction,
+            "required_constant": verdict.required_constant}
+
+
 def cmd_verify_theorem(args) -> int:
+    _check_tol(args.tol)
     body = _load_body(args.body)
     eps_values = _parse_eps(args.eps) if args.eps else _default_eps_grid(body)
-    curve = scan_curve(body, eps_values, args.resolution, body_id=args.body)
+    curve = scan_curve(body, eps_values, args.resolution)
     fit = fit_second_order(curve, window=_parse_window(args.window))
     predicted = sharp_radius(fit.C)
     measured, bracket = min_strong_radius(body, n_pairs=args.n_pairs, seed=args.seed)
-    below = sharpness_check(curve, 0.95 * predicted, fit=fit, margin=args.margin,
-                            measured_radius=measured)
-    above = sharpness_check(curve, 1.02 * predicted, fit=fit, margin=args.margin,
-                            measured_radius=measured)
+    below = sharpness_check(curve, 0.95 * predicted, fit=fit, margin=args.margin)
+    above = sharpness_check(curve, 1.02 * predicted, fit=fit, margin=args.margin)
     rel_err = abs(predicted - measured) / predicted
-    ok = (rel_err <= args.tol
-          and below.below_verdict.contradiction
-          and not above.below_verdict.contradiction)
+    ok = rel_err <= args.tol and below.contradiction and not above.contradiction
     payload = {
         "seed": args.seed,
         "C": fit.C,
@@ -247,16 +253,8 @@ def cmd_verify_theorem(args) -> int:
         "measured_radius": measured,
         "bracket": [jsonio.Exact(b) for b in bracket],
         "relative_error": rel_err,
-        "sharpness_below": {
-            "radius": below.below_radius_tested,
-            "contradiction": below.below_verdict.contradiction,
-            "required_constant": below.below_verdict.required_constant,
-        },
-        "sharpness_above": {
-            "radius": above.below_radius_tested,
-            "contradiction": above.below_verdict.contradiction,
-            "required_constant": above.below_verdict.required_constant,
-        },
+        "sharpness_below": _sharpness_payload(below),
+        "sharpness_above": _sharpness_payload(above),
         "verified": ok,
     }
     _write_json(args.out, payload)

@@ -30,6 +30,8 @@ _CHORD_PAIRS = 512         # block pairs per evaluated chunk of the chord search
 _U32 = 2.0 ** -24          # unit roundoff of float32
 _HULL_DIRS = angle_grid(16)  # directions whose extreme points prefilter a hull
 _PLANE = np.eye(2)         # in-plane axes of a planar body
+_SECTIONS = 8              # central sections of a solid
+_SECTION_SEED = 0          # seed of the random half of the sections
 
 
 def ball_modulus(r: float, eps: float) -> float:
@@ -53,7 +55,6 @@ class ModulusCurve:
     """Sampled modulus values (eps strictly increasing) for one body."""
 
     samples: tuple[ModulusSample, ...]
-    body_id: str = "body"
 
     def __post_init__(self):
         e = self.eps
@@ -75,12 +76,12 @@ class ModulusCurve:
         return np.array([s.error_bound for s in self.samples])
 
     @classmethod
-    def from_arrays(cls, eps, delta, error_bound, body_id="body") -> "ModulusCurve":
+    def from_arrays(cls, eps, delta, error_bound) -> "ModulusCurve":
         samples = tuple(
             ModulusSample(float(e), float(d), float(b))
             for e, d, b in zip(eps, delta, error_bound)
         )
-        return cls(samples=samples, body_id=body_id)
+        return cls(samples=samples)
 
 
 @dataclass(frozen=True)
@@ -468,66 +469,35 @@ def _sectioned_estimate(body, eps, resolution, sections, seed) -> np.ndarray:
     return out
 
 
-def _modulus_samples(body, eps_values, resolution, sections, seed):
-    """delta at each eps, and the grid error bound they share."""
+def modulus_curve(body: ConvexBody, eps_values, resolution: int = 2048) -> ModulusCurve:
+    """Scan the modulus over an increasing eps grid, reusing one boundary model.
+
+    The model is one section in 2-D, the body itself, and a set of central
+    sections in d >= 3, half through the flattest support directions; each
+    eps then costs one chord search and one depth step per section.  The
+    error bound is the grid's, shared by every sample.
+    """
     if resolution < 16:
         raise ValueError("resolution must be at least 16")
+    eps_values = np.asarray(eps_values, dtype=float)
     param = BoundaryParam(body, resolution) if body.dim == 2 else None
     diam = param.diameter if param is not None else body.diameter()
     for eps in eps_values:
         if not 0.0 < eps < diam:
             raise OutOfDomainError(f"eps must lie in (0, diam) = (0, {diam})")
         if eps > 0.95 * diam:
-            warnings.warn("modulus estimate near the diameter is noisy", stacklevel=3)
+            warnings.warn("modulus estimate near the diameter is noisy", stacklevel=2)
     if param is not None:
         delta = np.array([_planar_estimate(param, float(eps)) for eps in eps_values])
         bound = grid_angle_error(diam, param.n)
     else:
-        delta = _sectioned_estimate(body, eps_values, resolution, sections, seed)
+        delta = _sectioned_estimate(body, eps_values, resolution, _SECTIONS, _SECTION_SEED)
         # the sphere grid's facet sagitta dominates the sectioned estimate
         bound = 0.75 * diam * sphere_grid_angle(DEFAULT_GRID_ND, body.dim) ** 2
     missing = np.flatnonzero(np.isinf(delta))
     if missing.size:
         raise OutOfDomainError(f"no section chord of length {eps_values[missing[0]]}")
-    return delta, bound
-
-
-def estimate_modulus(
-    body: ConvexBody,
-    eps: float,
-    resolution: int = 2048,
-    *,
-    sections: int = 8,
-    seed: int = 0,
-) -> tuple[float, float]:
-    """Estimated modulus delta(eps) and its grid error bound.
-
-    Planar bodies get the full boundary scan; higher dimensions are sampled on
-    planar central sections through the flattest support directions, which is
-    a lower-confidence estimate (the error bound is inflated accordingly).
-    """
-    delta, bound = _modulus_samples(body, [eps], resolution, sections, seed)
-    return float(delta[0]), bound
-
-
-def modulus_curve(
-    body: ConvexBody,
-    eps_values,
-    resolution: int = 2048,
-    body_id: str = "body",
-    *,
-    sections: int = 8,
-    seed: int = 0,
-) -> ModulusCurve:
-    """Scan the modulus over an increasing eps grid, reusing one boundary model.
-
-    The model is one section in 2-D, the body itself, and a set of central
-    sections in d >= 3; each eps then costs one chord search and one depth
-    step per section.
-    """
-    eps_values = np.asarray(eps_values, dtype=float)
-    delta, bound = _modulus_samples(body, eps_values, resolution, sections, seed)
-    return ModulusCurve.from_arrays(eps_values, delta, np.full(len(eps_values), bound), body_id)
+    return ModulusCurve.from_arrays(eps_values, delta, np.full(len(eps_values), bound))
 
 
 def default_fit_window(curve: ModulusCurve) -> tuple[float, float]:

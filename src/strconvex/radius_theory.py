@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GeometryError, NotConvergedError, OutOfDomainError, PreconditionError
+from .errors import NotConvergedError, OutOfDomainError, PreconditionError
 from .modulus import ModulusCurve, SecondOrderFit, ball_modulus, fit_second_order
 
 
@@ -30,27 +30,6 @@ def zero_step_radius(K: float) -> float:
     if not 0.0 < K < math.inf:
         raise OutOfDomainError("K must be positive and finite")
     return 1.0 / (4.0 * K)
-
-
-def sin_phi_bound(eps: float, delta: float, R: float) -> float:
-    """Tangent-angle sine eps/(4R) + (2 delta/eps)(1 - delta/R) of the refinement step."""
-    if not 0.0 < delta < 0.5 * eps:
-        raise OutOfDomainError("delta must lie in (0, eps/2)")
-    if not 0.5 * eps < R:
-        raise OutOfDomainError("need eps/2 < R")
-    value = eps / (4.0 * R) + (2.0 * delta / eps) * (1.0 - delta / R)
-    if not 0.0 < value <= 1.0:
-        raise GeometryError(f"sin(phi) = {value} outside (0, 1]; construction invalid")
-    return value
-
-
-def refined_rho(eps: float, sin_phi: float) -> float:
-    """Arc radius eps/(2 sin(phi)) through the chord at tangent angle phi."""
-    if not 0.0 < sin_phi <= 1.0:
-        raise OutOfDomainError("sin(phi) must lie in (0, 1]")
-    if eps <= 0.0:
-        raise OutOfDomainError("eps must be positive")
-    return eps / (2.0 * sin_phi)
 
 
 def radius_map(R: float, K: float) -> float:
@@ -133,6 +112,7 @@ def sharp_radius(C: float) -> float:
 class SharpnessVerdict:
     """Outcome of testing a claimed ball radius against a modulus curve."""
 
+    radius: float
     contradiction: bool
     fitted_constant: float
     required_constant: float
@@ -140,36 +120,26 @@ class SharpnessVerdict:
     pointwise_checked: int
 
 
-@dataclass(frozen=True)
-class SharpnessReport:
-    C: float
-    predicted_radius: float
-    measured_radius: float | None
-    below_radius_tested: float
-    below_verdict: SharpnessVerdict
-
-
 def sharpness_check(
     curve: ModulusCurve,
     r: float,
-    window: tuple[float, float] | None = None,
     margin: float = 0.02,
-    measured_radius: float | None = None,
     fit: SecondOrderFit | None = None,
-) -> SharpnessReport:
+) -> SharpnessVerdict:
     """Test whether the curve is consistent with an intersection of radius-r balls.
 
     An intersection of radius-r balls has modulus at least that of the ball,
     so its second-order constant is at least 1/(8r).  A fitted constant below
     1/(8r) by more than the margin certifies that the claimed r is impossible.
-    The pointwise ball-modulus bound is evaluated alongside.
+    The pointwise ball-modulus bound is evaluated alongside.  Without a fit,
+    the curve is fitted in its default window.
     """
     if not 0.0 < r < math.inf:
         raise OutOfDomainError("r must be positive and finite")
     if not 0.0 <= margin < math.inf:
         raise OutOfDomainError("margin must be nonnegative and finite")
     if fit is None:
-        fit = fit_second_order(curve, window=window)
+        fit = fit_second_order(curve)
     required = 1.0 / (8.0 * r)
     contradiction = fit.C * (1.0 + margin) < required
     violations = 0
@@ -180,17 +150,11 @@ def sharpness_check(
         checked += 1
         if s.delta < ball_modulus(r, s.eps) - s.error_bound:
             violations += 1
-    verdict = SharpnessVerdict(
+    return SharpnessVerdict(
+        radius=float(r),
         contradiction=bool(contradiction),
         fitted_constant=float(fit.C),
         required_constant=float(required),
         pointwise_violations=violations,
         pointwise_checked=checked,
-    )
-    return SharpnessReport(
-        C=float(fit.C),
-        predicted_radius=sharp_radius(fit.C),
-        measured_radius=measured_radius,
-        below_radius_tested=float(r),
-        below_verdict=verdict,
     )

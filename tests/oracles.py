@@ -269,16 +269,16 @@ def bisect_min_radius(body, tol: float, n_pairs: int = 4096, seed: int = 0):
     bracket by doublings, then bisects until hi - lo <= tol * hi.  The low end
     fails check_strong_convexity and the high end passes it.
     """
-    from strconvex import check_strong_convexity, estimate_modulus
+    from strconvex import check_strong_convexity, modulus_curve
 
     diam = body.diameter()
-    probe_eps = diam / 50.0 if body.dim == 2 else diam / 8.0
-    delta, _ = estimate_modulus(body, probe_eps, resolution=512)
     if body.dim == 2:
         r_curv = float(np.max(support_curvature_radii(body, 4096)))
         lo = 0.5 * r_curv
         hi = max(diam, 1.25 * r_curv)
     else:
+        probe_eps = diam / 8.0
+        delta = modulus_curve(body, [probe_eps], 512).delta[0]
         r0 = probe_eps**2 / (4.0 * delta)
         lo = 0.5 * r0
         hi = 4.0 * r0

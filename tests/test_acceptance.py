@@ -37,7 +37,7 @@ def test_criterion_1_ball_round_trip(tmp_path):
     for r in (0.5, 1.0, 3.0):
         body = sc.Ball([0, 0], r)
         eps_values = np.arange(0.1, 1.51, 0.1) * r
-        curve = sc.modulus_curve(body, eps_values, 4096, f"ball{r}")
+        curve = sc.modulus_curve(body, eps_values, 4096)
         for eps, d in zip(eps_values, curve.delta):
             if abs(d - sc.ball_modulus(r, float(eps))) > 1e-3:
                 failures.append(f"r={r} eps={eps:.2f} modulus off by "
@@ -73,9 +73,9 @@ def test_criterion_2_sharpness_both_directions():
     predicted = sc.sharp_radius(fit.C)
     below = sc.sharpness_check(curve, 0.95 * predicted, fit=fit)
     above = sc.sharpness_check(curve, 1.02 * predicted, fit=fit)
-    if not below.below_verdict.contradiction:
+    if not below.contradiction:
         failures.append("no contradiction at r = 0.95 * predicted")
-    if above.below_verdict.contradiction:
+    if above.contradiction:
         failures.append("spurious contradiction at r = 1.02 * predicted")
     _report(2, failures,
             f"witness at 0.98 (violation {0.0 if v_fail.witness is None else v_fail.witness[2]:.2e}), "

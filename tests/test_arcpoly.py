@@ -29,7 +29,7 @@ class TestLens:
         centers = sorted(tuple(np.round(a.center, 9)) for a in L.arcs())
         assert centers == [(0.0, -0.8), (0.0, 0.8)]
         # half-thickness at the midpoint: 1 - sqrt(1 - 0.36) = 0.2
-        assert sc.support_eval(L, [0, 1]).value == pytest.approx(0.2, abs=1e-12)
+        assert L.support_value([0, 1]) == pytest.approx(0.2, abs=1e-12)
 
     def test_too_far_apart(self):
         with pytest.raises(sc.TooFarApartError):
@@ -71,7 +71,7 @@ class TestDiskIntersection:
         D = sc.disk_intersection(np.array([[0.5, -0.25]]), 1.5)
         for p in sc.angle_grid(32):
             expect = float(p @ [0.5, -0.25]) + 1.5
-            assert sc.support_eval(D, p).value == pytest.approx(expect, abs=1e-12)
+            assert D.support_value(p) == pytest.approx(expect, abs=1e-12)
 
     def test_empty_when_far(self):
         assert sc.disk_intersection(np.array([[0, 0], [3.0, 0]]), 1.0) is None
@@ -203,20 +203,20 @@ class TestOffset:
         D = sc.offset(sc.ArcPolygon.singleton([1.0, -2.0]), 0.75)
         for p in sc.angle_grid(16):
             expect = float(p @ [1.0, -2.0]) + 0.75
-            assert sc.support_eval(D, p).value == pytest.approx(expect, abs=1e-12)
+            assert D.support_value(p) == pytest.approx(expect, abs=1e-12)
 
     def test_disk_offset_grows_radius(self):
         D = sc.offset(sc.ArcPolygon.full_disk([0, 0], 2.0), 1.0)
-        assert sc.support_eval(D, [0, 1]).value == pytest.approx(3.0, abs=1e-12)
+        assert D.support_value([0, 1]) == pytest.approx(3.0, abs=1e-12)
 
     def test_lens_offset_support_additivity(self):
         L = sc.lens([-0.6, 0], [0.6, 0], 1.0)
         off = sc.offset(L, 1.0)
-        assert sc.support_eval(off, [0, 1]).value == pytest.approx(1.2, abs=1e-12)
+        assert off.support_value([0, 1]) == pytest.approx(1.2, abs=1e-12)
         # support additivity in every direction
         for p in sc.angle_grid(64):
-            expect = sc.support_eval(L, p).value + 1.0
-            assert sc.support_eval(off, p).value == pytest.approx(expect, abs=1e-12)
+            expect = L.support_value(p) + 1.0
+            assert off.support_value(p) == pytest.approx(expect, abs=1e-12)
 
     def test_zero_offset_identity(self):
         L = sc.lens([-0.3, 0], [0.3, 0.1], 0.8)
@@ -226,14 +226,12 @@ class TestOffset:
 class TestArcSupport:
     def test_lens_vertex_direction(self):
         L = sc.lens([-0.6, 0], [0.6, 0], 1.0)
-        ev = sc.support_eval(L, [1, 0])
-        assert ev.value == pytest.approx(0.6, abs=1e-12)
-        assert np.allclose(ev.point, [0.6, 0], atol=1e-12)
+        assert L.support_value([1, 0]) == pytest.approx(0.6, abs=1e-12)
+        assert np.allclose(L.support_point([1, 0]), [0.6, 0], atol=1e-12)
 
     def test_support_point_on_arc(self):
         L = sc.lens([-0.6, 0], [0.6, 0], 1.0)
-        ev = sc.support_eval(L, [0, -1])
-        assert np.allclose(ev.point, [0, -0.2], atol=1e-12)
+        assert np.allclose(L.support_point([0, -1]), [0, -0.2], atol=1e-12)
 
     def test_matches_dense_boundary_max(self):
         rng = np.random.default_rng(9)
@@ -242,7 +240,7 @@ class TestArcSupport:
         samples = D.boundary_samples(4000)
         for p in sc.angle_grid(32):
             brute = float(np.max(samples @ p))
-            assert sc.support_eval(D, p).value == pytest.approx(brute, abs=1e-5)
+            assert D.support_value(p) == pytest.approx(brute, abs=1e-5)
 
 
 def _half_disk():

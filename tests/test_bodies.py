@@ -22,31 +22,33 @@ SQ2 = math.sqrt(2.0)
 
 
 class TestSupportEval:
+    """Support value and support point of one direction."""
+
     def test_unit_ball(self):
-        ev = sc.support_eval(sc.Ball([0, 0], 1.0), [0, 1])
-        assert ev.value == pytest.approx(1.0, abs=1e-12)
-        assert np.allclose(ev.point, [0, 1], atol=1e-12)
+        ball = sc.Ball([0, 0], 1.0)
+        assert ball.support_value([0, 1]) == pytest.approx(1.0, abs=1e-12)
+        assert np.allclose(ball.support_point([0, 1]), [0, 1], atol=1e-12)
 
     def test_shifted_ball(self):
-        ev = sc.support_eval(sc.Ball([1, 0], 2.0), [1, 0])
-        assert ev.value == pytest.approx(3.0, abs=1e-12)
-        assert np.allclose(ev.point, [3, 0], atol=1e-12)
+        ball = sc.Ball([1, 0], 2.0)
+        assert ball.support_value([1, 0]) == pytest.approx(3.0, abs=1e-12)
+        assert np.allclose(ball.support_point([1, 0]), [3, 0], atol=1e-12)
 
     def test_ellipse_axis_endpoint(self):
-        ev = sc.support_eval(sc.Ellipsoid([0, 0], [2, 1]), [1, 0])
-        assert ev.value == pytest.approx(2.0, abs=1e-12)
-        assert np.allclose(ev.point, [2, 0], atol=1e-12)
+        e = sc.Ellipsoid([0, 0], [2, 1])
+        assert e.support_value([1, 0]) == pytest.approx(2.0, abs=1e-12)
+        assert np.allclose(e.support_point([1, 0]), [2, 0], atol=1e-12)
 
     def test_hull_tie_breaks_lexicographically(self):
         h = sc.PointHull([[0, 0], [1, 0], [0, 1]])
-        ev = sc.support_eval(h, np.array([1, 1]) / SQ2)
-        assert ev.value == pytest.approx(1 / SQ2, abs=1e-12)
+        p = np.array([1, 1]) / SQ2
+        assert h.support_value(p) == pytest.approx(1 / SQ2, abs=1e-12)
         # (0,1) and (1,0) tie; lexicographically smallest wins
-        assert np.allclose(ev.point, [0, 1])
+        assert np.allclose(h.support_point(p), [0, 1])
 
     def test_direction_must_be_unit(self):
         with pytest.raises(ValueError):
-            sc.support_eval(sc.Ball([0, 0], 1.0), [1, 1])
+            sc.as_direction([1, 1])
 
     def test_empty_hull_rejected(self):
         with pytest.raises(sc.EmptyBodyError):
@@ -212,9 +214,9 @@ class TestInvariants:
         rng = np.random.default_rng(2)
         for body in _random_bodies(rng, 12):
             for p in sc.angle_grid(16):
-                ev = sc.support_eval(body, p)
-                assert abs(float(p @ ev.point) - ev.value) <= 1e-9
-                assert body.contains(ev.point, tol=1e-9)
+                point = body.support_point(p)
+                assert abs(float(p @ point) - body.support_value(p)) <= 1e-9
+                assert body.contains(point, tol=1e-9)
 
 
 class TestGrids:
@@ -275,7 +277,7 @@ class TestGrids:
             "total = sc.MinkowskiSum([ellipsoid, ball])\n"
             "sc.min_strong_radius(ball)\n"
             "sc.check_strong_convexity(ellipsoid, 4.0)\n"
-            "sc.estimate_modulus(ellipsoid, 0.5, 64)\n"
+            "sc.modulus_curve(ellipsoid, [0.5], 64)\n"
             "total.diameter()\n"
             "total.contains([0.5, 0.5, 0.5], tol=1e-9)\n"
             "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))\n"

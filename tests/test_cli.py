@@ -279,6 +279,11 @@ class TestVerifyTheoremCommand:
     def test_square_exit_4(self, square_json):
         assert main(["verify-theorem", "--body", square_json, "--resolution", "512"]) == 4
 
+    @pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf"])
+    def test_nan_or_nonpositive_or_infinite_tol_exit_2(self, capsys, ball_json, tol):
+        assert main(["verify-theorem", "--body", ball_json, "--tol", tol]) == 2
+        assert "--tol" in capsys.readouterr().err
+
 
 class TestSvg:
     def test_arc_paths_and_scale(self):

@@ -51,26 +51,28 @@ class TestLensModulusBound:
 
 
 class TestEstimateModulus:
+    """The modulus at one eps is a one-sample curve."""
+
     def test_unit_disk_matches_closed_form(self):
-        delta, bound = sc.estimate_modulus(sc.Ball([0, 0], 1.0), 1.0, 2048)
-        assert delta == pytest.approx(0.13397, abs=1e-3)
+        curve = sc.modulus_curve(sc.Ball([0, 0], 1.0), [1.0], 2048)
+        assert curve.delta[0] == pytest.approx(0.13397, abs=1e-3)
 
     def test_square_chord_along_edge(self):
         sq = sc.PointHull([[-1, -1], [1, -1], [1, 1], [-1, 1]])
-        delta, bound = sc.estimate_modulus(sq, 0.5, 2048)
-        assert abs(delta) <= bound
+        curve = sc.modulus_curve(sq, [0.5], 2048)
+        assert abs(curve.delta[0]) <= curve.error_bound[0]
 
     def test_ellipse_small_chord_matches_oracle(self):
         e = sc.Ellipsoid([0, 0], [2, 1])
-        delta, bound = sc.estimate_modulus(e, 0.1, 4096)
-        assert delta == pytest.approx(ELLIPSE_DELTA_01, abs=5e-6)
+        curve = sc.modulus_curve(e, [0.1], 4096)
+        assert curve.delta[0] == pytest.approx(ELLIPSE_DELTA_01, abs=5e-6)
 
     def test_errors(self):
         b = sc.Ball([0, 0], 1.0)
         with pytest.raises(sc.OutOfDomainError):
-            sc.estimate_modulus(b, 2.5, 512)
+            sc.modulus_curve(b, [2.5], 512)
         with pytest.raises(ValueError):
-            sc.estimate_modulus(b, 0.5, 8)
+            sc.modulus_curve(b, [0.5], 8)
 
     def test_ball_within_error_bound_across_eps(self):
         for r in (0.5, 2.0):
@@ -103,32 +105,12 @@ class TestEstimateModulus:
         assert np.all(np.diff(ratio) >= -(slack[1:] + slack[:-1]))
 
     def test_three_dimensional_ball(self):
-        delta, bound = sc.estimate_modulus(sc.Ball([0, 0, 0], 1.0), 0.5, 512)
-        assert abs(delta - sc.ball_modulus(1.0, 0.5)) <= bound
+        curve = sc.modulus_curve(sc.Ball([0, 0, 0], 1.0), [0.5], 512)
+        assert abs(curve.delta[0] - sc.ball_modulus(1.0, 0.5)) <= curve.error_bound[0]
 
 
 class TestOneModulusModel:
-    """A point estimate and a curve read the same boundary model, so they agree
-    byte for byte, the error bound included."""
-
-    BODIES = {
-        "lens": (sc.lens([0.1, 0.2], [0.9, 0.7], 1.0), 1000),
-        # turned, so that no direction of either angle grid is a widest one
-        "ellipse_plus_ball": (sc.MinkowskiSum([sc.Ellipsoid([0.0, 0.0], [2.0, 1.0],
-                                                            [[0.8, -0.6], [0.6, 0.8]]),
-                                               sc.Ball([0.4, 0.2], 0.5)]), 1000),
-        "ellipsoid": (sc.Ellipsoid([0.2, -0.1, 0.3], [2.0, 1.5, 1.0]), 256),
-    }
-
-    @pytest.mark.parametrize("name", sorted(BODIES))
-    def test_point_estimate_equals_curve(self, name):
-        body, n = self.BODIES[name]
-        for frac in (0.1, 0.3, 0.6):
-            eps = frac * body.diameter()
-            curve = sc.modulus_curve(body, [eps], n)
-            delta, bound = sc.estimate_modulus(body, eps, n)
-            assert np.float64(delta).tobytes() == curve.delta[0].tobytes(), frac
-            assert np.float64(bound).tobytes() == curve.error_bound[0].tobytes(), frac
+    """One curve model in every dimension: the warning names the caller's line."""
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_near_diameter_warning_names_the_calling_line(self, dim):
@@ -136,13 +118,13 @@ class TestOneModulusModel:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             line = inspect.currentframe().f_lineno + 1
-            sc.estimate_modulus(ball, 1.95, 128)
+            sc.modulus_curve(ball, [1.95], 128)
             sc.modulus_curve(ball, [0.5, 1.95], 128)
         assert [(w.filename, w.lineno) for w in caught] == [(__file__, line), (__file__, line + 1)]
 
 
 class TestSectionedCurve:
-    """A 3-D curve builds its sections once and must equal the pointwise estimates."""
+    """A 3-D curve builds its sections once and must equal one-sample curves."""
 
     BODIES = {
         "ellipsoid": sc.Ellipsoid([0.2, -0.1, 0.3], [2.0, 1.5, 1.0]),
@@ -155,11 +137,11 @@ class TestSectionedCurve:
         body = self.BODIES[name]
         eps = np.array([0.2, 0.5, 1.1])
         curve = sc.modulus_curve(body, eps, 256)
-        pointwise = [sc.estimate_modulus(body, float(e), 256) for e in eps]
-        want_delta = np.array([d for d, _ in pointwise])
+        pointwise = [sc.modulus_curve(body, [e], 256) for e in eps]
+        want_delta = np.array([c.delta[0] for c in pointwise])
         assert np.all(want_delta > 0.0)
         assert np.max(np.abs(curve.delta - want_delta) / want_delta) <= 1e-14
-        assert np.array_equal(curve.error_bound, [b for _, b in pointwise])
+        assert np.array_equal(curve.error_bound, [c.error_bound[0] for c in pointwise])
 
     @pytest.mark.parametrize("bad", [0.0, -0.1, 4.0, 5.0])
     def test_curve_rejects_eps_outside_domain(self, bad):
@@ -178,7 +160,7 @@ class TestFit:
     def _ball_curve(self, r, n=12, lo=0.01, hi=0.2):
         eps = np.linspace(lo, hi, n)
         return sc.ModulusCurve.from_arrays(
-            eps, [sc.ball_modulus(r, float(t)) for t in eps], np.zeros(n), f"ball{r}")
+            eps, [sc.ball_modulus(r, float(t)) for t in eps], np.zeros(n))
 
     def test_exact_ball_curve_unit(self):
         fit = sc.fit_second_order(self._ball_curve(1.0), window=(0.01, 0.2))
@@ -187,7 +169,7 @@ class TestFit:
     def test_exact_ball_curve_r2(self):
         eps = np.linspace(0.02, 0.4, 12)
         curve = sc.ModulusCurve.from_arrays(
-            eps, [sc.ball_modulus(2.0, float(t)) for t in eps], np.zeros(12), "ball2")
+            eps, [sc.ball_modulus(2.0, float(t)) for t in eps], np.zeros(12))
         fit = sc.fit_second_order(curve)
         assert fit.C == pytest.approx(1 / 16, abs=1e-3)
 
@@ -200,13 +182,13 @@ class TestFit:
     def test_exact_quadratic_recovers_constant(self):
         eps = np.linspace(0.05, 0.5, 10)
         C = 0.3172
-        curve = sc.ModulusCurve.from_arrays(eps, C * eps**2, np.zeros(10), "quad")
+        curve = sc.ModulusCurve.from_arrays(eps, C * eps**2, np.zeros(10))
         fit = sc.fit_second_order(curve, window=(0.05, 0.5))
         assert fit.C == pytest.approx(C, abs=1e-9)
 
     def test_quadratic_domination_on_window(self):
-        for body, label in ((sc.Ball([0, 0], 1.0), "ball"), (sc.Ellipsoid([0, 0], [2, 1]), "ellipse")):
-            curve = sc.modulus_curve(body, np.linspace(0.05, 0.9, 10), 2048, body_id=label)
+        for body in (sc.Ball([0, 0], 1.0), sc.Ellipsoid([0, 0], [2, 1])):
+            curve = sc.modulus_curve(body, np.linspace(0.05, 0.9, 10), 2048)
             fit = sc.fit_second_order(curve)
             lo, hi = fit.window
             for s in curve.samples:

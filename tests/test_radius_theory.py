@@ -39,61 +39,14 @@ class TestZeroStepRadius:
             sc.zero_step_radius(0.0)
 
 
-class TestSinPhiBound:
-    def test_arithmetic(self):
-        assert sc.sin_phi_bound(0.1, 0.04, 1.0) == pytest.approx(0.793, abs=1e-12)
-
-    def test_quadratic_lower_bound(self):
-        # with delta = K eps^2 the value stays above eps/(4R) + 2K eps as eps -> 0
-        K, R = 0.2, 1.5
-        for eps in (0.05, 0.01, 0.002):
-            delta = K * eps**2
-            val = sc.sin_phi_bound(eps, delta, R)
-            assert val >= eps / (4 * R) + 2 * K * eps - 2 * K**2 * eps**3 / R - 1e-15
-
-    def test_ball_tangency_recovers_radius(self):
-        eps = 0.2
-        delta = sc.ball_modulus(1.0, eps)
-        val = sc.sin_phi_bound(eps, delta, 1.0)
-        assert val == pytest.approx(0.0999, abs=1e-4)
-        rho = sc.refined_rho(eps, val)
-        assert rho == pytest.approx(1.0, rel=2e-3)
-
-    def test_stays_in_unit_interval_on_domain(self):
-        rng = np.random.default_rng(3)
-        for _ in range(500):
-            eps = rng.uniform(0.01, 2.0)
-            delta = rng.uniform(1e-6, 0.4999) * eps
-            R = rng.uniform(0.5 * eps * 1.0001, 10.0 * eps)
-            val = sc.sin_phi_bound(eps, delta, R)
-            assert 0.0 < val <= 1.0
-
-    def test_preconditions(self):
-        with pytest.raises(sc.OutOfDomainError):
-            sc.sin_phi_bound(1.0, 0.5, 2.0)
-        with pytest.raises(sc.OutOfDomainError):
-            sc.sin_phi_bound(1.0, 0.2, 0.4)
-
-
 class TestRefinedRho:
-    def test_basic(self):
-        assert sc.refined_rho(1.0, 0.5) == 2.0 / 2
-
     def test_limit_matches_refine_map(self):
-        # sin phi at the asymptotic bound reproduces the refinement map value
+        # the arc radius eps/(2 sin phi) through the chord, at the asymptotic
+        # bound sin phi = eps/(4R) + 2K eps, reproduces the refinement map value
         K, R = 0.125, 2.0
         eps = 1e-6
-        val = eps / (4 * R) + 2 * K * eps
-        assert sc.refined_rho(eps, val) == pytest.approx(sc.refine_radius(R, K), rel=1e-5)
-
-    def test_half_chord(self):
-        assert sc.refined_rho(0.3, 1.0) == pytest.approx(0.15, abs=1e-15)
-
-    def test_domain(self):
-        with pytest.raises(sc.OutOfDomainError):
-            sc.refined_rho(1.0, 0.0)
-        with pytest.raises(sc.OutOfDomainError):
-            sc.refined_rho(1.0, 1.5)
+        rho = eps / (2 * (eps / (4 * R) + 2 * K * eps))
+        assert rho == pytest.approx(sc.refine_radius(R, K), rel=1e-5)
 
 
 class TestRefineRadius:
@@ -217,26 +170,27 @@ class TestSharpRadius:
 def _exact_ball_curve(r, lo=0.01, hi=0.2, n=15):
     eps = np.linspace(lo, hi, n) * r
     return sc.ModulusCurve.from_arrays(
-        eps, [sc.ball_modulus(r, float(t)) for t in eps], np.zeros(n), f"ball{r}")
+        eps, [sc.ball_modulus(r, float(t)) for t in eps], np.zeros(n))
 
 
 class TestSharpnessCheck:
     def test_unit_disk_at_own_radius_passes(self):
         rep = sc.sharpness_check(_exact_ball_curve(1.0), 1.0)
-        assert not rep.below_verdict.contradiction
-        assert rep.C == pytest.approx(0.125, abs=1e-3)
-        assert rep.below_verdict.pointwise_violations == 0
+        assert not rep.contradiction
+        assert rep.fitted_constant == pytest.approx(0.125, abs=1e-3)
+        assert rep.pointwise_violations == 0
 
     def test_unit_disk_smaller_radius_contradicts(self):
         rep = sc.sharpness_check(_exact_ball_curve(1.0), 0.9)
-        assert rep.below_verdict.contradiction
-        assert rep.below_verdict.required_constant == pytest.approx(1 / 7.2, abs=1e-12)
+        assert rep.contradiction
+        assert rep.radius == 0.9
+        assert rep.required_constant == pytest.approx(1 / 7.2, abs=1e-12)
 
     def test_ellipse_curve_contradicts_radius_below_four(self):
         e = sc.Ellipsoid([0, 0], [2, 1])
         curve = sc.modulus_curve(e, np.linspace(0.08, 0.8, 10), 4096)
         rep = sc.sharpness_check(curve, 3.9)
-        assert rep.below_verdict.contradiction
+        assert rep.contradiction
 
     def test_pipeline_consistency_on_balls(self):
         # fitted C feeds the whole radius chain back to the ball radius
