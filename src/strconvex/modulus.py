@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -213,6 +214,16 @@ def _radial_extents(scaled: np.ndarray, basis: np.ndarray, rays: np.ndarray, ang
     return out
 
 
+def _checked_resolution(resolution) -> int:
+    # a whole number of boundary points: a fractional count would space the
+    # rays of a section unevenly and leave its polyline open
+    if resolution < 16:
+        raise ValueError("resolution must be at least 16")
+    if not float(resolution).is_integer():
+        raise ValueError("resolution must be a whole number")
+    return int(resolution)
+
+
 def _scaled_directions(grid: np.ndarray, numer: np.ndarray) -> np.ndarray:
     # the floor on slack(p) keeps the scaled directions finite
     return grid / np.maximum(numer, 1e-150)[:, None]
@@ -230,12 +241,11 @@ class BoundaryParam:
     """
 
     def __init__(self, body: ConvexBody, resolution: int):
-        if resolution < 16:
-            raise ValueError("resolution must be at least 16")
+        resolution = _checked_resolution(resolution)
         if body.dim != 2:
             raise ValueError("BoundaryParam is planar; use sections for d >= 3")
         self.body = body
-        self.grid = angle_grid(int(resolution))
+        self.grid = angle_grid(resolution)
         self.support = body.support_values(self.grid)
         self.origin = steiner_point(body)
         self.diameter = body.diameter(self.grid)
@@ -260,6 +270,7 @@ class BoundaryParam:
         self.n, self.basis = len(rays), basis
         self.radial = _radial_extents(scaled, basis, rays, angles)
         self.points = self.origin + self.radial[:, None] * rays
+        self._index = _chord_index(self.points)
         # the depth directions in angle order
         order, self._psi = angles if grid is rays else _plane_angles(grid, basis)
         self._dirs = grid[order]
@@ -306,7 +317,55 @@ def _chord_blocks(n: int):
     return first, last, rows, cols
 
 
-def _chord_crossings(points: np.ndarray, eps: float):
+class _ChordIndex(NamedTuple):
+    """What the chord search of one closed polyline needs that no eps changes.
+
+    The float32 operands are laid out per block, so a chunk of block pairs
+    gathers them along the first axis: the points of each row block and of
+    each column block (which also holds the point after it), and the stacks
+    [|x|^2, 1] and [1, |x|^2] whose product is |x_i|^2 + |x_j|^2.
+    """
+
+    first: np.ndarray       # first point of each block
+    cols: np.ndarray        # (b, m + 1) point indices of each column block
+    bi: np.ndarray          # block pairs that can hold a chord at most n // 2
+    bj: np.ndarray          # steps ahead, row by row
+    near2: np.ndarray       # least and greatest squared distance between the
+    far2: np.ndarray        # pairs' bounding balls
+    scale: float            # max |x|^2, which bounds the float32 rounding
+    rows32: np.ndarray      # (b, m, d) points of each row block
+    cols32: np.ndarray      # (b, m + 1, d) points of each column block
+    sq_rows: np.ndarray     # (b, m, 2) [|x|^2, 1] of each row block
+    sq_cols: np.ndarray     # (b, m + 1, 2) [1, |x|^2] of each column block
+
+
+def _chord_index(points: np.ndarray) -> _ChordIndex:
+    """The eps-independent part of _chord_crossings for a closed polyline."""
+    n = len(points)
+    first, last, rows, cols = _chord_blocks(n)
+    centre_r, radius_r = _bounding_balls(points, rows)
+    centre_c, radius_c = _bounding_balls(points, cols)
+    dist = np.sqrt(sum((r[:, None] - c[None, :]) ** 2 for r, c in zip(centre_r, centre_c)))
+    reach = radius_r[:, None] + radius_c[None, :]
+    # some j - i in [first_j - last_i, last_j - first_i] is 0, ..., n // 2 modulo n
+    lag = (first[None, :] - last[:, None]) % n
+    span = (last - first)[None, :] + (last - first)[:, None]
+    bi, bj = np.nonzero((lag <= n // 2) | (n - lag <= span))
+    pts32 = points.astype(np.float32)
+    sq32 = np.einsum("ij,ij->i", pts32, pts32)
+    ones = np.ones_like(sq32)
+    return _ChordIndex(
+        first=first, cols=cols, bi=bi, bj=bj,
+        near2=np.maximum(dist - reach, 0.0)[bi, bj] ** 2,
+        far2=(dist + reach)[bi, bj] ** 2,
+        scale=float(np.max(np.einsum("ij,ij->i", points, points))),
+        rows32=pts32[rows], cols32=pts32[cols],
+        sq_rows=np.stack([sq32, ones], axis=1)[rows],
+        sq_cols=np.stack([ones, sq32], axis=1)[cols],
+    )
+
+
+def _chord_crossings(points: np.ndarray, eps: float, index: _ChordIndex | None = None):
     """Anchor and segment indices where the chordal distance crosses eps.
 
     (i, j) is a crossing when exactly one of the points j and j + 1 lies within
@@ -316,39 +375,34 @@ def _chord_crossings(points: np.ndarray, eps: float):
     the point after it), and a pair of blocks is evaluated only when its
     distance range, widened by a bound on the float32 rounding, can straddle
     eps; the others cannot hold a crossing.  Sorted by anchor, then segment.
+    index is _chord_index(points), built here when it is not given.
     """
+    if index is None:
+        index = _chord_index(points)
     n = len(points)
     size = _CHORD_BLOCK
-    first, last, rows, cols = _chord_blocks(n)
-    centre_r, radius_r = _bounding_balls(points, rows)
-    centre_c, radius_c = _bounding_balls(points, cols)
-    dist = np.sqrt(sum((r[:, None] - c[None, :]) ** 2 for r, c in zip(centre_r, centre_c)))
-    reach = radius_r[:, None] + radius_c[None, :]
-    pts32 = points.astype(np.float32)
-    sq32 = np.einsum("ij,ij->i", pts32, pts32)
-    eps2 = np.float32(eps * eps)
+    e2 = eps * eps
     # the float32 squared distances and eps2 are off by far less than this
-    slack = 64.0 * _U32 * (float(np.max(np.einsum("ij,ij->i", points, points))) + eps * eps)
-    straddles = ((np.maximum(dist - reach, 0.0) ** 2 <= eps * eps + slack)
-                 & ((dist + reach) ** 2 >= eps * eps - slack))
-    # some j - i in [first_j - last_i, last_j - first_i] is 0, ..., n // 2 modulo n
-    lag = (first[None, :] - last[:, None]) % n
-    span = (last - first)[None, :] + (last - first)[:, None]
-    ahead = (lag <= n // 2) | (n - lag <= span)
-    bi, bj = np.nonzero(straddles & ahead)
+    slack = 64.0 * _U32 * (index.scale + e2)
+    straddles = (index.near2 <= e2 + slack) & (index.far2 >= e2 - slack)
+    bi, bj = index.bi[straddles], index.bj[straddles]
+    eps2 = np.float32(e2)
     anchors, segs = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.intp)]
     for k0 in range(0, len(bi), _CHORD_PAIRS):
-        R = rows[bi[k0:k0 + _CHORD_PAIRS]]
-        C = cols[bj[k0:k0 + _CHORD_PAIRS]]
-        # same float32 operations, in the same order, as the full n x n product
-        dots = pts32[R] @ pts32[C].transpose(0, 2, 1)
-        d2 = sq32[R][:, :, None] + sq32[C][:, None, :] - 2.0 * dots
-        below = d2 <= eps2
-        # flat indices in C order, so (k, r, c) come out as np.nonzero gives them
-        k, rc = np.divmod(np.flatnonzero(below[:, :, :-1] != below[:, :, 1:]), size * size)
-        r, c = np.divmod(rc, size)
-        anchors.append(first[bi[k0 + k]] + r)
-        segs.append(C[k, c])
+        I, J = bi[k0:k0 + _CHORD_PAIRS], bj[k0:k0 + _CHORD_PAIRS]
+        # same float32 operations, in the same order, as the full n x n product;
+        # a two-term product against ones rounds once, as the add does
+        d2 = index.sq_rows[I] @ index.sq_cols[J].transpose(0, 2, 1)
+        dots = index.rows32[I] @ index.cols32[J].transpose(0, 2, 1)
+        d2 -= np.multiply(dots, 2.0, out=dots)
+        below = (d2 <= eps2).ravel()
+        # flat indices in C order, so (k, r, c) come out as np.nonzero gives them;
+        # the last column against the next row's first is no segment
+        kr, c = np.divmod(np.flatnonzero(below[:-1] != below[1:]), size + 1)
+        inner = c < size
+        k, r = np.divmod(kr[inner], size)
+        anchors.append(index.first[I[k]] + r)
+        segs.append(index.cols[J[k], c[inner]])
     anchors, segs = np.concatenate(anchors), np.concatenate(segs)
     keep = (anchors < n) & ((segs - anchors) % n <= n // 2)
     anchors, segs = anchors[keep], segs[keep]
@@ -380,14 +434,14 @@ def _companions(points: np.ndarray, anchors: np.ndarray, segs: np.ndarray, eps: 
     return p0 + t[:, None] * d
 
 
-def _chords_of_length(points: np.ndarray, eps: float):
+def _chords_of_length(points: np.ndarray, eps: float, index: _ChordIndex | None = None):
     """Anchor points and companion points at chord length eps on a closed polyline.
 
     Each crossing of the chordal distance gets its companion in closed form on
     the crossed boundary segment; a crossing whose segment has no float64 root
-    is dropped.
+    is dropped.  index is the polyline's _chord_index, built when not given.
     """
-    anchors, segs = _chord_crossings(points, eps)
+    anchors, segs = _chord_crossings(points, eps, index)
     companions = _companions(points, anchors, segs, eps)
     ok = ~np.isnan(companions[:, 0])
     if not np.any(ok):
@@ -397,7 +451,7 @@ def _chords_of_length(points: np.ndarray, eps: float):
 
 def _planar_estimate(section: BoundaryParam, eps: float) -> float:
     # least depth of the section's chord midpoints at length eps; inf for no chord
-    found = _chords_of_length(section.points, eps)
+    found = _chords_of_length(section.points, eps, section._index)
     if found is None:
         return math.inf
     a_pts, companions = found
@@ -477,9 +531,12 @@ def modulus_curve(body: ConvexBody, eps_values, resolution: int = 2048) -> Modul
     eps then costs one chord search and one depth step per section.  The
     error bound is the grid's, shared by every sample.
     """
-    if resolution < 16:
-        raise ValueError("resolution must be at least 16")
+    resolution = _checked_resolution(resolution)
     eps_values = np.asarray(eps_values, dtype=float)
+    # ModulusCurve checks the same, but only once every eps has been searched
+    if eps_values.ndim != 1 or not (np.all(np.isfinite(eps_values))
+                                    and np.all(np.diff(eps_values) > 0.0)):
+        raise ValueError("eps values must be positive, finite and strictly increasing")
     param = BoundaryParam(body, resolution) if body.dim == 2 else None
     diam = param.diameter if param is not None else body.diameter()
     for eps in eps_values:

@@ -360,7 +360,7 @@ def local_lens_check(
     per_len = max(1, n_pairs // len(fractions))
     for frac in fractions:
         length = frac * eps0
-        found = _chords_of_length(param.points, length)
+        found = _chords_of_length(param.points, length, param._index)
         if found is None:
             continue
         a_pts, comps = found

@@ -15,12 +15,14 @@ import pytest
 import strconvex as sc
 from scipy.spatial import ConvexHull
 
+from strconvex import modulus
 from strconvex.bodies import angle_grid, steiner_point
 from strconvex.modulus import (
     BoundaryParam,
     _bounding_balls,
     _chord_blocks,
     _chord_crossings,
+    _chord_index,
     _chords_of_length,
     _companions,
     _hull_cycle,
@@ -153,6 +155,59 @@ def test_three_dimensional_sections_match_dense_oracle():
             want = dense_min_gaps(np.concatenate(pooled), grid, support).min()
             assert abs(np.min(support - best) - want) <= tol, where
             assert abs(_sectioned_estimate(body, [eps], resolution, 8, 0)[0] - want) <= tol, where
+
+
+@pytest.mark.parametrize("name", sorted(BODIES))
+def test_one_chord_index_serves_every_eps(name):
+    # a curve builds the index once and searches every eps with it, so nothing
+    # one search leaves behind may change the next one's crossings
+    body = BODIES[name]
+    for n in RESOLUTIONS:
+        param = BoundaryParam(body, n)
+        for frac in np.linspace(0.01, 0.99, 24):
+            eps = frac * param.diameter
+            where = f"{name} n={n} eps={frac:.3f}*diam"
+            anchors, segs = _chord_crossings(param.points, eps, param._index)
+            fresh = _chord_crossings(param.points, eps, _chord_index(param.points))
+            want = dense_chord_crossings(param.points, eps)
+            for got in (fresh, want):
+                assert np.array_equal(anchors, got[0]), where
+                assert np.array_equal(segs, got[1]), where
+
+
+def test_chord_index_is_built_once_per_boundary_model(monkeypatch):
+    calls = []
+
+    def counted(points):
+        calls.append(len(points))
+        return _chord_index(points)
+
+    monkeypatch.setattr(modulus, "_chord_index", counted)
+    sc.modulus_curve(BODIES["ellipse_6to1"], np.linspace(0.1, 1.0, 12), 256)
+    assert calls == [256]
+    calls.clear()
+    sc.modulus_curve(SOLIDS["ellipsoid"], [0.3, 0.6, 0.9], 64)
+    assert calls == [64] * modulus._SECTIONS
+
+
+def test_two_term_product_rounds_like_the_float32_add():
+    # [s_i, 1] . [1, s_j] has one rounded sum whatever order or fused
+    # multiply-add the BLAS kernel uses, so it must equal s_i + s_j exactly
+    rng = np.random.default_rng(14)
+    t = rng.uniform(0.0, 2.0 * np.pi, 1000)
+    magnitude = 10.0 ** rng.uniform(-10.0, 10.0, 1000)  # |x|^2 from 1e-20 to 1e20
+    spread = magnitude[:, None] * np.stack([np.cos(t), np.sin(t)], axis=1)
+    polylines = [BoundaryParam(body, 1000).points for body in BODIES.values()] + [spread]
+    for points in polylines:
+        index = _chord_index(points)
+        pts32 = points.astype(np.float32)
+        sq32 = np.einsum("ij,ij->i", pts32, pts32)
+        _, _, rows, cols = _chord_blocks(len(points))
+        I, J = index.bi, index.bj
+        # |x_i|^2 + |x_j|^2 as the chord search forms it
+        got = index.sq_rows[I] @ index.sq_cols[J].transpose(0, 2, 1)
+        assert got.dtype == np.float32
+        assert np.array_equal(got, sq32[rows[I]][:, :, None] + sq32[cols[J]][:, None, :])
 
 
 @pytest.mark.parametrize("d", [2, 3])

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 import strconvex as sc
-from strconvex.modulus import default_fit_window
+from strconvex import modulus
+from strconvex.modulus import BoundaryParam, default_fit_window
 
 # Brute-force chord-scan oracle value for the (2,1)-ellipse at eps = 0.1
 # (tests/oracles.py::ellipse_chord_modulus with n_anchor=4000, n_dense=200000).
@@ -154,6 +155,41 @@ class TestSectionedCurve:
         with pytest.warns(UserWarning, match="near the diameter"):
             curve = sc.modulus_curve(ball, [0.5, 0.97 * 2.0], 128)
         assert len(curve.samples) == 2
+
+
+class TestCurveArguments:
+    """A curve checks its resolution and eps grid before it builds a boundary model."""
+
+    ELLIPSOID = sc.Ellipsoid([0.0, 0.0, 0.0], [2.0, 1.5, 1.0])
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("resolution", [64.5, 256.9, math.nan, math.inf])
+    def test_non_integral_resolution_raises(self, dim, resolution):
+        body = self.ELLIPSOID if dim == 3 else sc.Ellipsoid([0.0, 0.0], [2.0, 1.0])
+        with pytest.raises(ValueError, match="whole number"):
+            sc.modulus_curve(body, [0.4], resolution)
+
+    def test_boundary_param_rejects_non_integral_resolution(self):
+        with pytest.raises(ValueError, match="whole number"):
+            BoundaryParam(sc.Ball([0.0, 0.0], 1.0), 64.5)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_integral_float_resolution_is_that_integer(self, dim):
+        body = self.ELLIPSOID if dim == 3 else sc.Ellipsoid([0.0, 0.0], [2.0, 1.0])
+        got = sc.modulus_curve(body, [0.4, 0.8], 256.0)
+        want = sc.modulus_curve(body, [0.4, 0.8], 256)
+        assert np.array_equal(got.delta, want.delta)
+        assert np.array_equal(got.error_bound, want.error_bound)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("eps", [[0.6, 0.3], [0.3, 0.3], [0.3, math.nan],
+                                     [0.3, math.inf], [[0.3, 0.6]], 0.3])
+    def test_bad_eps_raises_before_any_chord_search(self, monkeypatch, dim, eps):
+        searched = []
+        monkeypatch.setattr(modulus, "_chords_of_length", lambda *args: searched.append(args))
+        with pytest.raises(ValueError, match="strictly increasing"):
+            sc.modulus_curve(sc.Ball(np.zeros(dim), 1.0), eps, 64)
+        assert searched == []
 
 
 class TestFit:
