@@ -62,138 +62,40 @@ def angle_grid(n: int = DEFAULT_GRID_2D) -> np.ndarray:
 
 
 def sphere_grid(n: int = DEFAULT_GRID_ND, dim: int = 3, seed: int = 0) -> np.ndarray:
-    """(n, dim) deterministic low-discrepancy unit directions for 3 <= dim <= 32.
+    """(n, dim) deterministic low-discrepancy unit directions, n >= 1, dim >= 2.
 
-    Scrambled Sobol points are pushed through the inverse normal CDF and
-    normalized, which distributes them uniformly on the sphere.  The grid is
-    built once per (n, dim, seed) and returned read-only.
+    A Fibonacci lattice in 3-D (Gonzalez, Math. Geosci. 42, 2010), else a
+    Kronecker (R_d) sequence in 2 ceil(dim/2) coordinates taken to normals by
+    Box-Muller and normalized.  Every seed, 0 included, turns the lattice by
+    the Q of a QR of default_rng(seed) Gaussians, so that its poles do not sit
+    on the coordinate axes of axis-aligned bodies.
+    The grid is built once per (n, dim, seed) and returned read-only.
     """
-    return _sphere_grid(n, dim, seed)
+    if not (n >= 1 and dim >= 2 and float(n).is_integer() and float(dim).is_integer()):
+        raise ValueError(f"sphere_grid needs whole numbers n >= 1 and dim >= 2, got {n!r}, {dim!r}")
+    return _sphere_grid(int(n), int(dim), seed)
 
 
 @functools.lru_cache(maxsize=16)
 def _sphere_grid(n: int, dim: int, seed: int) -> np.ndarray:
-    u = _sobol_points(max(1, math.ceil(math.log2(n))), dim, seed)[:n]
-    g = _ndtri(np.clip(u * 2.0**-_SOBOL_BITS, 1e-12, 1.0 - 1e-12))
-    norms = np.linalg.norm(g, axis=1)
-    norms[norms == 0.0] = 1.0
-    return _frozen(g / norms[:, None])
-
-
-# Joe-Kuo direction numbers of the first 32 Sobol dimensions (the rows scipy
-# ships): the primitive polynomial as an integer and its initial direction
-# numbers, one per degree.  Dimension 0 is the van der Corput sequence.
-_SOBOL_ROWS = (
-    (1, ()), (3, (1,)), (7, (1, 3)), (11, (1, 3, 1)), (13, (1, 1, 1)),
-    (19, (1, 1, 3, 3)), (25, (1, 3, 5, 13)), (37, (1, 1, 5, 5, 17)),
-    (41, (1, 1, 5, 5, 5)), (47, (1, 1, 7, 11, 19)), (55, (1, 1, 5, 1, 1)),
-    (59, (1, 1, 1, 3, 11)), (61, (1, 3, 5, 5, 31)), (67, (1, 3, 3, 9, 7, 49)),
-    (91, (1, 1, 1, 15, 21, 21)), (97, (1, 3, 1, 13, 27, 49)),
-    (103, (1, 1, 1, 15, 7, 5)), (109, (1, 3, 1, 15, 13, 25)),
-    (115, (1, 1, 5, 5, 19, 61)), (131, (1, 3, 7, 11, 23, 15, 103)),
-    (137, (1, 3, 7, 13, 13, 15, 69)), (143, (1, 1, 3, 13, 7, 35, 63)),
-    (145, (1, 3, 5, 9, 1, 25, 53)), (157, (1, 3, 1, 13, 9, 35, 107)),
-    (167, (1, 3, 1, 5, 27, 61, 31)), (171, (1, 1, 5, 11, 19, 41, 61)),
-    (185, (1, 3, 5, 3, 3, 13, 69)), (191, (1, 1, 7, 13, 1, 19, 1)),
-    (193, (1, 3, 7, 5, 13, 19, 59)), (203, (1, 1, 3, 9, 25, 29, 41)),
-    (211, (1, 3, 5, 13, 23, 1, 55)), (213, (1, 3, 7, 3, 13, 59, 17)),
-)
-_SOBOL_BITS = 30
-
-
-def _sobol_points(m: int, dim: int, seed: int) -> np.ndarray:
-    """(2**m, dim) scrambled Sobol points as 30-bit integers.
-
-    LMS scrambling plus a digital shift, drawn from default_rng(seed) in the
-    order scipy.stats.qmc.Sobol(dim, scramble=True, seed=seed) draws them, so
-    the points equal its random_base2(m).
-    """
-    if not 1 <= dim <= len(_SOBOL_ROWS):
-        raise ValueError(f"sphere_grid supports 1 <= dim <= {len(_SOBOL_ROWS)}, got {dim}")
-    bits = _SOBOL_BITS
-    v = np.ones((dim, bits), dtype=np.uint32)
-    for d in range(1, dim):
-        poly, row = _SOBOL_ROWS[d]
-        deg = len(row)
-        row = list(row)
-        for j in range(deg, bits):
-            new = row[j - deg]
-            for k in range(deg):
-                if (poly >> (deg - 1 - k)) & 1:
-                    new ^= row[j - k - 1] << (k + 1)
-            row.append(new)
-        v[d] = row
-    # v[d, j] becomes the direction number m_j / 2**(j + 1) as a 30-bit fraction
-    v <<= np.arange(bits - 1, -1, -1, dtype=np.uint32)
-    pow2 = np.uint32(1) << np.arange(bits, dtype=np.uint32)
-    rng = np.random.default_rng(seed)
-    shift = rng.integers(2, size=(dim, bits), dtype=np.uint32) @ pow2
-    ltm = np.tril(rng.integers(2, size=(dim, bits, bits), dtype=np.uint32))
-    ltm[:, np.arange(bits), np.arange(bits)] = 1
-    # Bit (bits - 1 - p) of the scrambled v[d, j] is the parity of lsm[d, p] & v[d, j].
-    lsm = ltm @ pow2[::-1]
-    x = lsm[:, None, :] & v[:, :, None]
-    for s in (16, 8, 4, 2, 1):
-        x ^= x >> np.uint32(s)
-    v = (x & np.uint32(1)) @ pow2[::-1]
-    # Gray-code order: point i is the shift xor the columns of v at the set
-    # bits of i ^ (i >> 1).
-    pts = shift[None, :]
-    for k in range(m):
-        pts = np.concatenate([pts, pts[::-1] ^ v[:, k]])
-    return pts
-
-
-# Cephes ndtri: the inverse of the standard normal CDF, a rational in y - 1/2
-# on the centre band and rationals in 1/sqrt(-2 log y) on the tails.
-_NDTRI_P0 = (-5.99633501014107895267e1, 9.80010754185999661536e1, -5.66762857469070293439e1,
-             1.39312609387279679503e1, -1.23916583867381258016e0)
-_NDTRI_Q0 = (1.95448858338141759834e0, 4.67627912898881538453e0, 8.63602421390890590575e1,
-             -2.25462687854119370527e2, 2.00260212380060660359e2, -8.20372256168333339912e1,
-             1.59056225126211695515e1, -1.18331621121330003142e0)
-_NDTRI_P1 = (4.05544892305962419923e0, 3.15251094599893866154e1, 5.71628192246421288162e1,
-             4.40805073893200834700e1, 1.46849561928858024014e1, 2.18663306850790267539e0,
-             -1.40256079171354495875e-1, -3.50424626827848203418e-2, -8.57456785154685413611e-4)
-_NDTRI_Q1 = (1.57799883256466749731e1, 4.53907635128879210584e1, 4.13172038254672030440e1,
-             1.50425385692907503408e1, 2.50464946208309415979e0, -1.42182922854787788574e-1,
-             -3.80806407691578277194e-2, -9.33259480895457427372e-4)
-_NDTRI_P2 = (3.23774891776946035970e0, 6.91522889068984211695e0, 3.93881025292474443415e0,
-             1.33303460815807542389e0, 2.01485389549179081538e-1, 1.23716634817820021358e-2,
-             3.01581553508235416007e-4, 2.65806974686737550832e-6, 6.23974539184983293730e-9)
-_NDTRI_Q2 = (6.02427039364742014255e0, 3.67983563856160859403e0, 1.37702099489081330271e0,
-             2.16236993594496635890e-1, 1.34204006088543189037e-2, 3.28014464682127739104e-4,
-             2.89247864745380683936e-6, 6.79019408009981274425e-9)
-_EXP_M2 = 0.13533528323661269189
-_SQRT_2PI = 2.50662827463100050242
-
-
-def _rational(x: np.ndarray, p: tuple, q: tuple) -> np.ndarray:
-    """x p(x) / q(x) by Horner's rule, q monic with its leading 1 left out."""
-    num = np.full_like(x, p[0])
-    for c in p[1:]:
-        num = num * x + c
-    den = x + q[0]
-    for c in q[1:]:
-        den = den * x + c
-    return x * num / den
-
-
-def _ndtri(y: np.ndarray) -> np.ndarray:
-    """Inverse standard normal CDF of an array of values in (0, 1)."""
-    upper = y > 1.0 - _EXP_M2
-    y = np.where(upper, 1.0 - y, y)
-    out = np.empty_like(y)
-    centre = y > _EXP_M2
-    c = y[centre] - 0.5
-    c2 = c * c
-    out[centre] = (c + c * _rational(c2, _NDTRI_P0, _NDTRI_Q0)) * _SQRT_2PI
-    tail = ~centre
-    x = np.sqrt(-2.0 * np.log(y[tail]))
-    z = 1.0 / x
-    x1 = np.where(x < 8.0, _rational(z, _NDTRI_P1, _NDTRI_Q1), _rational(z, _NDTRI_P2, _NDTRI_Q2))
-    t = (x - np.log(x) / x) - x1
-    out[tail] = np.where(upper[tail], t, -t)
-    return out
+    if dim == 3:
+        # one point per equal-area band in z, at golden-angle longitudes
+        z = 1.0 - (2.0 * np.arange(n) + 1.0) / n
+        lon, rho = (np.pi * (3.0 - math.sqrt(5.0))) * np.arange(n), np.sqrt(1.0 - z * z)
+        g = np.stack([rho * np.cos(lon), rho * np.sin(lon), z], axis=1)
+    else:
+        k = 2 * -(-dim // 2)
+        # the R_d steps are powers of 1/phi, phi the positive root of x^(k+1) = x + 1
+        phi = 2.0
+        for _ in range(64):
+            phi = (1.0 + phi) ** (1.0 / (k + 1))
+        u = (0.5 + np.outer(np.arange(1.0, n + 1), phi ** -np.arange(1.0, k + 1))) % 1.0
+        # Box-Muller, one normal pair per coordinate pair; 1 - u lies in (0, 1]
+        radius, angle = np.sqrt(-2.0 * np.log1p(-u[:, 0::2])), 2.0 * np.pi * u[:, 1::2]
+        g = np.stack([radius * np.cos(angle), radius * np.sin(angle)], axis=2).reshape(n, k)
+        g = g[:, :dim] / np.linalg.norm(g[:, :dim], axis=1)[:, None]
+    q, r = np.linalg.qr(np.random.default_rng(seed).standard_normal((dim, dim)))
+    return _frozen(g @ (q * np.sign(np.diag(r))).T)
 
 
 def sphere_grid_angle(n: int, dim: int) -> float:
@@ -205,7 +107,7 @@ def sphere_grid_angle(n: int, dim: int) -> float:
 
 
 def default_grid(dim: int, n: int | None = None) -> np.ndarray:
-    """Direction grid for the given dimension (uniform angles in 2-D, Sobol else)."""
+    """Direction grid for the given dimension (uniform angles in 2-D, sphere_grid else)."""
     if dim == 2:
         return angle_grid(n or DEFAULT_GRID_2D)
     return sphere_grid(n or DEFAULT_GRID_ND, dim)

@@ -273,8 +273,8 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--body", required=True, help="path to a body JSON description")
         p.add_argument("--seed", type=int, default=0,
-                       help="seed of the sphere grid of the radius tests (d >= 3); "
-                            "recorded in outputs")
+                       help="seed of the turn of the sphere grid of the radius tests "
+                            "(d >= 3; seed 0 turns it too); recorded in outputs")
         p.add_argument("--out", help="output path (JSON or CSV depending on command)")
 
     p = sub.add_parser("modulus", help="scan the modulus of convexity and fit C")

@@ -109,7 +109,10 @@ def _direction_pairs(body: ConvexBody, n_pairs: int, seed: int):
         return (np.stack([np.cos(theta), np.sin(theta)], axis=1),
                 np.stack([np.cos(partner), np.sin(partner)], axis=-1).reshape(-1, 2))
     base = sphere_grid(n_base, body.dim, seed=seed)
-    tang = _principal_tangents(body, base)
+    # the stencil holds 1 + 2 (d - 1)^2 points of d floats per base
+    chunk = max(1, _STENCIL_FLOATS // ((1 + 2 * (body.dim - 1) ** 2) * body.dim))
+    tang = np.concatenate([_principal_tangents(body, base[k:k + chunk])
+                           for k in range(0, n_base, chunk)])
     partner = np.cos(gaps)[:, :, None] * base + np.sin(gaps)[:, :, None] * tang
     return base, partner.reshape(-1, body.dim)
 
@@ -118,12 +121,21 @@ def _direction_pairs(body: ConvexBody, n_pairs: int, seed: int):
 _REL_TOL = 1e-8
 # step of the finite-difference support Hessian
 _HESSIAN_STEP = 1e-3
+# floats of stencil points evaluated at once, which bounds the memory in high d
+_STENCIL_FLOATS = 2**20
 # the gate reads the growth from pi/128 to pi/256, the finest scales at which
 # the _REL_TOL floor lowers thresholds by less than 0.1 %
 _GATE_SCALES = (6, 7)
 _SMOOTH_GROWTH = 0.1
 _FLAT_GROWTH = 0.85
 _NOISE_GROWTH = 1.5
+# On a point x, s(p) = (p, x) and a base pair's exact b is (m - fl(m), x),
+# within u |x|; the three products s(p1), s(p2), s(m), weighted 1/2, 1/2 and
+# 1, are off by d u |x| each at most, and the rounded sum and difference add
+# 2 u |x| at most.  So |b| <= (2d + 3) u |x| <= 4 d u |x|, and |x| <= 2 max |s|
+# once an evaluated direction lies within 60 degrees of +-x, which bounds |b|
+# by 8 d u max |s|, with u = eps / 2.
+_POINT_B_SCALE = 4.0 * np.finfo(float).eps
 # base offsets of the cascade pairs along an anchor's great circle, in gaps
 _FINE_OFFSETS = np.arange(-4, 5) / 32.0
 _COARSE_OFFSETS = np.arange(-16, 17) / 4.0
@@ -155,8 +167,8 @@ _CASCADE = _cascade_steps()
 
 
 def _pair_table(body: ConvexBody, n_pairs: int, seed: int):
-    """Unit pairs (P1, P2), their violation coefficients and thresholds, and
-    the largest threshold per scale.
+    """Unit pairs (P1, P2), their violation coefficients and thresholds, the
+    largest threshold per scale, and the base pairs' max |b| over their max |s|.
 
     With m = (p1 + p2) / 2, the midpoint violation of the gap function is
     b - R a, where a = 1 - |m| and b = (s(p1) + s(p2)) / 2 - s(m).  It exceeds
@@ -175,6 +187,8 @@ def _pair_table(body: ConvexBody, n_pairs: int, seed: int):
     s = body.support_values(np.concatenate([base, P2, M]))
     a = 1.0 - np.linalg.norm(M, axis=1)
     b = 0.5 * (np.tile(s[:n_base], n_scales) + s[n_base:n_base + len(P2)]) - s[n_base + len(P2):]
+    smax = float(np.max(np.abs(s)))
+    b_scale = float(np.max(np.abs(b))) / smax if smax > 0.0 else 0.0
     per_scale = (b / (a + _REL_TOL)).reshape(n_scales, n_base)
     best = np.argmax(per_scale, axis=1) + n_base * np.arange(n_scales)
     top = per_scale.ravel()[best]
@@ -200,7 +214,7 @@ def _pair_table(body: ConvexBody, n_pairs: int, seed: int):
                     top[scale] = thr[j]
                     anchors[scale] = Q1[j], Q2[j]
     P1, P2, a, b = (np.concatenate(c) for c in zip(*rows))
-    return P1, P2, a, b, b / (a + _REL_TOL), top
+    return P1, P2, a, b, b / (a + _REL_TOL), top, b_scale
 
 
 def check_strong_convexity(
@@ -218,7 +232,7 @@ def check_strong_convexity(
     """
     if not 0.0 < R < math.inf:
         raise ValueError("radius must be positive and finite")
-    P1, P2, a, b, threshold, _ = _pair_table(body, n_pairs, seed)
+    P1, P2, a, b, threshold = _pair_table(body, n_pairs, seed)[:5]
     tol = _REL_TOL * float(R)
     bad = np.flatnonzero(threshold > R)
     if len(bad):
@@ -245,12 +259,16 @@ def min_strong_radius(
     - in between: NotStronglyConvexError naming gamma, the order
       alpha = (2 - gamma) / (1 - gamma) it suggests and the per-scale ratios.
       This is an undecided answer, not a verdict.
-    Thresholds of a convex body grow at most like 1/g.  Growth of 1.5 or more
-    is rounding noise over a vanishing a ~ g^2 / 8, as on a point, and raises
-    OutOfDomainError.
+    A table whose base pairs' b are all rounding noise, as on a point, raises
+    OutOfDomainError before the gate; so does growth of 1.5 or more, rounding
+    noise over a vanishing a ~ g^2 / 8, since a convex body's grows like 1/g.
     """
     # only the per-scale maxima stay alive, so a raised error holds no table
-    top = _pair_table(body, n_pairs, seed)[5]
+    top, b_scale = _pair_table(body, n_pairs, seed)[5:]
+    if b_scale <= _POINT_B_SCALE * body.dim:
+        raise OutOfDomainError(
+            f"every base pair's b is rounding noise ({b_scale:.3g} of the largest "
+            "support value); the body has no curvature to measure")
     wide, narrow = top[list(_GATE_SCALES)]
     growth = math.log2(narrow / wide) if wide > 0.0 and narrow > 0.0 else math.inf
     if growth >= _NOISE_GROWTH:

@@ -5,10 +5,9 @@ oracle works from sampled ball centers thinned by scipy's convex hull, the
 modulus oracle scans chords on an exact ellipse parametrization, the support
 polygon reconstructs a body from raw support values, and the dense chord,
 depth and radial scans evaluate every point pair and every direction that the
-library's pruned kernels skip; the sphere-grid oracle is the scipy code the
-library's numpy Sobol generator replaced; the refinement-chain and
-support-point oracles are the step-by-step loops that the library's closed
-forms and vectorised tie-breaks replaced, and the minimal-radius oracle is the
+library's pruned kernels skip; the refinement-chain and support-point
+oracles are the step-by-step loops that the library's closed forms and
+vectorised tie-breaks replaced, and the minimal-radius oracle is the
 bracket, expand and bisect search over full convexity checks that the
 closed-form maximum of the pair thresholds replaced, with the curvature radii
 h + h'' of the support function that bracket it in the plane; the closed
@@ -213,23 +212,6 @@ def dense_radial_extents(grid: np.ndarray, numer: np.ndarray, rays: np.ndarray) 
     for k0 in range(0, len(rays), 512):
         inv[k0:k0 + 512] = (w @ rays[k0:k0 + 512].T).max(axis=0)
     return 1.0 / inv
-
-
-def scipy_sphere_grid(n: int, dim: int = 3, seed: int = 0) -> np.ndarray:
-    """(n, dim) unit directions from scipy's scrambled Sobol sampler and ndtri.
-
-    The legacy seed= keyword seeds numpy.random.default_rng(seed); rng=seed
-    would draw different points.
-    """
-    from scipy.special import ndtri
-    from scipy.stats import qmc
-
-    sampler = qmc.Sobol(d=dim, scramble=True, seed=seed)
-    u = sampler.random_base2(max(1, math.ceil(math.log2(n))))[:n]
-    g = ndtri(np.clip(u, 1e-12, 1.0 - 1e-12))
-    norms = np.linalg.norm(g, axis=1)
-    norms[norms == 0.0] = 1.0
-    return g / norms[:, None]
 
 
 def iterated_fixed_point(R0: float, K: float, tol: float = 1e-9, max_iter: int = 500):

@@ -7,16 +7,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from oracles import loop_hull_support_points, scipy_sphere_grid, support_curvature_radii
+from oracles import loop_hull_support_points, support_curvature_radii
 
 import strconvex as sc
-from strconvex.bodies import (
-    _SOBOL_BITS,
-    _SOBOL_ROWS,
-    _ndtri,
-    _sobol_points,
-    grid_angle_error,
-)
+from strconvex.bodies import grid_angle_error
 
 SQ2 = math.sqrt(2.0)
 
@@ -238,35 +232,30 @@ class TestGrids:
     @pytest.mark.parametrize("dim", [3, 4, 5, 8, 32])
     @pytest.mark.parametrize("seed", [0, 1, 5])
     @pytest.mark.parametrize("n", [8, 410, 20000])
-    def test_sphere_grid_matches_scipy(self, dim, seed, n):
-        from scipy.stats import qmc
+    def test_sphere_grid_is_a_turned_lattice(self, dim, seed, n):
+        # the grid at seed s is the seed-0 grid times an orthogonal matrix iff
+        # the products of the first 64 rows with every row agree, since those
+        # rows span the space or are the whole grid
+        g, g0 = sc.sphere_grid(n, dim, seed), sc.sphere_grid(n, dim, 0)
+        assert g.shape == (n, dim)
+        assert np.max(np.abs(np.linalg.norm(g, axis=1) - 1.0)) <= 1e-12
+        assert np.max(np.abs(g[:64] @ g.T - g0[:64] @ g0.T)) <= 1e-12
 
-        m = math.ceil(math.log2(n))
-        want = qmc.Sobol(dim, scramble=True, seed=seed).random_base2(m) * 2.0**_SOBOL_BITS
-        assert np.array_equal(_sobol_points(m, dim, seed), want)
-        err = np.abs(sc.sphere_grid(n, dim, seed) - scipy_sphere_grid(n, dim, seed)).max()
-        assert err <= 1e-15
+    def test_sphere_grid_covers_the_sphere_at_its_spacing(self):
+        # the covering radius is the largest angle from a Delaunay facet's
+        # circumcentre, the facet normal of the hull, to its vertices
+        from scipy.spatial import ConvexHull
 
-    def test_direction_numbers_are_scipys(self):
-        import scipy.stats
+        g = sc.sphere_grid()
+        hull = ConvexHull(g)
+        cos = np.einsum("ij,ij->i", hull.equations[:, :3], g[hull.simplices[:, 0]])
+        assert np.arccos(np.min(cos)) <= sc.bodies.sphere_grid_angle(20000, 3)
 
-        table = np.load(Path(scipy.stats.__file__).parent / "_sobol_direction_numbers.npz")
-        for d, (poly, row) in enumerate(_SOBOL_ROWS):
-            assert poly == table["poly"][d]
-            assert row == tuple(table["vinit"][d, :poly.bit_length() - 1])
-
-    def test_inverse_normal_matches_scipy(self):
-        from scipy.special import ndtri
-
-        rng = np.random.default_rng(3)
-        y = np.concatenate([rng.random(10000), 10.0 ** -rng.uniform(0, 300, 10000),
-                            1.0 - 10.0 ** -rng.uniform(0, 16, 10000),
-                            [1e-300, math.exp(-32), math.exp(-2), 1.0 - math.exp(-2), 0.5]])
-        np.testing.assert_allclose(_ndtri(y), ndtri(y), rtol=1e-15, atol=0.0)
-
-    def test_sphere_grid_dimension_limit(self):
-        with pytest.raises(ValueError, match="32"):
-            sc.sphere_grid(64, 33)
+    @pytest.mark.parametrize("n, dim", [(0, 3), (-4, 3), (410.5, 3), (math.nan, 3),
+                                        (64, 1), (64, 2.5)])
+    def test_sphere_grid_rejects_bad_arguments(self, n, dim):
+        with pytest.raises(ValueError, match="whole"):
+            sc.sphere_grid(n, dim)
 
     def test_no_scipy_at_run_time(self):
         code = (

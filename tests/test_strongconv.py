@@ -207,6 +207,39 @@ class TestGrowthGate:
         with pytest.raises(sc.OutOfDomainError):
             sc.min_strong_radius(sc.PointHull([point]))
 
+    @pytest.mark.parametrize("point", [[1.0, -2.0, 0.5], [0.3, 0.2, 0.1],
+                                       [0.3, 0.2, 0.1, 0.4]])
+    def test_point_verdict_does_not_depend_on_the_seed(self, point):
+        # its b are rounding, so the growth alone would read 1 or 2 by chance
+        for seed in range(16):
+            with pytest.raises(sc.OutOfDomainError):
+                sc.min_strong_radius(sc.PointHull([point]), seed=seed)
+
+    def test_ellipsoid_reaches_closed_form_on_every_seed(self):
+        body = sc.Ellipsoid([0.0, 0.0, 0.0], [2.0, 1.5, 1.0])
+        for seed in range(12):
+            r, _ = sc.min_strong_radius(body, seed=seed)
+            assert r == pytest.approx(4.0, rel=0.01)
+
+    @pytest.mark.parametrize("dim", [4, 8, 16, 24, 33, 40])
+    def test_unit_ball_in_any_dimension(self, dim):
+        r, _ = sc.min_strong_radius(sc.Ball(np.zeros(dim), 1.0))
+        assert r == pytest.approx(1.0, abs=1e-6)
+
+    def test_high_dimensional_table_memory_is_bounded(self):
+        # the Hessian stencil of 1 + 2 (d - 1)^2 points per base is evaluated
+        # in chunks of bases
+        import tracemalloc
+
+        body = sc.Ellipsoid(np.zeros(24), np.linspace(3.0, 1.0, 24))
+        tracemalloc.start()
+        try:
+            sc.min_strong_radius(body)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+
     @pytest.mark.parametrize("p", [1.5, 1.8])
     def test_lp_disc_below_two_reaches_closed_form(self, p):
         r, _ = sc.min_strong_radius(LpDisc(p, 1.3))
