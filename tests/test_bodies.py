@@ -232,14 +232,29 @@ class TestGrids:
     @pytest.mark.parametrize("dim", [3, 4, 5, 8, 32])
     @pytest.mark.parametrize("seed", [0, 1, 5])
     @pytest.mark.parametrize("n", [8, 410, 20000])
-    def test_sphere_grid_is_a_turned_lattice(self, dim, seed, n):
+    def test_sphere_grid_matches_scipy(self, dim, seed, n):
         # the grid at seed s is the seed-0 grid times an orthogonal matrix iff
         # the products of the first 64 rows with every row agree, since those
         # rows span the space or are the whole grid
+        from scipy.stats import ortho_group
+
         g, g0 = sc.sphere_grid(n, dim, seed), sc.sphere_grid(n, dim, 0)
         assert g.shape == (n, dim)
         assert np.max(np.abs(np.linalg.norm(g, axis=1) - 1.0)) <= 1e-12
         assert np.max(np.abs(g[:64] @ g.T - g0[:64] @ g0.T)) <= 1e-12
+        # and that matrix is scipy's Haar-random orthogonal draw from the
+        # same generator: unturn the seed-0 grid, turn it by seed s
+        q0, qs = (ortho_group.rvs(dim, random_state=np.random.default_rng(s)) for s in (0, seed))
+        assert np.max(np.abs(g - g0 @ q0 @ qs.T)) <= 1e-13
+
+    def test_sphere_grid_dimension_limit(self):
+        # dim = 1 has no sphere to cover; above it there is no cap
+        with pytest.raises(ValueError, match="dim >= 2"):
+            sc.sphere_grid(64, 1)
+        for dim in (33, 64):
+            g = sc.sphere_grid(64, dim)
+            assert g.shape == (64, dim)
+            assert np.max(np.abs(np.linalg.norm(g, axis=1) - 1.0)) <= 1e-12
 
     def test_sphere_grid_covers_the_sphere_at_its_spacing(self):
         # the covering radius is the largest angle from a Delaunay facet's
