@@ -128,13 +128,13 @@ _STENCIL_FLOATS = 2**20
 _GATE_SCALES = (6, 7)
 _SMOOTH_GROWTH = 0.1
 _FLAT_GROWTH = 0.85
-_NOISE_GROWTH = 1.5
 # On a point x, s(p) = (p, x) and a base pair's exact b is (m - fl(m), x),
 # within u |x|; the three products s(p1), s(p2), s(m), weighted 1/2, 1/2 and
 # 1, are off by d u |x| each at most, and the rounded sum and difference add
 # 2 u |x| at most.  So |b| <= (2d + 3) u |x| <= 4 d u |x|, and |x| <= 2 max |s|
 # once an evaluated direction lies within 60 degrees of +-x, which bounds |b|
-# by 8 d u max |s|, with u = eps / 2.
+# by 8 d u max |s|, with u = eps / 2.  A body whose b at the finest gate scale
+# is no larger has no curvature that the table can tell from rounding.
 _POINT_B_SCALE = 4.0 * np.finfo(float).eps
 # base offsets of the cascade pairs along an anchor's great circle, in gaps
 _FINE_OFFSETS = np.arange(-4, 5) / 32.0
@@ -168,7 +168,8 @@ _CASCADE = _cascade_steps()
 
 def _pair_table(body: ConvexBody, n_pairs: int, seed: int):
     """Unit pairs (P1, P2), their violation coefficients and thresholds, the
-    largest threshold per scale, and the base pairs' max |b| over their max |s|.
+    largest threshold per scale, and per scale the base pairs' max |b| over
+    the max |s|.
 
     With m = (p1 + p2) / 2, the midpoint violation of the gap function is
     b - R a, where a = 1 - |m| and b = (s(p1) + s(p2)) / 2 - s(m).  It exceeds
@@ -188,7 +189,8 @@ def _pair_table(body: ConvexBody, n_pairs: int, seed: int):
     a = 1.0 - np.linalg.norm(M, axis=1)
     b = 0.5 * (np.tile(s[:n_base], n_scales) + s[n_base:n_base + len(P2)]) - s[n_base + len(P2):]
     smax = float(np.max(np.abs(s)))
-    b_scale = float(np.max(np.abs(b))) / smax if smax > 0.0 else 0.0
+    b_scale = (np.max(np.abs(b).reshape(n_scales, n_base), axis=1) / smax
+               if smax > 0.0 else np.zeros(n_scales))
     per_scale = (b / (a + _REL_TOL)).reshape(n_scales, n_base)
     best = np.argmax(per_scale, axis=1) + n_base * np.arange(n_scales)
     top = per_scale.ravel()[best]
@@ -255,26 +257,23 @@ def min_strong_radius(
     which:
     - gamma <= 0.1: R_min is the largest pair threshold, and the bracket (the
       float below R_min, R_min) has a refuted low end and an accepted high end;
-    - 0.85 <= gamma < 1.5: NotUniformlyConvexError;
+    - gamma >= 0.85: NotUniformlyConvexError;
     - in between: NotStronglyConvexError naming gamma, the order
       alpha = (2 - gamma) / (1 - gamma) it suggests and the per-scale ratios.
       This is an undecided answer, not a verdict.
-    A table whose base pairs' b are all rounding noise, as on a point, raises
-    OutOfDomainError before the gate; so does growth of 1.5 or more, rounding
-    noise over a vanishing a ~ g^2 / 8, since a convex body's grows like 1/g.
+    Before the gate, OutOfDomainError: at the finest gate scale every base
+    pair's b is within the rounding of a point's, as on a point or on
+    Ball([1, 0, 0], 1e-12), so the growth would read rounding noise.
     """
     # only the per-scale maxima stay alive, so a raised error holds no table
     top, b_scale = _pair_table(body, n_pairs, seed)[5:]
-    if b_scale <= _POINT_B_SCALE * body.dim:
+    noise = b_scale[_GATE_SCALES[-1]]
+    if noise <= _POINT_B_SCALE * body.dim:
         raise OutOfDomainError(
-            f"every base pair's b is rounding noise ({b_scale:.3g} of the largest "
-            "support value); the body has no curvature to measure")
+            f"every base pair's b at the finest gate scale is rounding noise ({noise:.3g} "
+            "of the largest support value); the body has no curvature to measure")
     wide, narrow = top[list(_GATE_SCALES)]
     growth = math.log2(narrow / wide) if wide > 0.0 and narrow > 0.0 else math.inf
-    if growth >= _NOISE_GROWTH:
-        raise OutOfDomainError(
-            f"pair thresholds grow like 1/g^2 (growth {growth:.3g}), as rounding noise "
-            "does; the body has no curvature to measure")
     if growth >= _FLAT_GROWTH:
         raise NotUniformlyConvexError(
             f"pair thresholds double per halving of the gap (growth {growth:.3g} >= "

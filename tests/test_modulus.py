@@ -144,6 +144,20 @@ class TestSectionedCurve:
         assert np.max(np.abs(curve.delta - want_delta) / want_delta) <= 1e-14
         assert np.array_equal(curve.error_bound, [c.error_bound[0] for c in pointwise])
 
+    def test_turned_ellipsoid_stays_near_the_pole_chord(self):
+        # The least depth is read off the sphere grid's directions, so it
+        # overshoots by the grid's sagitta at the flattest point, which
+        # depends on how the body sits in the grid.  The pole chord's depth
+        # d_pole bounds the true delta from above.
+        eps = np.array([0.1, 0.2, 0.3]) * 4.0
+        d_pole = 1.0 - np.sqrt(1.0 - eps**2 / 16.0)
+        for seed in range(12):
+            q, r = np.linalg.qr(np.random.default_rng(seed).standard_normal((3, 3)))
+            turn = np.eye(3) if seed == 0 else q * np.sign(np.diag(r))
+            body = sc.Ellipsoid([0.1, -0.2, 0.3], [2.0, 1.5, 1.0], turn)
+            curve = sc.modulus_curve(body, eps, 256)
+            assert np.all(curve.delta <= 1.07 * d_pole), seed
+
     @pytest.mark.parametrize("bad", [0.0, -0.1, 4.0, 5.0])
     def test_curve_rejects_eps_outside_domain(self, bad):
         body = self.BODIES["ellipsoid"]  # diameter 4
