@@ -286,9 +286,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("radius", help="check/minimize/predict strong-convexity radii")
     common(p)
-    p.add_argument("--check", type=float, help="test strong convexity at this radius")
-    p.add_argument("--minimize", action="store_true",
-                   help="the smallest radius the --check test accepts")
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--check", type=float, help="test strong convexity at this radius")
+    mode.add_argument("--minimize", action="store_true",
+                      help="the smallest radius the --check test accepts")
     p.add_argument("--tol", type=float, default=0.01,
                    help="predict mode only: the chain stops within tol * 1/(8K) of its limit")
     p.add_argument("--n-pairs", type=int, default=4096)

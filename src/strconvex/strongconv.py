@@ -5,11 +5,14 @@ the gap function f(p) = R|p| - s(p) is convex.  The tester checks midpoint
 convexity of f over sampled direction pairs at several angular separations; a
 violating pair certifies non-convexity, absence of one is (dense) evidence.
 On each pair the midpoint violation is affine in R, so the smallest radius the
-test accepts is a maximum over the pairs, computed in closed form.
+test accepts is a maximum over the pairs, computed in closed form.  The last
+table of pairs built is kept, so the calls that follow on the same body read
+it instead of building it again.
 """
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -166,7 +169,60 @@ def _cascade_steps() -> list[np.ndarray]:
 _CASCADE = _cascade_steps()
 
 
+# the last pair table built, as (key, table); see _pair_table
+_last_table = None
+
+
+def _table_key(body, n_pairs: int, seed: int):
+    """The body's value, with n_pairs and seed, or None for a body whose table
+    is rebuilt on every call.
+
+    The key is taken when the table is built, so a body changed in place later
+    misses.  It holds what ConvexBody.__eq__ compares, the type and _key(),
+    plus the dimension, since a point hull's _key does not hold its shape.
+    Objects that are not a ConvexBody (they compare by identity and may be
+    mutable) and bodies whose value does not hash (no _key, or one holding a
+    mutable part) get None.
+    """
+    if not isinstance(body, ConvexBody):
+        return None
+    try:
+        key = (type(body), body.dim, body._key(), n_pairs, seed)
+        hash(key)
+    except (NotImplementedError, TypeError):
+        return None
+    return key
+
+
 def _pair_table(body: ConvexBody, n_pairs: int, seed: int):
+    """The pair table of _build_pair_table, read-only, built once per body.
+
+    The last table built is kept, so that a minimal radius and the checks
+    that follow it on the same body, or an equal one, share it.  It is
+    dropped before another is built, so at most one table outlives a call.
+    """
+    if (isinstance(n_pairs, bool) or not isinstance(n_pairs, numbers.Real)
+            or not (n_pairs >= 1 and float(n_pairs).is_integer())):
+        raise ValueError(f"n_pairs must be a positive whole number, got {n_pairs!r}")
+    global _last_table
+    n_pairs = int(n_pairs)
+    key = _table_key(body, n_pairs, seed)
+    # the entry is read and replaced whole, so another thread sees a
+    # matching (key, table) pair or none
+    last = _last_table
+    if key is not None and last is not None and last[0] == key:
+        return last[1]
+    # drop the kept table, this frame's reference too, before building another
+    _last_table = last = None
+    table = _build_pair_table(body, n_pairs, seed)
+    for arr in table:
+        arr.setflags(write=False)
+    if key is not None:
+        _last_table = (key, table)
+    return table
+
+
+def _build_pair_table(body: ConvexBody, n_pairs: int, seed: int):
     """Unit pairs (P1, P2), their violation coefficients and thresholds, the
     largest threshold per scale, and per scale the base pairs' max |b| over
     the max |s|.
@@ -230,7 +286,7 @@ def check_strong_convexity(
     Midpoint convexity on unit pairs at fine scale propagates to convexity by
     doubling, so the pairs mix wide and fine separations.  A pair refutes R
     when its violation exceeds tol = 1e-8 R; the first such pair (fixed
-    ordering) becomes the witness.
+    ordering) becomes the witness.  n_pairs must be a positive whole number.
     """
     if not 0.0 < R < math.inf:
         raise ValueError("radius must be positive and finite")
@@ -265,7 +321,8 @@ def min_strong_radius(
     pair's b is within the rounding of a point's, as on a point or on
     Ball([1, 0, 0], 1e-12), so the growth would read rounding noise.
     """
-    # only the per-scale maxima stay alive, so a raised error holds no table
+    # only the per-scale maxima are read here; the table stays kept for the
+    # checks that usually follow, also when the gate below raises
     top, b_scale = _pair_table(body, n_pairs, seed)[5:]
     noise = b_scale[_GATE_SCALES[-1]]
     if noise <= _POINT_B_SCALE * body.dim:

@@ -197,6 +197,18 @@ class TestRadiusCommand:
     def test_nan_radius_or_tol_exit_2(self, ball_json, args):
         assert main(["radius", "--body", ball_json] + args) == 2
 
+    @pytest.mark.parametrize("mode", [["--minimize"], ["--check", "1.5"]])
+    @pytest.mark.parametrize("n_pairs", ["0", "-5"])
+    def test_nonpositive_pair_count_exit_2(self, capsys, ball_json, mode, n_pairs):
+        assert main(["radius", "--body", ball_json, "--n-pairs", n_pairs] + mode) == 2
+        assert "n_pairs must be a positive whole number" in capsys.readouterr().err
+
+    def test_check_and_minimize_exclude_each_other(self, capsys, ball_json):
+        with pytest.raises(SystemExit) as info:
+            main(["radius", "--body", ball_json, "--check", "1.5", "--minimize"])
+        assert info.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+
 
 class TestHullCommand:
     def test_two_point_lens_svg(self, tmp_path):
@@ -283,6 +295,10 @@ class TestVerifyTheoremCommand:
     def test_nan_or_nonpositive_or_infinite_tol_exit_2(self, capsys, ball_json, tol):
         assert main(["verify-theorem", "--body", ball_json, "--tol", tol]) == 2
         assert "--tol" in capsys.readouterr().err
+
+    def test_nonpositive_pair_count_exit_2(self, capsys, ball_json):
+        assert main(["verify-theorem", "--body", ball_json, "--n-pairs", "0"]) == 2
+        assert "n_pairs must be a positive whole number" in capsys.readouterr().err
 
 
 class TestSvg:

@@ -1,9 +1,11 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
 
 import strconvex as sc
+from strconvex import strongconv
 from strconvex.strongconv import GapFunction, _tangent_bases
 
 from oracles import (
@@ -305,6 +307,168 @@ class TestComplementBody:
         sums = a_pts + b_pts
         radii = np.linalg.norm(sums, axis=1)
         assert np.max(np.abs(radii - R)) <= 1e-3
+
+
+class _Keyless(sc.ConvexBody):
+    """An ellipse through a ConvexBody subclass that defines no _key."""
+
+    dim = 2
+
+    def __init__(self):
+        self.inner = sc.Ellipsoid([0.3, -0.2], [2.0, 1.0])
+
+    def support_values(self, P):
+        return self.inner.support_values(P)
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """The bodies of every pair table built during the test; no table is kept
+    when it starts (conftest)."""
+    built = []
+    direction_pairs = strongconv._direction_pairs
+
+    def counted(body, n_pairs, seed):
+        built.append(body)
+        return direction_pairs(body, n_pairs, seed)
+
+    monkeypatch.setattr(strongconv, "_direction_pairs", counted)
+    return built
+
+
+def _decide_then_check(body, radii, cold):
+    """The minimal radius and the checks at radii from a cleared memo, each
+    call from a cleared one when cold; errors as (type, message)."""
+    out = []
+    strongconv._last_table = None
+    for fn, args in [(sc.min_strong_radius, ())] + [(sc.check_strong_convexity, (R,))
+                                                     for R in radii]:
+        if cold:
+            strongconv._last_table = None
+        try:
+            got = fn(body, *args)
+        except sc.StrConvexError as exc:
+            got = (type(exc), str(exc))
+        if isinstance(got, sc.ConvexityVerdict):
+            witness = got.witness and (got.witness[0].tobytes(), got.witness[1].tobytes(),
+                                       got.witness[2])
+            got = (got.is_convex, witness, got.samples_tested, got.tol, got.R)
+        out.append(got)
+    return out
+
+
+MEMO_BODIES = {
+    "ellipse_2d": (sc.Ellipsoid([0.3, -0.2], [2, 1], _rotation_2d(0.7)), [4.0, 3.6]),
+    "ellipsoid_3d": (sc.Ellipsoid([0.1, 0.0, -0.2], [2.0, 1.5, 1.0]), [4.0, 3.6]),
+    "lens": (sc.lens([-0.6, 0], [0.6, 0], 1.0), [1.0, 0.9]),
+    "ellipse_plus_ball": (sc.MinkowskiSum([sc.Ellipsoid([0, 0], [1.5, 1]),
+                                           sc.Ball([0.2, 0.1], 0.5)]), [2.75, 2.5]),
+    "ball_40d": (sc.Ball(np.zeros(40), 1.0), [1.0, 0.9]),
+    "square": (sc.PointHull([[-1, -1], [1, -1], [1, 1], [-1, 1]]), [2.0, 1e4]),
+    "ball_plus_segment": (sc.MinkowskiSum([sc.Ball([0, 0], 1.0),
+                                           sc.PointHull([[-0.7, 0.2], [0.7, -0.2]])]),
+                          [2.0, 1e4]),
+    "complement": (sc.ComplementBody(sc.Ellipsoid([0, 0], [2, 1]), 5.0), [4.5, 4.0]),
+}
+
+
+class TestPairTableMemo:
+    """Consecutive calls on one body share the last pair table built."""
+
+    def test_minimal_radius_then_checks_build_once(self, builds):
+        body = sc.Ellipsoid([0.3, -0.2], [2.0, 1.0])
+        r, _ = sc.min_strong_radius(body)
+        assert sc.check_strong_convexity(body, r).is_convex
+        assert not sc.check_strong_convexity(body, 0.9 * r).is_convex
+        sc.complement_body(body, r)
+        assert len(builds) == 1
+
+    def test_equal_body_reuses_the_table(self, builds):
+        sc.min_strong_radius(sc.Ellipsoid([0, 0, 0], [2.0, 1.5, 1.0]))
+        sc.check_strong_convexity(sc.Ellipsoid([0, 0, 0], [2.0, 1.5, 1.0]), 4.0)
+        # whole numbers of another type are the same n_pairs
+        sc.check_strong_convexity(sc.Ellipsoid([0, 0, 0], [2.0, 1.5, 1.0]), 4.0,
+                                  n_pairs=np.int64(4096))
+        sc.check_strong_convexity(sc.Ellipsoid([0, 0, 0], [2.0, 1.5, 1.0]), 4.0,
+                                  n_pairs=4096.0)
+        assert len(builds) == 1
+
+    def test_another_body_pair_count_or_seed_rebuilds(self, builds):
+        body = sc.Ellipsoid([0, 0, 0], [2.0, 1.5, 1.0])
+        calls = [(body, 4096, 0), (body, 4096, 1), (body, 2048, 1),
+                 (sc.Ellipsoid([0, 0, 0], [2.0, 1.5, 1.5]), 2048, 1),
+                 (sc.Ball([0, 0, 0], 1.0), 2048, 1),
+                 # a point hull's bytes do not hold its shape: 4 x 2 against 2 x 4
+                 (sc.PointHull(np.arange(8.0).reshape(4, 2)), 4096, 0),
+                 (sc.PointHull(np.arange(8.0).reshape(2, 4)), 4096, 0)]
+        for b, n_pairs, seed in calls:
+            sc.check_strong_convexity(b, 4.0, n_pairs=n_pairs, seed=seed)
+        assert builds == [b for b, _, _ in calls]
+
+    @pytest.mark.parametrize("make", [
+        lambda: LpDisc(1.5, 1.3),
+        _Keyless,
+        lambda: sc.MinkowskiSum([_Keyless(), sc.Ball([0, 0], 0.5)]),
+    ], ids=["lp_disc", "keyless", "sum_with_keyless"])
+    def test_bodies_without_a_value_are_rebuilt(self, builds, make):
+        body = make()
+        first = _decide_then_check(body, [4.0, 3.0], cold=False)
+        assert len(builds) == 3
+        assert _decide_then_check(body, [4.0, 3.0], cold=False) == first
+        assert len(builds) == 6
+
+    def test_keyless_body_gives_the_answers_of_its_ellipse(self, builds):
+        body = _Keyless()
+        assert (_decide_then_check(body, [4.0, 3.9], cold=False)
+                == _decide_then_check(body.inner, [4.0, 3.9], cold=True))
+
+    def test_writes_cannot_change_the_next_verdict(self, builds):
+        body = sc.Ellipsoid([0, 0], [2.0, 1.0])
+        first = sc.check_strong_convexity(body, 3.6)
+        p1, p2 = first.witness[0].copy(), first.witness[1].copy()
+        first.witness[0][:] = 0.0
+        first.witness[1][:] = 0.0
+        for arr in strongconv._pair_table(body, 4096, 0):
+            with pytest.raises(ValueError):
+                arr[...] = 0.0
+        again = sc.check_strong_convexity(body, 3.6)
+        assert np.array_equal(again.witness[0], p1)
+        assert np.array_equal(again.witness[1], p2)
+        assert again.witness[2] == first.witness[2]
+        assert len(builds) == 1
+
+    def test_kept_table_is_dropped_before_the_next_build(self, monkeypatch):
+        kept = weakref.ref(strongconv._pair_table(sc.Ellipsoid([0, 0], [2.0, 1.0]), 4096, 0)[0])
+        alive = []
+        direction_pairs = strongconv._direction_pairs
+
+        def probe(body, n_pairs, seed):
+            alive.append(kept() is not None)
+            return direction_pairs(body, n_pairs, seed)
+
+        monkeypatch.setattr(strongconv, "_direction_pairs", probe)
+        sc.check_strong_convexity(sc.Ball([0, 0], 1.0), 1.0)
+        assert alive == [False]
+
+    @pytest.mark.parametrize("name", list(MEMO_BODIES))
+    def test_warm_memo_gives_the_cold_answers(self, builds, name):
+        body, radii = MEMO_BODIES[name]
+        cold = _decide_then_check(body, radii, cold=True)
+        assert len(builds) == 1 + len(radii)
+        builds.clear()
+        assert _decide_then_check(body, radii, cold=False) == cold
+        assert len(builds) == 1
+
+    @pytest.mark.parametrize("n_pairs", [0, -5, 2.5, float("nan"), float("inf"), True,
+                                         "4096", None])
+    def test_bad_pair_count_is_rejected_before_any_table(self, builds, n_pairs):
+        body = sc.Ellipsoid([0, 0], [2.0, 1.0])
+        for call in (lambda: sc.min_strong_radius(body, n_pairs=n_pairs),
+                     lambda: sc.check_strong_convexity(body, 4.0, n_pairs=n_pairs),
+                     lambda: sc.complement_body(body, 4.0, n_pairs=n_pairs)):
+            with pytest.raises(ValueError, match="n_pairs must be a positive whole number"):
+                call()
+        assert builds == []
 
 
 class TestSupportingBall:
