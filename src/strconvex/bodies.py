@@ -336,7 +336,7 @@ class PointHull(ConvexBody):
         return f"PointHull({len(self.points)} points, dim={self.dim})"
 
     def _key(self):
-        return (self.points.tobytes(),)
+        return (self.points.shape, self.points.tobytes())
 
 
 class MinkowskiSum(ConvexBody):

@@ -11,6 +11,7 @@ it instead of building it again.
 """
 from __future__ import annotations
 
+import contextlib
 import math
 import numbers
 from dataclasses import dataclass
@@ -131,14 +132,16 @@ _STENCIL_FLOATS = 2**20
 _GATE_SCALES = (6, 7)
 _SMOOTH_GROWTH = 0.1
 _FLAT_GROWTH = 0.85
-# On a point x, s(p) = (p, x) and a base pair's exact b is (m - fl(m), x),
-# within u |x|; the three products s(p1), s(p2), s(m), weighted 1/2, 1/2 and
-# 1, are off by d u |x| each at most, and the rounded sum and difference add
-# 2 u |x| at most.  So |b| <= (2d + 3) u |x| <= 4 d u |x|, and |x| <= 2 max |s|
-# once an evaluated direction lies within 60 degrees of +-x, which bounds |b|
-# by 8 d u max |s|, with u = eps / 2.  A body whose b at the finest gate scale
-# is no larger has no curvature that the table can tell from rounding.
-_POINT_B_SCALE = 4.0 * np.finfo(float).eps
+# On a point x, s(p) = (p, x), and a pair's b is rounding: a base pair's
+# midpoint is off by u |x|, a cascade pair's points (c0, c1) @ (p, t), with
+# rounded midpoint coefficients, by 5 sqrt(2) u |x|, the three products,
+# weighted 1/2, 1/2 and 1, by d u |x| each, and the sum and difference by
+# 2 u |x|.  So |b| <= (2d + 10) u |x|, and |x| <= 2 max |s| once an evaluated
+# direction lies within 60 degrees of +-x: |b| <= 2 (d + 5) eps max |s|, with
+# u = eps / 2.  A body whose largest threshold at the finest gate scale, times
+# that scale's a, is no larger has no curvature the table tells from rounding.
+_POINT_B_SCALE = 2.0 * np.finfo(float).eps
+_GATE_A = 1.0 - math.cos(_GAP_SCALES[_GATE_SCALES[-1]] / 2.0)
 # base offsets of the cascade pairs along an anchor's great circle, in gaps
 _FINE_OFFSETS = np.arange(-4, 5) / 32.0
 _COARSE_OFFSETS = np.arange(-16, 17) / 4.0
@@ -178,8 +181,7 @@ def _table_key(body, n_pairs: int, seed: int):
     is rebuilt on every call.
 
     The key is taken when the table is built, so a body changed in place later
-    misses.  It holds what ConvexBody.__eq__ compares, the type and _key(),
-    plus the dimension, since a point hull's _key does not hold its shape.
+    misses.  It holds what ConvexBody.__eq__ compares, the type and _key().
     Objects that are not a ConvexBody (they compare by identity and may be
     mutable) and bodies whose value does not hash (no _key, or one holding a
     mutable part) get None.
@@ -187,7 +189,7 @@ def _table_key(body, n_pairs: int, seed: int):
     if not isinstance(body, ConvexBody):
         return None
     try:
-        key = (type(body), body.dim, body._key(), n_pairs, seed)
+        key = (type(body), body._key(), n_pairs, seed)
         hash(key)
     except (NotImplementedError, TypeError):
         return None
@@ -224,8 +226,7 @@ def _pair_table(body: ConvexBody, n_pairs: int, seed: int):
 
 def _build_pair_table(body: ConvexBody, n_pairs: int, seed: int):
     """Unit pairs (P1, P2), their violation coefficients and thresholds, the
-    largest threshold per scale, and per scale the base pairs' max |b| over
-    the max |s|.
+    largest threshold per scale and the base pairs' largest |s|.
 
     With m = (p1 + p2) / 2, the midpoint violation of the gap function is
     b - R a, where a = 1 - |m| and b = (s(p1) + s(p2)) / 2 - s(m).  It exceeds
@@ -244,9 +245,6 @@ def _build_pair_table(body: ConvexBody, n_pairs: int, seed: int):
     s = body.support_values(np.concatenate([base, P2, M]))
     a = 1.0 - np.linalg.norm(M, axis=1)
     b = 0.5 * (np.tile(s[:n_base], n_scales) + s[n_base:n_base + len(P2)]) - s[n_base + len(P2):]
-    smax = float(np.max(np.abs(s)))
-    b_scale = (np.max(np.abs(b).reshape(n_scales, n_base), axis=1) / smax
-               if smax > 0.0 else np.zeros(n_scales))
     per_scale = (b / (a + _REL_TOL)).reshape(n_scales, n_base)
     best = np.argmax(per_scale, axis=1) + n_base * np.arange(n_scales)
     top = per_scale.ravel()[best]
@@ -272,7 +270,31 @@ def _build_pair_table(body: ConvexBody, n_pairs: int, seed: int):
                     top[scale] = thr[j]
                     anchors[scale] = Q1[j], Q2[j]
     P1, P2, a, b = (np.concatenate(c) for c in zip(*rows))
-    return P1, P2, a, b, b / (a + _REL_TOL), top, b_scale
+    return P1, P2, a, b, b / (a + _REL_TOL), top, np.array(np.max(np.abs(s)))
+
+
+def _gate(top: np.ndarray, smax: np.ndarray, dim: int) -> float:
+    """R_min from a pair table's largest threshold per scale and largest |s|,
+    or the error that says why there is none; see min_strong_radius."""
+    b, noise = top[_GATE_SCALES[-1]] * _GATE_A, _POINT_B_SCALE * (dim + 5) * smax
+    if b <= noise:
+        raise OutOfDomainError(
+            f"the largest b at the finest gate scale, {b:.3g}, is within the rounding "
+            f"of a point's ({noise:.3g}); the body has no curvature to measure")
+    wide, narrow = top[list(_GATE_SCALES)]
+    growth = math.log2(narrow / wide) if wide > 0.0 and narrow > 0.0 else math.inf
+    if growth >= _FLAT_GROWTH:
+        raise NotUniformlyConvexError(
+            f"pair thresholds double per halving of the gap (growth {growth:.3g} >= "
+            f"{_FLAT_GROWTH}); body is not uniformly convex")
+    if growth > _SMOOTH_GROWTH:
+        ratios = ", ".join(f"{r:.3g}" for r in top[1:] / top[:-1])
+        alpha = (2.0 - growth) / (1.0 - growth)
+        raise NotStronglyConvexError(
+            f"undecided: pair thresholds grow by 2^{growth:.3g} per halving of the gap, "
+            f"between second order (<= {_SMOOTH_GROWTH}) and flat (>= {_FLAT_GROWTH}); "
+            f"order alpha = {alpha:.3g}; per-scale ratios {ratios}")
+    return float(np.max(top))
 
 
 def check_strong_convexity(
@@ -286,18 +308,24 @@ def check_strong_convexity(
     Midpoint convexity on unit pairs at fine scale propagates to convexity by
     doubling, so the pairs mix wide and fine separations.  A pair refutes R
     when its violation exceeds tol = 1e-8 R; the first such pair (fixed
-    ordering) becomes the witness.  n_pairs must be a positive whole number.
+    ordering) becomes the witness.  With none, min_strong_radius's gate decides:
+    R passes on a second-order body and on one with no curvature to measure (a
+    point is an intersection of balls of any radius); a flat or undecided one
+    raises NotUniformlyConvexError or NotStronglyConvexError.  ValueError: a bad R or n_pairs.
     """
     if not 0.0 < R < math.inf:
         raise ValueError("radius must be positive and finite")
-    P1, P2, a, b, threshold = _pair_table(body, n_pairs, seed)[:5]
-    tol = _REL_TOL * float(R)
+    P1, P2, a, b, threshold, top, smax = _pair_table(body, n_pairs, seed)
+    tol, n = _REL_TOL * float(R), len(P1)
     bad = np.flatnonzero(threshold > R)
     if len(bad):
         i = int(bad[0])
         witness = (P1[i].copy(), P2[i].copy(), float(b[i] - R * a[i]))
-        return ConvexityVerdict(False, witness, len(P1), tol, float(R))
-    return ConvexityVerdict(True, None, len(P1), tol, float(R))
+        return ConvexityVerdict(False, witness, n, tol, float(R))
+    del P1, P2, a, b, threshold  # so that an error of the gate does not pin the table
+    with contextlib.suppress(OutOfDomainError):
+        _gate(top, smax, body.dim)
+    return ConvexityVerdict(True, None, n, tol, float(R))
 
 
 def min_strong_radius(
@@ -317,32 +345,13 @@ def min_strong_radius(
     - in between: NotStronglyConvexError naming gamma, the order
       alpha = (2 - gamma) / (1 - gamma) it suggests and the per-scale ratios.
       This is an undecided answer, not a verdict.
-    Before the gate, OutOfDomainError: at the finest gate scale every base
-    pair's b is within the rounding of a point's, as on a point or on
-    Ball([1, 0, 0], 1e-12), so the growth would read rounding noise.
+    Before the gate, OutOfDomainError: T(pi/256) times its scale's a is within
+    the rounding of a point's b, as on a point or on Ball([1, 0, 0], 1e-12),
+    so the growth would read rounding noise.
     """
-    # only the per-scale maxima are read here; the table stays kept for the
-    # checks that usually follow, also when the gate below raises
-    top, b_scale = _pair_table(body, n_pairs, seed)[5:]
-    noise = b_scale[_GATE_SCALES[-1]]
-    if noise <= _POINT_B_SCALE * body.dim:
-        raise OutOfDomainError(
-            f"every base pair's b at the finest gate scale is rounding noise ({noise:.3g} "
-            "of the largest support value); the body has no curvature to measure")
-    wide, narrow = top[list(_GATE_SCALES)]
-    growth = math.log2(narrow / wide) if wide > 0.0 and narrow > 0.0 else math.inf
-    if growth >= _FLAT_GROWTH:
-        raise NotUniformlyConvexError(
-            f"pair thresholds double per halving of the gap (growth {growth:.3g} >= "
-            f"{_FLAT_GROWTH}); body is not uniformly convex")
-    if growth > _SMOOTH_GROWTH:
-        ratios = ", ".join(f"{r:.3g}" for r in top[1:] / top[:-1])
-        alpha = (2.0 - growth) / (1.0 - growth)
-        raise NotStronglyConvexError(
-            f"undecided: pair thresholds grow by 2^{growth:.3g} per halving of the gap, "
-            f"between second order (<= {_SMOOTH_GROWTH}) and flat (>= {_FLAT_GROWTH}); "
-            f"order alpha = {alpha:.3g}; per-scale ratios {ratios}")
-    r_min = float(np.max(top))
+    # only the per-scale maxima stay in this frame, so an error of the gate
+    # does not keep the table alive
+    r_min = _gate(*_pair_table(body, n_pairs, seed)[5:], body.dim)
     return r_min, (float(np.nextafter(r_min, 0.0)), r_min)
 
 
@@ -376,7 +385,8 @@ class ComplementBody(ConvexBody):
 
 
 def complement_body(body: ConvexBody, R: float, n_pairs: int = 4096) -> ComplementBody:
-    """Summand B with body + B = B_R(0), available once the criterion holds."""
+    """Summand B with body + B = B_R(0), available once the criterion holds;
+    raises what check_strong_convexity raises, or NotStronglyConvexError on a witness."""
     verdict = check_strong_convexity(body, R, n_pairs=n_pairs)
     if not verdict.is_convex:
         raise NotStronglyConvexError(

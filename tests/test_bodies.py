@@ -48,6 +48,15 @@ class TestSupportEval:
         with pytest.raises(sc.EmptyBodyError):
             sc.PointHull(np.zeros((0, 2)))
 
+    def test_hulls_of_one_array_in_two_shapes_differ(self):
+        # four points in the plane and two in R^4 hold the same bytes
+        planar, spatial = (sc.PointHull(np.arange(8.0).reshape(shape))
+                           for shape in ((4, 2), (2, 4)))
+        assert planar != spatial
+        assert hash(planar) != hash(spatial)
+        assert planar == sc.PointHull(np.arange(8.0).reshape(4, 2))
+        assert hash(planar) == hash(sc.PointHull(np.arange(8.0).reshape(4, 2)))
+
 
 class TestContains:
     def test_ball_inside(self):

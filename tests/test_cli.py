@@ -203,6 +203,23 @@ class TestRadiusCommand:
         assert main(["radius", "--body", ball_json, "--n-pairs", n_pairs] + mode) == 2
         assert "n_pairs must be a positive whole number" in capsys.readouterr().err
 
+    def test_check_reads_the_gate_of_minimize(self, tmp_path, capsys, square_json):
+        # above the square's largest pair threshold the check raises what
+        # --minimize raises, and writes no verdict
+        out = tmp_path / "verdict.json"
+        assert main(["radius", "--body", square_json, "--check", "10000",
+                     "--out", str(out)]) == 4
+        assert "not uniformly convex" in capsys.readouterr().err
+        assert not out.exists()
+        assert main(["radius", "--body", square_json, "--minimize"]) == 4
+
+    def test_check_below_the_largest_threshold_finds_a_witness(self, tmp_path, square_json):
+        out = str(tmp_path / "verdict.json")
+        assert main(["radius", "--body", square_json, "--check", "100", "--out", out]) == 3
+        verdict = json.loads(_read(out))
+        assert verdict["is_convex"] is False
+        assert verdict["witness"]["violation"] > verdict["tol"]
+
     def test_check_and_minimize_exclude_each_other(self, capsys, ball_json):
         with pytest.raises(SystemExit) as info:
             main(["radius", "--body", ball_json, "--check", "1.5", "--minimize"])

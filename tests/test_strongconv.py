@@ -1,3 +1,4 @@
+import gc
 import math
 import weakref
 
@@ -29,6 +30,15 @@ def _rotated_cube():
     rz = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
     corners = np.array([[i, j, k] for i in (0, 1) for j in (0, 1) for k in (0, 1)], float)
     return sc.PointHull(corners @ (rz @ rx).T)
+
+
+FLAT_BODIES = {
+    "square": sc.PointHull([[-1, -1], [1, -1], [1, 1], [-1, 1]]),
+    "triangle": sc.PointHull([[0, 0], [1, 0], [0.3, 0.8]]),
+    "ball_plus_segment": sc.MinkowskiSum([sc.Ball([0, 0], 1.0),
+                                          sc.PointHull([[-0.7, 0.2], [0.7, -0.2]])]),
+    "rotated_cube": _rotated_cube(),
+}
 
 
 class TestGapFunction:
@@ -198,15 +208,26 @@ class TestGrowthGate:
                 - 0.5 * (replay.value(p1) + replay.value(p2))) == pytest.approx(violation,
                                                                                 rel=1e-6)
 
-    @pytest.mark.parametrize("body", [
-        sc.PointHull([[-1, -1], [1, -1], [1, 1], [-1, 1]]),
-        sc.PointHull([[0, 0], [1, 0], [0.3, 0.8]]),
-        sc.MinkowskiSum([sc.Ball([0, 0], 1.0), sc.PointHull([[-0.7, 0.2], [0.7, -0.2]])]),
-        _rotated_cube(),
-    ], ids=["square", "triangle", "ball_plus_segment", "rotated_cube"])
+    @pytest.mark.parametrize("body", list(FLAT_BODIES.values()), ids=list(FLAT_BODIES))
     def test_flat_bodies_rejected(self, body):
         with pytest.raises(sc.NotUniformlyConvexError):
             sc.min_strong_radius(body)
+
+    @pytest.mark.parametrize("body, errors", [
+        (FLAT_BODIES["square"], sc.NotUniformlyConvexError),
+        (sc.PointHull([[i, j, k] for i in (0, 1) for j in (0, 1) for k in (0, 1)]),
+         sc.NotUniformlyConvexError),
+        # the growth of the rotated cube reads 0.78, undecided, at 500 pairs and
+        # seed 0 and at 8000 and seed 1; the rounding test still finds curvature
+        (_rotated_cube(), (sc.NotUniformlyConvexError, sc.NotStronglyConvexError)),
+    ], ids=["square", "cube", "rotated_cube"])
+    def test_flat_verdict_does_not_depend_on_the_pair_count_or_seed(self, body, errors):
+        # with 10-20 bases per scale no base pair straddles a corner; the
+        # cascade pairs do, and the rounding test reads them too
+        for n_pairs in (100, 200, 500, 1000, 2000, 4096, 8000):
+            for seed in range(3):
+                with pytest.raises(errors):
+                    sc.min_strong_radius(body, n_pairs=n_pairs, seed=seed)
 
     @pytest.mark.parametrize("point", [[0.3, 0.2], [0.3, 0.2, 0.1], [0.0, 0.0]])
     def test_point_has_no_curvature_to_measure(self, point):
@@ -263,6 +284,92 @@ class TestGrowthGate:
         gram = np.einsum("nid,njd->nij", E, E)
         assert np.allclose(gram, np.eye(3), atol=1e-14)
         assert np.max(np.abs(np.einsum("nid,nd->ni", E, P))) <= 1e-14
+
+
+GATE_BODIES = {
+    **FLAT_BODIES,
+    "lp3": LpDisc(3),
+    "lp4": LpDisc(4),
+    "point": sc.PointHull([[0.3, -0.4]]),
+    "disc": sc.Ball([0.2, 0.1], 1.0),
+    "ellipse_2to1": sc.Ellipsoid([0, 0], [2, 1]),
+    "lens": sc.lens([-0.6, 0], [0.6, 0], 1.0),
+    "ellipsoid_3d": sc.Ellipsoid([0, 0, 0], [2, 1.5, 1]),
+}
+
+
+def _attempt(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs)
+    except sc.StrConvexError as exc:
+        return exc
+
+
+class TestOneGate:
+    """check_strong_convexity and complement_body read the gate that
+    min_strong_radius reads."""
+
+    @pytest.mark.parametrize("n_pairs", [1000, 2000, 4096])
+    @pytest.mark.parametrize("name", list(GATE_BODIES))
+    def test_check_and_complement_agree_with_the_minimal_radius(self, name, n_pairs):
+        body = GATE_BODIES[name]
+        decided = _attempt(sc.min_strong_radius, body, n_pairs=n_pairs)
+        largest = float(np.max(strongconv._pair_table(body, n_pairs, 0)[4]))
+        radii = [10.0, 100.0, 1e3, 1e4, 1e6]
+        if isinstance(decided, sc.OutOfDomainError):
+            # a point's thresholds are rounding (below about 1e-10, where a
+            # rounding witness is found); the fixed radii all lie above them
+            assert largest < 1e-9
+        else:
+            radii += [0.5 * largest, float(np.nextafter(largest, 0.0)), largest,
+                      2.0 * largest]
+        for R in radii:
+            got = _attempt(sc.check_strong_convexity, body, R, n_pairs=n_pairs)
+            summand = _attempt(sc.complement_body, body, R, n_pairs=n_pairs)
+            if isinstance(got, sc.ConvexityVerdict) and got.witness is not None:
+                p1, p2, violation = got.witness
+                f = GapFunction(body, R).values(np.stack([p1, p2, 0.5 * (p1 + p2)]))
+                assert f[2] - 0.5 * (f[0] + f[1]) == pytest.approx(violation, rel=1e-6)
+                assert isinstance(summand, sc.NotStronglyConvexError)
+            if isinstance(decided, tuple):
+                assert got.is_convex == (R >= decided[0])
+            elif isinstance(decided, sc.OutOfDomainError):
+                assert got.is_convex
+            elif not isinstance(got, sc.ConvexityVerdict):
+                # flat or undecided: a witness, or the same error as the minimum
+                assert (type(got), str(got)) == (type(decided), str(decided))
+                assert (type(summand), str(summand)) == (type(decided), str(decided))
+            else:
+                assert not got.is_convex
+            if isinstance(got, sc.ConvexityVerdict) and got.is_convex:
+                assert isinstance(summand, sc.ComplementBody)
+
+    @pytest.mark.parametrize("call", [
+        lambda body: sc.min_strong_radius(body),
+        lambda body: sc.check_strong_convexity(body, 1e4),
+        lambda body: sc.complement_body(body, 1e4),
+        lambda body: sc.complement_body(body, 1.0),
+    ], ids=["min_strong_radius", "check", "complement", "complement_witness"])
+    @pytest.mark.parametrize("body", [FLAT_BODIES["square"], LpDisc(3)],
+                             ids=["square", "lp3"])
+    def test_a_kept_error_does_not_keep_the_table_alive(self, monkeypatch, body, call):
+        # a caller that keeps the errors of many flat bodies must not keep
+        # their tables through the frames of the tracebacks
+        refs = []
+        build = strongconv._build_pair_table
+
+        def watched(*args):
+            table = build(*args)
+            refs.extend(weakref.ref(arr) for arr in table[:5])
+            return table
+
+        monkeypatch.setattr(strongconv, "_build_pair_table", watched)
+        with pytest.raises(sc.StrConvexError) as info:
+            call(body)
+        assert info.value.__traceback__ is not None and len(refs) == 5
+        strongconv._last_table = None
+        gc.collect()
+        assert all(ref() is None for ref in refs)
 
 
 class TestComplementBody:
