@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bodies import ConvexBody, as_vector, default_grid
+from .bodies import ConvexBody, _row_max, _row_norms, as_vector, default_grid
 from .errors import (
     EmptyInputError,
     GeometryError,
@@ -201,8 +201,8 @@ class ArcPolygon(ConvexBody):
         P = np.asarray(P, dtype=float)
         if self.is_singleton:
             return P @ self._point
-        best = np.max(P @ self.vertices().T, axis=1)
-        norms = np.linalg.norm(P, axis=1)
+        best = _row_max(P @ self.vertices().T)
+        norms = _row_norms(P)
         phis = np.arctan2(P[:, 1], P[:, 0]) % TWO_PI
         for a in self.arcs():
             in_range = (phis - a.start_angle) % TWO_PI <= a.span
@@ -221,7 +221,7 @@ class ArcPolygon(ConvexBody):
         arcs = np.array([(*a.center, a.radius, a.start_angle, a.span) for a in self.arcs()])
         arcs = arcs.reshape(-1, 5)
         centers, (radii, starts, spans) = arcs[:, :2], arcs[:, 2:].T
-        norms = np.linalg.norm(P, axis=1)
+        norms = _row_norms(P)
         phis = np.arctan2(P[:, 1], P[:, 0]) % TWO_PI
         off_arc = ((phis[:, None] - starts) % TWO_PI > spans + 1e-12) | (norms == 0.0)[:, None]
         U = P / np.where(norms == 0.0, 1.0, norms)[:, None]

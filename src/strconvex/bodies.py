@@ -47,6 +47,38 @@ def unit(v) -> np.ndarray:
     return v / n
 
 
+def _row_norms(X: np.ndarray) -> np.ndarray:
+    """np.linalg.norm(X, axis=1), bit for bit, for a 2-D float array.
+
+    numpy adds fewer than 8 terms of a row in order and sums 8 or more
+    pairwise; below 8 columns the squares are added in that order one column
+    at a time, which skips numpy's slow reduction along short rows.  That
+    order is numpy's own, checked on numpy 2.4.6 by test_row_norms_match_numpy.
+    """
+    if X.shape[1] >= 8:
+        return np.linalg.norm(X, axis=1)
+    total = X[:, 0] * X[:, 0]
+    for j in range(1, X.shape[1]):
+        total += X[:, j] * X[:, j]
+    return np.sqrt(total)
+
+
+def _row_max(X: np.ndarray) -> np.ndarray:
+    """np.max(X, axis=1), for a 2-D float array.
+
+    numpy pays a fixed cost per row when it reduces along short rows, so
+    below 32 columns the maximum is taken one column at a time; from 32
+    columns on numpy's reduction is the faster (measured crossover, see
+    BENCH_support_kernels.json).
+    """
+    if X.shape[1] >= 32:
+        return np.max(X, axis=1)
+    best = X[:, 0].copy()
+    for j in range(1, X.shape[1]):
+        np.maximum(best, X[:, j], out=best)
+    return best
+
+
 def as_direction(p) -> np.ndarray:
     """Validate a unit direction (norm 1 within 1e-12)."""
     p = as_vector(p)
@@ -185,10 +217,12 @@ class Ball(ConvexBody):
         return self.center.size
 
     def support_values(self, P):
-        return P @ self.center + self.radius * np.linalg.norm(P, axis=1)
+        P = np.asarray(P, dtype=float)
+        return P @ self.center + self.radius * _row_norms(P)
 
     def support_points(self, P):
-        norms = np.linalg.norm(P, axis=1)
+        P = np.asarray(P, dtype=float)
+        norms = _row_norms(P)
         if np.any(norms == 0.0):
             raise ValueError("support point undefined for the zero direction")
         return self.center + self.radius * P / norms[:, None]
@@ -210,7 +244,11 @@ class Ball(ConvexBody):
 
 
 class Ellipsoid(ConvexBody):
-    """Rotated axis-aligned ellipsoid; semi-axes sorted in decreasing order."""
+    """Rotated axis-aligned ellipsoid; semi-axes sorted in decreasing order.
+
+    Without a rotation the rotation is the identity, and the support oracles
+    skip their products with it.
+    """
 
     def __init__(self, center, semi_axes, rotation=None):
         self.center = as_vector(center)
@@ -222,6 +260,7 @@ class Ellipsoid(ConvexBody):
             raise ValueError("semi-axes must be positive")
         if np.any(np.diff(self.semi_axes) > 0.0):
             raise ValueError("semi-axes must be sorted in decreasing order")
+        self._rotated = rotation is not None
         if rotation is None:
             rotation = np.eye(d)
         self.rotation = np.asarray(rotation, dtype=float)
@@ -239,19 +278,19 @@ class Ellipsoid(ConvexBody):
 
     def _body_frame(self, P):
         # q = diag(axes) R^T p; then s = (p,c) + ||q||, point = c + R diag(axes) q/||q||
-        return (P @ self.rotation) * self.semi_axes
+        return (P @ self.rotation if self._rotated else P) * self.semi_axes
 
     def support_values(self, P):
-        q = self._body_frame(P)
-        return P @ self.center + np.linalg.norm(q, axis=1)
+        P = np.asarray(P, dtype=float)
+        return P @ self.center + _row_norms(self._body_frame(P))
 
     def support_points(self, P):
-        q = self._body_frame(P)
-        norms = np.linalg.norm(q, axis=1)
+        q = self._body_frame(np.asarray(P, dtype=float))
+        norms = _row_norms(q)
         if np.any(norms == 0.0):
             raise ValueError("support point undefined for the zero direction")
-        u = q / norms[:, None]
-        return self.center + (u * self.semi_axes) @ self.rotation.T
+        x = (q / norms[:, None]) * self.semi_axes
+        return self.center + (x @ self.rotation.T if self._rotated else x)
 
     def diameter(self, grid=None) -> float:
         return 2.0 * float(self.semi_axes[0])
@@ -315,7 +354,7 @@ class PointHull(ConvexBody):
         return self.points.shape[1]
 
     def support_values(self, P):
-        return np.max(P @ self.points.T, axis=1)
+        return _row_max(P @ self.points.T)
 
     def support_points(self, P):
         # flat faces: of the points within 1e-12 (1 + |s|) of the best

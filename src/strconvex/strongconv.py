@@ -19,7 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arcpoly import lens
-from .bodies import ConvexBody, as_direction, default_grid, grid_angle_error, sphere_grid
+from .bodies import (
+    ConvexBody, _row_norms, as_direction, default_grid, grid_angle_error, sphere_grid,
+)
 from .errors import NotStronglyConvexError, NotUniformlyConvexError, OutOfDomainError
 from .modulus import BoundaryParam, _chords_of_length
 
@@ -43,8 +45,9 @@ class GapFunction:
 
     def values(self, P: np.ndarray) -> np.ndarray:
         P = np.asarray(P, dtype=float)
-        out = self.R * np.linalg.norm(P, axis=1) - self.body.support_values(P)
-        out[np.linalg.norm(P, axis=1) == 0.0] = 0.0
+        norms = _row_norms(P)
+        out = self.R * norms - self.body.support_values(P)
+        out[norms == 0.0] = 0.0
         return out
 
 
@@ -243,7 +246,7 @@ def _build_pair_table(body: ConvexBody, n_pairs: int, seed: int):
     P1 = np.tile(base, (n_scales, 1))
     M = 0.5 * (P1 + P2)
     s = body.support_values(np.concatenate([base, P2, M]))
-    a = 1.0 - np.linalg.norm(M, axis=1)
+    a = 1.0 - _row_norms(M)
     b = 0.5 * (np.tile(s[:n_base], n_scales) + s[n_base:n_base + len(P2)]) - s[n_base + len(P2):]
     per_scale = (b / (a + _REL_TOL)).reshape(n_scales, n_base)
     best = np.argmax(per_scale, axis=1) + n_base * np.arange(n_scales)
@@ -258,7 +261,7 @@ def _build_pair_table(body: ConvexBody, n_pairs: int, seed: int):
         n = len(Q) // 3
         sq = body.support_values(Q)
         Q1, Q2 = Q[:n], Q[n:2 * n]
-        qa = 1.0 - np.linalg.norm(Q[2 * n:], axis=1)
+        qa = 1.0 - _row_norms(Q[2 * n:])
         qb = 0.5 * (sq[:n] + sq[n:2 * n]) - sq[2 * n:]
         rows.append((Q1, Q2, qa, qb))
         thr = qb / (qa + _REL_TOL)
@@ -273,10 +276,16 @@ def _build_pair_table(body: ConvexBody, n_pairs: int, seed: int):
     return P1, P2, a, b, b / (a + _REL_TOL), top, np.array(np.max(np.abs(s)))
 
 
+def _point_noise(smax: np.ndarray, dim: int) -> float:
+    """The largest |b| that rounding leaves on a point, 2 (d + 5) eps max |s|;
+    see _POINT_B_SCALE."""
+    return float(_POINT_B_SCALE * (dim + 5) * smax)
+
+
 def _gate(top: np.ndarray, smax: np.ndarray, dim: int) -> float:
     """R_min from a pair table's largest threshold per scale and largest |s|,
     or the error that says why there is none; see min_strong_radius."""
-    b, noise = top[_GATE_SCALES[-1]] * _GATE_A, _POINT_B_SCALE * (dim + 5) * smax
+    b, noise = top[_GATE_SCALES[-1]] * _GATE_A, _point_noise(smax, dim)
     if b <= noise:
         raise OutOfDomainError(
             f"the largest b at the finest gate scale, {b:.3g}, is within the rounding "
@@ -307,17 +316,23 @@ def check_strong_convexity(
 
     Midpoint convexity on unit pairs at fine scale propagates to convexity by
     doubling, so the pairs mix wide and fine separations.  A pair refutes R
-    when its violation exceeds tol = 1e-8 R; the first such pair (fixed
-    ordering) becomes the witness.  With none, min_strong_radius's gate decides:
-    R passes on a second-order body and on one with no curvature to measure (a
-    point is an intersection of balls of any radius); a flat or undecided one
-    raises NotUniformlyConvexError or NotStronglyConvexError.  ValueError: a bad R or n_pairs.
+    when its violation exceeds tol, the larger of 1e-8 R and the rounding of
+    a point's b (_point_noise); the first such pair (fixed ordering) becomes
+    the witness.  With none, min_strong_radius's gate decides: R passes on a
+    second-order body and on one with no curvature to measure (a point is an
+    intersection of balls of any radius); a flat or undecided one raises
+    NotUniformlyConvexError or NotStronglyConvexError.  ValueError: a bad R or
+    n_pairs.
     """
     if not 0.0 < R < math.inf:
         raise ValueError("radius must be positive and finite")
     P1, P2, a, b, threshold, top, smax = _pair_table(body, n_pairs, seed)
-    tol, n = _REL_TOL * float(R), len(P1)
+    noise = _point_noise(smax, body.dim)
+    tol, n = max(_REL_TOL * float(R), noise), len(P1)
     bad = np.flatnonzero(threshold > R)
+    if noise > _REL_TOL * R:
+        # a violation above 1e-8 R may still be rounding alone
+        bad = bad[b[bad] - R * a[bad] > noise]
     if len(bad):
         i = int(bad[0])
         witness = (P1[i].copy(), P2[i].copy(), float(b[i] - R * a[i]))
@@ -340,7 +355,8 @@ def min_strong_radius(
     of g on a flat piece; the growth gamma = log2(T(pi/256) / T(pi/128)) reads
     which:
     - gamma <= 0.1: R_min is the largest pair threshold, and the bracket (the
-      float below R_min, R_min) has a refuted low end and an accepted high end;
+      float below R_min, R_min) has an accepted high end and, where 1e-8 R_min
+      exceeds the rounding of a point's b, a refuted low end;
     - gamma >= 0.85: NotUniformlyConvexError;
     - in between: NotStronglyConvexError naming gamma, the order
       alpha = (2 - gamma) / (1 - gamma) it suggests and the per-scale ratios.
@@ -372,7 +388,7 @@ class ComplementBody(ConvexBody):
 
     def support_values(self, P):
         P = np.asarray(P, dtype=float)
-        return self.R * np.linalg.norm(P, axis=1) - self.base.support_values(P)
+        return self.R * _row_norms(P) - self.base.support_values(P)
 
     def support_points(self, P):
         raise NotImplementedError("complement bodies expose support values only")

@@ -19,7 +19,8 @@ disk intersection clips against every input point where the library clips
 against the convex-hull vertices only; arc-polygon
 membership, boundary distance and offsets are the ray cast, per-piece distance
 loops and per-vertex normal pairs that the library's normal-cone table
-replaced.
+replaced; the reference support values are the expressions that the
+oracles' column-at-a-time row kernels replaced.
 """
 from __future__ import annotations
 
@@ -27,6 +28,8 @@ import math
 
 import numpy as np
 from scipy.spatial import ConvexHull
+
+import strconvex as sc
 
 
 def support_polygon(grid: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -126,31 +129,33 @@ def ellipse_chord_modulus(a: float, b: float, eps: float,
     return best
 
 
-def dense_chord_crossings(points: np.ndarray, eps: float):
-    """Anchor and segment indices of every chord crossing, by the full n x n scan.
+def dense_chord_crossings(points: np.ndarray, eps_values):
+    """Anchor and segment indices of every chord crossing, by the full n x n
+    scan, as one (anchors, segments) pair per eps of eps_values.
 
-    The float32 squared distances of all point pairs are compared with eps^2
-    in chunks of 512 rows; (i, j) is a crossing where the comparison differs
-    between columns j and j + 1 (cyclically) and j is at most n // 2 steps
-    ahead of i.
+    The float32 squared distances of all point pairs are computed in chunks
+    of 512 rows, once for every eps, and compared with each eps^2; (i, j) is
+    a crossing where the comparison differs between columns j and j + 1
+    (cyclically) and j is at most n // 2 steps ahead of i.
     """
     n = len(points)
-    anchors = []
-    segs = []
+    eps2 = [np.float32(eps * eps) for eps in eps_values]
+    anchors = [[] for _ in eps2]
+    segs = [[] for _ in eps2]
     pts32 = points.astype(np.float32)
     sq32 = np.einsum("ij,ij->i", pts32, pts32)
-    eps2 = np.float32(eps * eps)
     for k0 in range(0, n, 512):
         A = pts32[k0:k0 + 512]
         d2 = sq32[k0:k0 + 512, None] + sq32[None, :] - 2.0 * (A @ pts32.T)
-        below = d2 <= eps2
-        cross = below != np.roll(below, -1, axis=1)
-        rows, cols = np.nonzero(cross)
-        rows = rows + k0
-        forward = (cols - rows) % n <= n // 2
-        anchors.append(rows[forward])
-        segs.append(cols[forward])
-    return np.concatenate(anchors), np.concatenate(segs)
+        for k, e2 in enumerate(eps2):
+            below = d2 <= e2
+            cross = below != np.roll(below, -1, axis=1)
+            rows, cols = np.nonzero(cross)
+            rows = rows + k0
+            forward = (cols - rows) % n <= n // 2
+            anchors[k].append(rows[forward])
+            segs[k].append(cols[forward])
+    return [(np.concatenate(a), np.concatenate(s)) for a, s in zip(anchors, segs)]
 
 
 def bisect_companions(points: np.ndarray, anchors: np.ndarray, segs: np.ndarray, eps: float):
@@ -178,7 +183,7 @@ def bisect_companions(points: np.ndarray, anchors: np.ndarray, segs: np.ndarray,
 
 def dense_chords_of_length(points: np.ndarray, eps: float):
     """Anchors and companions at chord length eps: the dense scan plus bisection."""
-    anchors, segs = dense_chord_crossings(points, eps)
+    [(anchors, segs)] = dense_chord_crossings(points, [eps])
     if len(anchors) == 0:
         return None
     return points[anchors], bisect_companions(points, anchors, segs, eps)
@@ -289,6 +294,39 @@ def bisect_min_radius(body, tol: float, n_pairs: int = 4096, seed: int = 0):
         else:
             lo = mid
     return lo, hi
+
+
+def reference_support_values(body, P: np.ndarray) -> np.ndarray:
+    """Support values by the expressions the library's row kernels replaced:
+    row norms by np.linalg.norm(axis=1), the ellipsoid's body frame broadcast
+    as (P @ R) * axes, and the vertex maxima taken over directions x points."""
+    P = np.asarray(P, dtype=float)
+    if isinstance(body, sc.Ball):
+        return P @ body.center + body.radius * np.linalg.norm(P, axis=1)
+    if isinstance(body, sc.Ellipsoid):
+        return P @ body.center + np.linalg.norm((P @ body.rotation) * body.semi_axes, axis=1)
+    if isinstance(body, sc.PointHull):
+        return np.max(P @ body.points.T, axis=1)
+    if isinstance(body, sc.MinkowskiSum):
+        total = np.zeros(len(P))
+        for part in body.parts:
+            total += reference_support_values(part, P)
+        return total
+    if isinstance(body, sc.ComplementBody):
+        return body.R * np.linalg.norm(P, axis=1) - reference_support_values(body.base, P)
+    if isinstance(body, sc.ArcPolygon):
+        if body.is_singleton:
+            return P @ body.singleton_point
+        best = np.max(P @ body.vertices().T, axis=1)
+        norms = np.linalg.norm(P, axis=1)
+        phis = np.arctan2(P[:, 1], P[:, 0]) % (2.0 * math.pi)
+        for a in body.arcs():
+            in_range = (phis - a.start_angle) % (2.0 * math.pi) <= a.span
+            if np.any(in_range):
+                vals = P[in_range] @ np.asarray(a.center) + a.radius * norms[in_range]
+                best[in_range] = np.maximum(best[in_range], vals)
+        return best
+    raise TypeError(f"no reference support values for {type(body).__name__}")
 
 
 def loop_hull_support_points(points: np.ndarray, P: np.ndarray) -> np.ndarray:

@@ -7,10 +7,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from oracles import loop_hull_support_points, support_curvature_radii
+from oracles import loop_hull_support_points, reference_support_values, support_curvature_radii
 
 import strconvex as sc
-from strconvex.bodies import grid_angle_error
+from strconvex import jsonio
+from strconvex.bodies import _row_norms, grid_angle_error
 
 SQ2 = math.sqrt(2.0)
 
@@ -56,6 +57,64 @@ class TestSupportEval:
         assert hash(planar) != hash(spatial)
         assert planar == sc.PointHull(np.arange(8.0).reshape(4, 2))
         assert hash(planar) == hash(sc.PointHull(np.arange(8.0).reshape(4, 2)))
+
+
+def _kernel_bodies(d: int, rng) -> dict:
+    """One body of every type whose support values the row kernels compute."""
+    turn = np.linalg.qr(rng.standard_normal((d, d)))[0]
+    bodies = {
+        "ball": sc.Ball(rng.uniform(-1.0, 1.0, d), 1.3),
+        "ellipsoid": sc.Ellipsoid(rng.uniform(-1.0, 1.0, d), np.linspace(2.0, 0.5, d), turn),
+        **{f"hull_{m}": sc.PointHull(rng.uniform(-1.0, 1.0, (m, d))) for m in (1, 4, 31, 32, 200)},
+    }
+    bodies["sum"] = sc.MinkowskiSum([bodies["ellipsoid"], bodies["hull_4"], bodies["ball"]])
+    bodies["complement"] = sc.ComplementBody(bodies["ellipsoid"], 5.0)
+    if d == 2:
+        bodies["lens"] = sc.lens([-0.6, 0.1], [0.5, -0.2], 1.0)
+    return bodies
+
+
+class TestRowKernels:
+    """The oracles add the squares of short rows, and take the maxima of few
+    vertex products, one column at a time; each returns numpy's row
+    reduction bit for bit."""
+
+    @pytest.mark.parametrize("d", range(2, 13))
+    def test_row_norms_match_numpy(self, d):
+        # the column sums copy numpy's own summation order (in order below 8
+        # terms, pairwise from 8), checked on numpy 2.4.6: a failure here
+        # means numpy changed that order, not that a support value is wrong
+        rng = np.random.default_rng(d)
+        X = rng.uniform(-1.0, 1.0, (3000, d)) * 10.0 ** rng.uniform(-150.0, 150.0, (3000, 1))
+        # entries of unlike magnitude within a row, and zero rows of both signs
+        X[:1000] = rng.choice([-1.0, 1.0], (1000, d)) * 10.0 ** rng.uniform(-150.0, 150.0,
+                                                                              (1000, d))
+        X[1000], X[1001], X[1002, ::2], X[1003, 1::2] = 0.0, -0.0, -0.0, 0.0
+        for layout in (X, np.asfortranarray(X), X[::-3]):
+            want = np.linalg.norm(layout, axis=1)
+            assert _row_norms(layout).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("d", [2, 3, 8])
+    def test_support_values_match_the_row_reductions(self, d):
+        rng = np.random.default_rng(100 + d)
+        scale = 10.0 ** rng.uniform(-3.0, 3.0, (500, 1))
+        P = np.concatenate([sc.default_grid(d, 4096), scale * rng.standard_normal((500, d))])
+        for name, body in _kernel_bodies(d, rng).items():
+            got, want = body.support_values(P), reference_support_values(body, P)
+            assert got.tobytes() == want.tobytes(), name
+
+    @pytest.mark.parametrize("d", [2, 3, 40])
+    def test_unrotated_ellipsoid_skips_the_identity(self, d):
+        rng = np.random.default_rng(200 + d)
+        center, axes = rng.uniform(-1.0, 1.0, d), np.sort(rng.uniform(0.5, 2.0, d))[::-1]
+        plain, eye = sc.Ellipsoid(center, axes), sc.Ellipsoid(center, axes, np.eye(d))
+        # the identity stays the rotation of its value and of its JSON
+        assert plain == eye and hash(plain) == hash(eye)
+        assert np.array_equal(plain.rotation, np.eye(d))
+        assert jsonio.body_to_dict(plain) == jsonio.body_to_dict(eye)
+        P = np.concatenate([sc.default_grid(d, 2000), rng.standard_normal((300, d))])
+        assert np.array_equal(plain.support_values(P), eye.support_values(P))
+        assert np.array_equal(plain.support_points(P), eye.support_points(P))
 
 
 class TestContains:

@@ -220,6 +220,13 @@ class TestRadiusCommand:
         assert verdict["is_convex"] is False
         assert verdict["witness"]["violation"] > verdict["tol"]
 
+    def test_check_accepts_a_point_at_any_radius(self, tmp_path):
+        # a one-point hull's pair thresholds are rounding, above 1e-11
+        point = _write_body(tmp_path, "point.json", {"type": "hull", "points": [[0.3, -0.4]]})
+        out = str(tmp_path / "verdict.json")
+        assert main(["radius", "--body", point, "--check", "1e-11", "--out", out]) == 0
+        assert json.loads(_read(out))["is_convex"] is True
+
     def test_check_and_minimize_exclude_each_other(self, capsys, ball_json):
         with pytest.raises(SystemExit) as info:
             main(["radius", "--body", ball_json, "--check", "1.5", "--minimize"])

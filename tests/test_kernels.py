@@ -81,7 +81,7 @@ def test_kernels_match_dense_oracle(name):
             eps = frac * param.diameter
             where = f"{name} n={n} eps={frac}*diam"
             anchors, segs = _chord_crossings(param.points, eps)
-            want_anchors, want_segs = dense_chord_crossings(param.points, eps)
+            [(want_anchors, want_segs)] = dense_chord_crossings(param.points, [eps])
             assert np.array_equal(anchors, want_anchors), where
             assert np.array_equal(segs, want_segs), where
 
@@ -141,7 +141,7 @@ def test_three_dimensional_sections_match_dense_oracle():
             pooled, best = [], np.full(len(grid), -np.inf)
             for basis, points in zip(planes, polylines):
                 anchors, segs = _chord_crossings(points, eps)
-                want_anchors, want_segs = dense_chord_crossings(points, eps)
+                [(want_anchors, want_segs)] = dense_chord_crossings(points, [eps])
                 assert np.array_equal(anchors, want_anchors), where
                 assert np.array_equal(segs, want_segs), where
                 a_pts, comps = _chords_of_length(points, eps)
@@ -162,14 +162,16 @@ def test_one_chord_index_serves_every_eps(name):
     # a curve builds the index once and searches every eps with it, so nothing
     # one search leaves behind may change the next one's crossings
     body = BODIES[name]
+    fracs = np.linspace(0.01, 0.99, 24)
     for n in RESOLUTIONS:
         param = BoundaryParam(body, n)
-        for frac in np.linspace(0.01, 0.99, 24):
+        # the dense scan computes each chunk of distances once for every eps
+        dense = dense_chord_crossings(param.points, fracs * param.diameter)
+        for frac, want in zip(fracs, dense):
             eps = frac * param.diameter
             where = f"{name} n={n} eps={frac:.3f}*diam"
             anchors, segs = _chord_crossings(param.points, eps, param._index)
             fresh = _chord_crossings(param.points, eps, _chord_index(param.points))
-            want = dense_chord_crossings(param.points, eps)
             for got in (fresh, want):
                 assert np.array_equal(anchors, got[0]), where
                 assert np.array_equal(segs, got[1]), where

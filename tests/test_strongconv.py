@@ -171,6 +171,68 @@ class TestMinStrongRadius:
         assert ref_lo < r <= ref_hi
 
 
+# the bodies of the radius_mixed benchmark at seed 1, with the repr of
+# min_strong_radius on each, or its error
+BENCHMARK_RADII = [
+    ("ball", sc.Ball([-0.39361034141671003, -0.09300422103869699], 1.1582751372901798),
+     "(1.1582750977441953, (1.1582750977441951, 1.1582750977441953))"),
+    ("ellipse_2to1",
+     sc.Ellipsoid([-0.7319166055056705, -0.19377402710574154],
+                  [2.450463696325935, 1.2252318481629676], _rotation_2d(0.6391734894425349)),
+     "(4.899723121960455, (4.899723121960454, 4.899723121960455))"),
+    ("ellipse_3to1",
+     sc.Ellipsoid([-0.6786959824497463, 0.9398508264322651],
+                  [1.7768912040453708, 0.5922970680151236], _rotation_2d(1.6212772771056914)),
+     "(5.32836084598815, (5.328360845988149, 5.32836084598815))"),
+    ("ellipse_4to1",
+     sc.Ellipsoid([0.24697951107500082, 0.553366228684596],
+                  [1.6158656124707704, 0.4039664031176926], _rotation_2d(1.9258066672145242)),
+     "(6.459113705538466, (6.459113705538465, 6.459113705538466))"),
+    ("ellipse_6to1",
+     sc.Ellipsoid([-0.9208142466715943, 0.057178526520043294],
+                  [2.4172977047909026, 0.40288295079848374], _rotation_2d(1.4430462352029658)),
+     "(14.491290976141467, (14.491290976141466, 14.491290976141467))"),
+    ("ellipse_plus_ball",
+     sc.MinkowskiSum([
+         sc.Ellipsoid([-0.029618051136729884, 0.9614743996024773],
+                      [2.4486494471372438, 1.2243247235686219], _rotation_2d(3.0211351748859294)),
+         sc.Ball([0.4495798815470673, 0.08245371109486843], 0.3935494356031456)]),
+     "(5.289591710756826, (5.2895917107568255, 5.289591710756826))"),
+    ("lens",
+     sc.lens([0.09918737534611899, -0.9448817735138633],
+             [0.45287427835005684, 0.26118202094591636], 0.9693305795890302),
+     "(0.969330452247402, (0.9693304522474019, 0.969330452247402))"),
+    ("ball_plus_segment",
+     sc.MinkowskiSum([
+         sc.Ball([0.7052656769613135, 0.18588203620856802], 0.9040389790948893),
+         sc.PointHull(0.5311747895749378 * np.array([[-1.0, 0.0], [1.0, 0.0]])
+                      @ _rotation_2d(2.0147918647084526).T)]),
+     "NotUniformlyConvexError: pair thresholds double per halving of the gap "
+     "(growth 0.974 >= 0.85); body is not uniformly convex"),
+    ("square",
+     sc.PointHull(1.3274591760723646 * np.array([[0, 0], [1, 0], [1, 1], [0, 1]], float)
+                  @ _rotation_2d(1.6906270793881555).T
+                  + [-0.34053656700181567, 0.5768574068568086]),
+     "NotUniformlyConvexError: pair thresholds double per halving of the gap "
+     "(growth 0.987 >= 0.85); body is not uniformly convex"),
+    ("ball_3d",
+     sc.Ball([0.01899176304301875, 0.021777768933066044, 0.5060604154043558],
+             1.3879170647219863),
+     "(1.3879170173355362, (1.387917017335536, 1.3879170173355362))"),
+    ("ellipsoid_3d",
+     sc.Ellipsoid([-0.7041559284300869, 0.639253438238554, 0.3665738120065143],
+                  [2.0, 1.5, 1.0]),
+     "(3.998961355599875, (3.9989613555998744, 3.998961355599875))"),
+]
+
+
+@pytest.mark.parametrize("body, want", [case[1:] for case in BENCHMARK_RADII],
+                         ids=[case[0] for case in BENCHMARK_RADII])
+def test_benchmark_minimal_radii_are_pinned(body, want):
+    got = _attempt(sc.min_strong_radius, body)
+    assert (repr(got) if isinstance(got, tuple) else f"{type(got).__name__}: {got}") == want
+
+
 class TestGrowthGate:
     """The minimal radius reads the growth of the per-scale maxima of the pair
     table: settled (second order) gives R_min, doubling (flat) is rejected,
@@ -295,6 +357,8 @@ GATE_BODIES = {
     "ellipse_2to1": sc.Ellipsoid([0, 0], [2, 1]),
     "lens": sc.lens([-0.6, 0], [0.6, 0], 1.0),
     "ellipsoid_3d": sc.Ellipsoid([0, 0, 0], [2, 1.5, 1]),
+    # R_min is mostly rounding: 1e-8 R_min lies below a point's rounding floor
+    "small_far_ball": sc.Ball([1e3, 0, 0], 1e-6),
 }
 
 
@@ -317,12 +381,16 @@ class TestOneGate:
         largest = float(np.max(strongconv._pair_table(body, n_pairs, 0)[4]))
         radii = [10.0, 100.0, 1e3, 1e4, 1e6]
         if isinstance(decided, sc.OutOfDomainError):
-            # a point's thresholds are rounding (below about 1e-10, where a
-            # rounding witness is found); the fixed radii all lie above them
+            # a point's thresholds are rounding (below about 1e-10); the
+            # fixed radii all lie above them
             assert largest < 1e-9
         else:
             radii += [0.5 * largest, float(np.nextafter(largest, 0.0)), largest,
                       2.0 * largest]
+        smax = strongconv._pair_table(body, n_pairs, 0)[6]
+        floor_dominates = (isinstance(decided, tuple) and strongconv._REL_TOL * decided[0]
+                           < strongconv._point_noise(smax, body.dim))
+        assert floor_dominates == (name == "small_far_ball")
         for R in radii:
             got = _attempt(sc.check_strong_convexity, body, R, n_pairs=n_pairs)
             summand = _attempt(sc.complement_body, body, R, n_pairs=n_pairs)
@@ -332,7 +400,10 @@ class TestOneGate:
                 assert f[2] - 0.5 * (f[0] + f[1]) == pytest.approx(violation, rel=1e-6)
                 assert isinstance(summand, sc.NotStronglyConvexError)
             if isinstance(decided, tuple):
-                assert got.is_convex == (R >= decided[0])
+                # where 1e-8 R_min is below the rounding of a point's b, the
+                # check accepts the low end of the bracket too
+                low_end_accepted = floor_dominates and R == decided[1][0]
+                assert got.is_convex == (R >= decided[0] or low_end_accepted)
             elif isinstance(decided, sc.OutOfDomainError):
                 assert got.is_convex
             elif not isinstance(got, sc.ConvexityVerdict):
@@ -343,6 +414,22 @@ class TestOneGate:
                 assert not got.is_convex
             if isinstance(got, sc.ConvexityVerdict) and got.is_convex:
                 assert isinstance(summand, sc.ComplementBody)
+
+    @pytest.mark.parametrize("R", [4.7e-11, 1e-12, 1.0])
+    @pytest.mark.parametrize("point", [[0.3, -0.4], [0.3, -0.4, 0.2]], ids=["2d", "3d"])
+    def test_no_radius_refutes_a_point(self, point, R):
+        # a point is an intersection of balls of every radius; its b is
+        # rounding, below 2 (d + 5) eps max|s|, although at 4.7e-11 and 1e-12
+        # its thresholds lie above R
+        body = sc.PointHull([point])
+        verdict = sc.check_strong_convexity(body, R)
+        assert verdict.is_convex and verdict.witness is None
+        assert verdict.tol >= strongconv._REL_TOL * R
+        assert isinstance(sc.complement_body(body, R), sc.ComplementBody)
+
+    def test_a_small_ball_is_still_refuted_below_its_radius(self):
+        verdict = sc.check_strong_convexity(sc.Ball([0, 0], 1e-3), 0.5e-3)
+        assert not verdict.is_convex and verdict.witness[2] > verdict.tol
 
     @pytest.mark.parametrize("call", [
         lambda body: sc.min_strong_radius(body),
