@@ -497,7 +497,7 @@ def _dedupe(points: np.ndarray, tol: float = 1e-12) -> np.ndarray:
 def _hull_vertices(points: np.ndarray) -> np.ndarray:
     """The vertices of the convex hull (_hull_cycle's), in input order: points
     inside a hull edge are dropped, and of equal points the first is kept."""
-    return points[np.sort(_hull_cycle(points))]
+    return points[np.sort(_hull_cycle(points.T))]
 
 
 def _planar_points(points, name: str) -> np.ndarray:

@@ -97,37 +97,41 @@ class SecondOrderFit:
 def _hull_cycle(xy: np.ndarray) -> np.ndarray:
     """Indices of the vertices of the convex hull of planar points, counter-clockwise.
 
-    Points strictly inside the polygon of the extreme points in _HULL_DIRS
-    cannot be vertices and are dropped first.  The rest, sorted by (x, y) and
-    without exact repeats, are split by the line from the first to the last
-    into a lower and an upper chain, and every point that makes no strict left
-    turn with its current neighbours is dropped, pass after pass, until none
-    is: an extreme point always turns strictly left, and a chain of strict
-    left turns through all of them is the hull (Andrew's monotone chain, with
-    simultaneous removals).  One vertex for one distinct point, two for
-    collinear points.
+    xy is (2, m), the points' x and y coordinate columns, so that every
+    gather takes one 1-D index along its second axis.  Points strictly inside
+    the polygon of the extreme points in _HULL_DIRS cannot be vertices and are
+    dropped first.  The rest, sorted by (x, y) and without exact repeats, are
+    split by the line from the first to the last into a lower and an upper
+    chain, and every point that makes no strict left turn with its current
+    neighbours is dropped, pass after pass, until none is: an extreme point
+    always turns strictly left, and a chain of strict left turns through all
+    of them is the hull (Andrew's monotone chain, with simultaneous removals).
+    One vertex for one distinct point, two for collinear points.
     """
-    ext = np.argmax(_HULL_DIRS @ xy.T, axis=1)
+    # np.take copies an array that is not C-contiguous on every call, so a
+    # transposed view is copied once here
+    xy = np.ascontiguousarray(xy)
+    x, y = xy
+    ext = np.argmax(_HULL_DIRS @ xy, axis=1)
     ext = ext[np.concatenate(([True], ext[1:] != ext[:-1]))]
     if ext[0] == ext[-1] and len(ext) > 1:
         ext = ext[:-1]
-    idx = np.arange(len(xy))
+    idx = np.arange(len(x))
     if len(ext) >= 3:
-        a = xy[ext]
-        edge = _rotate(a, 1) - a
-        inward = np.stack([-edge[:, 1], edge[:, 0]], axis=1)
+        ax, ay = x[ext], y[ext]
+        ex, ey = _rotate(ax, 1) - ax, _rotate(ay, 1) - ay
         # cross(edge, p - a) > 0 on every edge: strictly inside
-        inside = np.all(inward @ xy.T > np.einsum("ij,ij->i", a, inward)[:, None], axis=0)
+        inward = np.stack([-ey, ex], axis=1)
+        inside = np.all(inward @ xy > (ax * -ey + ay * ex)[:, None], axis=0)
         inside[ext] = False
         idx = idx[~inside]
-    x, y = xy[:, 0], xy[:, 1]
     idx = idx[np.lexsort((y[idx], x[idx]))]
     sx, sy = x[idx], y[idx]
     idx = idx[np.concatenate(([True], (sx[1:] != sx[:-1]) | (sy[1:] != sy[:-1])))]
     if len(idx) <= 2:
         return idx
     inner = idx[1:-1]
-    side = _cross(xy[idx[-1]] - xy[idx[0]], xy[inner] - xy[idx[0]])
+    side = _cross(xy[:, idx[-1]] - xy[:, idx[0]], np.take(xy, inner, axis=1) - xy[:, idx[:1]])
     lower = _left_chain(xy, np.concatenate((idx[:1], inner[side < 0.0], idx[-1:])))
     upper = _left_chain(xy, np.concatenate((idx[-1:], inner[side > 0.0][::-1], idx[:1])))
     return np.concatenate([lower[:-1], upper[:-1]])
@@ -139,18 +143,33 @@ def _rotate(a: np.ndarray, k: int) -> np.ndarray:
 
 
 def _cross(u: np.ndarray, w: np.ndarray) -> np.ndarray:
-    return u[..., 0] * w[..., 1] - u[..., 1] * w[..., 0]
+    # u x w of (2, ...) coordinate columns
+    return u[0] * w[1] - u[1] * w[0]
 
 
 def _left_chain(xy: np.ndarray, idx: np.ndarray) -> np.ndarray:
     # drop, pass after pass, every inner point that makes no strict left turn
     while len(idx) > 2:
-        p = xy[idx]
-        left = _cross(p[1:-1] - p[:-2], p[2:] - p[1:-1]) > 0.0
+        edge = np.diff(np.take(xy, idx, axis=1))
+        left = _cross(edge[:, :-1], edge[:, 1:]) > 0.0
         if left.all():
             break
         idx = np.concatenate([idx[:1], idx[1:-1][left], idx[-1:]])
     return idx
+
+
+def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(a_i, b_i) for each i of the (d, m) coordinate columns a and b.
+
+    In the plane a_0 b_0 + a_1 b_1, which is what einsum over the rows
+    returns, as a sum of two terms does not depend on their order.  In d >= 3
+    einsum itself, on C-contiguous rows: its order of summation depends on the
+    row length and the numpy build.  That copies a and b unless they are
+    transposes of C-contiguous rows.
+    """
+    if len(a) == 2:
+        return a[0] * b[0] + a[1] * b[1]
+    return np.einsum("ij,ij->i", np.ascontiguousarray(a.T), np.ascontiguousarray(b.T))
 
 
 def _plane_angles(dirs: np.ndarray, basis: np.ndarray):
@@ -170,31 +189,37 @@ def _support(points: np.ndarray, coords: np.ndarray, dirs: np.ndarray,
              psi: np.ndarray) -> np.ndarray:
     """max over the points x of (x, d) for each direction d, in the order of dirs.
 
-    The points lie in a plane; coords are their in-plane coordinates.  The
-    directions come sorted by psi, their angles in the same plane, as
-    _plane_angles returns them.  The maximum is taken at the hull vertex whose
-    normal cone holds the direction's projection (Schneider, Convex Bodies,
-    2nd ed., sec. 1.7); in angle order the cones are consecutive runs of
-    directions, cut by one searchsorted among the angles of the outward edge
-    normals.  That vertex and its two hull neighbours are evaluated with the
-    full-dimensional dot product, which covers rounding at the ends of the
-    cones.
+    Every argument is laid out as coordinate columns: points is (d, m),
+    coords (2, m), the points' in-plane coordinates, and dirs (d, k).  The
+    points lie in a plane, and the directions come sorted by psi, their
+    angles in the same plane, as _plane_angles returns them.  The maximum is
+    taken at the hull vertex whose normal cone holds the direction's
+    projection (Schneider, Convex Bodies, 2nd ed., sec. 1.7); in angle order
+    the cones are consecutive runs of directions, cut by one searchsorted
+    among the angles of the outward edge normals.  That vertex and its two
+    hull neighbours are evaluated with the full-dimensional dot product of
+    _dots, which covers rounding at the ends of the cones.  In d >= 3 that is
+    einsum on rows, which reads dirs without a copy when dirs.T is
+    C-contiguous.
     """
+    coords = np.ascontiguousarray(coords)
     hull = _hull_cycle(coords)
     h = len(hull)
-    edge = coords[_rotate(hull, 1)] - coords[hull]
-    alpha = np.arctan2(-edge[:, 0], edge[:, 1])
+    edge = np.take(coords, _rotate(hull, 1), axis=1) - np.take(coords, hull, axis=1)
+    alpha = np.arctan2(-edge[0], edge[1])
     start = int(np.argmin(alpha))
     alpha = np.maximum.accumulate(_rotate(alpha, start))
     # the directions from pos[j - 1] to pos[j] lie in the normal cone of
     # vertex start + j, which is row j + 1 of ring
     pos = np.searchsorted(psi, alpha, side="left")
     run = np.diff(np.concatenate(([0], pos, [len(psi)])))
-    ring = points[hull[(start + np.arange(-1, h + 2)) % h]]
-    best = np.full(len(dirs), -np.inf)
+    # the ring and its repeats as rows, whose transposes are the columns that
+    # _dots takes; the take copies the points at most once
+    ring = np.take(points.T, hull[(start + np.arange(-1, h + 2)) % h], axis=0)
+    best = np.full(len(psi), -np.inf)
     for shift in range(3):
         x = np.repeat(ring[shift:shift + h + 1], run, axis=0)
-        np.maximum(best, np.einsum("ij,ij->i", x, dirs), out=best)
+        np.maximum(best, _dots(x.T, dirs), out=best)
     return best
 
 
@@ -210,7 +235,8 @@ def _radial_extents(scaled: np.ndarray, basis: np.ndarray, rays: np.ndarray, ang
     """
     order, psi = angles
     out = np.empty(len(rays))
-    out[order] = 1.0 / _support(scaled, scaled @ basis.T, np.take(rays, order, axis=0), psi)
+    out[order] = 1.0 / _support(scaled.T, (scaled @ basis.T).T,
+                                np.take(rays, order, axis=0).T, psi)
     return out
 
 
@@ -238,6 +264,13 @@ class BoundaryParam:
     function of a planar point set, read off its convex hull.
     BoundaryParam(body, n) is a planar body as its own single section: the
     basis is the identity, and the rays and depth directions are angle_grid(n).
+
+    points is (n, d), one boundary point per ray.  The per-eps kernels read
+    coordinate columns instead, each a contiguous 1-D array: the chord index
+    keeps the points as (d, n) columns, and the depth directions are kept in
+    angle order as (d, k) columns, the x and y columns of a planar body; a
+    section's are the transpose of C-contiguous rows, which the einsum of
+    _dots reads without a copy.
     """
 
     def __init__(self, body: ConvexBody, resolution: int):
@@ -271,9 +304,10 @@ class BoundaryParam:
         self.radial = _radial_extents(scaled, basis, rays, angles)
         self.points = self.origin + self.radial[:, None] * rays
         self._index = _chord_index(self.points)
-        # the depth directions in angle order
+        # the depth directions in angle order, as coordinate columns
         order, self._psi = angles if grid is rays else _plane_angles(grid, basis)
-        self._dirs = grid[order]
+        dirs = grid[order].T
+        self._dirs = np.ascontiguousarray(dirs) if basis is _PLANE else dirs
         self._dir_support = support[order]
 
     def inscribed_radii(self, pts: np.ndarray) -> float:
@@ -283,8 +317,17 @@ class BoundaryParam:
         min over k of support_k - max over x of (x, p_k), and that inner
         maximum is the support function of the points at the grid directions,
         taken in angle order; the minimum does not need the grid order back.
+        pts is (m, d); the kernels read its transpose, the points' coordinate
+        columns, which is contiguous when pts is a transposed view of them, as
+        _chords_of_length returns chords.  A planar body's basis is the
+        identity, and x @ I is x on every nonzero coordinate, so its in-plane
+        coordinates are x - origin.
         """
-        best = _support(pts, (pts - self.origin) @ self.basis.T, self._dirs, self._psi)
+        if self.basis is _PLANE:
+            coords = pts.T - self.origin[:, None]
+        else:
+            coords = ((np.ascontiguousarray(pts) - self.origin) @ self.basis.T).T
+        best = _support(pts.T, coords, self._dirs, self._psi)
         return float(np.min(self._dir_support - best))
 
 
@@ -323,7 +366,13 @@ class _ChordIndex(NamedTuple):
     The float32 operands are laid out per block, so a chunk of block pairs
     gathers them along the first axis: the points of each row block and of
     each column block (which also holds the point after it), and the stacks
-    [|x|^2, 1] and [1, |x|^2] whose product is |x_i|^2 + |x_j|^2.
+    [|x|^2, 1] and [1, |x|^2] whose product is |x_i|^2 + |x_j|^2.  The
+    companions read the points as (d, n) coordinate columns.
+
+    The outputs of a chunk's two float32 products and its mask of distances
+    within eps are kept buffers, as large as the largest chunk: every chunk of
+    every eps is written into them, so that no search maps fresh pages.  One
+    index therefore serves one search at a time.
     """
 
     first: np.ndarray       # first point of each block
@@ -337,6 +386,10 @@ class _ChordIndex(NamedTuple):
     cols32: np.ndarray      # (b, m + 1, d) points of each column block
     sq_rows: np.ndarray     # (b, m, 2) [|x|^2, 1] of each row block
     sq_cols: np.ndarray     # (b, m + 1, 2) [1, |x|^2] of each column block
+    columns: np.ndarray     # (d, n) coordinate columns of the points
+    d2: np.ndarray          # (k, m, m + 1) float32 buffer of the squared distances
+    dots: np.ndarray        # (k, m, m + 1) float32 buffer of the dot products
+    below: np.ndarray       # (k, m, m + 1) bool buffer of the distances within eps
 
 
 def _chord_index(points: np.ndarray) -> _ChordIndex:
@@ -351,6 +404,7 @@ def _chord_index(points: np.ndarray) -> _ChordIndex:
     lag = (first[None, :] - last[:, None]) % n
     span = (last - first)[None, :] + (last - first)[:, None]
     bi, bj = np.nonzero((lag <= n // 2) | (n - lag <= span))
+    chunk = (min(len(bi), _CHORD_PAIRS), _CHORD_BLOCK, _CHORD_BLOCK + 1)
     pts32 = points.astype(np.float32)
     sq32 = np.einsum("ij,ij->i", pts32, pts32)
     ones = np.ones_like(sq32)
@@ -362,6 +416,9 @@ def _chord_index(points: np.ndarray) -> _ChordIndex:
         rows32=pts32[rows], cols32=pts32[cols],
         sq_rows=np.stack([sq32, ones], axis=1)[rows],
         sq_cols=np.stack([ones, sq32], axis=1)[cols],
+        columns=np.ascontiguousarray(points.T),
+        d2=np.empty(chunk, dtype=np.float32), dots=np.empty(chunk, dtype=np.float32),
+        below=np.empty(chunk, dtype=bool),
     )
 
 
@@ -375,7 +432,8 @@ def _chord_crossings(points: np.ndarray, eps: float, index: _ChordIndex | None =
     the point after it), and a pair of blocks is evaluated only when its
     distance range, widened by a bound on the float32 rounding, can straddle
     eps; the others cannot hold a crossing.  Sorted by anchor, then segment.
-    index is _chord_index(points), built here when it is not given.
+    index is _chord_index(points), built here when it is not given; each chunk
+    of block pairs is evaluated in its kept buffers.
     """
     if index is None:
         index = _chord_index(points)
@@ -390,12 +448,13 @@ def _chord_crossings(points: np.ndarray, eps: float, index: _ChordIndex | None =
     anchors, segs = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.intp)]
     for k0 in range(0, len(bi), _CHORD_PAIRS):
         I, J = bi[k0:k0 + _CHORD_PAIRS], bj[k0:k0 + _CHORD_PAIRS]
+        d2, dots, below = index.d2[:len(I)], index.dots[:len(I)], index.below[:len(I)]
         # same float32 operations, in the same order, as the full n x n product;
         # a two-term product against ones rounds once, as the add does
-        d2 = index.sq_rows[I] @ index.sq_cols[J].transpose(0, 2, 1)
-        dots = index.rows32[I] @ index.cols32[J].transpose(0, 2, 1)
+        np.matmul(index.sq_rows[I], index.sq_cols[J].transpose(0, 2, 1), out=d2)
+        np.matmul(index.rows32[I], index.cols32[J].transpose(0, 2, 1), out=dots)
         d2 -= np.multiply(dots, 2.0, out=dots)
-        below = (d2 <= eps2).ravel()
+        below = np.less_equal(d2, eps2, out=below).ravel()
         # flat indices in C order, so (k, r, c) come out as np.nonzero gives them;
         # the last column against the next row's first is no segment
         kr, c = np.divmod(np.flatnonzero(below[:-1] != below[1:]), size + 1)
@@ -413,25 +472,26 @@ def _chord_crossings(points: np.ndarray, eps: float, index: _ChordIndex | None =
     return anchors[order], segs[order]
 
 
-def _companions(points: np.ndarray, anchors: np.ndarray, segs: np.ndarray, eps: float):
+def _companions(columns: np.ndarray, anchors: np.ndarray, segs: np.ndarray, eps: float):
     """The point at distance eps from each anchor on its crossed boundary segment.
 
-    With w from the segment start to the anchor and d along the segment, the
-    point is at the root t in [0, 1] of |w - t d|^2 = eps^2: the exit root when
-    the segment starts within eps of the anchor, the entry root otherwise.
-    NaN where the segment has no such root in float64.
+    columns is the (d, n) coordinate columns of the polyline, and so is the
+    (d, m) result.  With w from the segment start to the anchor and d along
+    the segment, the point is at the root t in [0, 1] of |w - t d|^2 = eps^2:
+    the exit root when the segment starts within eps of the anchor, the entry
+    root otherwise.  NaN where the segment has no such root in float64.
     """
-    p0 = points[segs]
-    d = points[(segs + 1) % len(points)] - p0
-    w = points[anchors] - p0
-    qa = np.einsum("ij,ij->i", d, d)
-    qb = np.einsum("ij,ij->i", w, d)
-    qc = np.einsum("ij,ij->i", w, w) - eps * eps
+    p0 = np.take(columns, segs, axis=1)
+    d = np.take(columns, (segs + 1) % columns.shape[1], axis=1) - p0
+    w = np.take(columns, anchors, axis=1) - p0
+    qa = _dots(d, d)
+    qb = _dots(w, d)
+    qc = _dots(w, w) - eps * eps
     with np.errstate(invalid="ignore", divide="ignore"):
         root = np.sqrt(qb * qb - qa * qc)
         t = np.where(qc <= 0.0, qb + root, qb - root) / qa
     t = np.where((t >= 0.0) & (t <= 1.0), t, np.nan)
-    return p0 + t[:, None] * d
+    return p0 + t * d
 
 
 def _chords_of_length(points: np.ndarray, eps: float, index: _ChordIndex | None = None):
@@ -440,13 +500,17 @@ def _chords_of_length(points: np.ndarray, eps: float, index: _ChordIndex | None 
     Each crossing of the chordal distance gets its companion in closed form on
     the crossed boundary segment; a crossing whose segment has no float64 root
     is dropped.  index is the polyline's _chord_index, built when not given.
+    Both are (m, d), transposed views of (d, m) coordinate columns.
     """
+    if index is None:
+        index = _chord_index(points)
     anchors, segs = _chord_crossings(points, eps, index)
-    companions = _companions(points, anchors, segs, eps)
-    ok = ~np.isnan(companions[:, 0])
+    companions = _companions(index.columns, anchors, segs, eps)
+    ok = ~np.isnan(companions[0])
     if not np.any(ok):
         return None
-    return points[anchors[ok]], companions[ok]
+    return (np.take(index.columns, anchors[ok], axis=1).T,
+            np.compress(ok, companions, axis=1).T)
 
 
 def _planar_estimate(section: BoundaryParam, eps: float) -> float:

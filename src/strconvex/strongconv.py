@@ -112,9 +112,12 @@ def _direction_pairs(body: ConvexBody, n_pairs: int, seed: int):
     gaps = np.array(_GAP_SCALES)[:, None]
     if body.dim == 2:
         theta = np.arange(n_base) * (2.0 * np.pi / n_base)
-        partner = theta + gaps
-        return (np.stack([np.cos(theta), np.sin(theta)], axis=1),
-                np.stack([np.cos(partner), np.sin(partner)], axis=-1).reshape(-1, 2))
+        partner = (theta + gaps).ravel()
+        base, P2 = np.empty((n_base, 2)), np.empty((len(partner), 2))
+        for angles, out in ((theta, base), (partner, P2)):
+            np.cos(angles, out=out[:, 0])
+            np.sin(angles, out=out[:, 1])
+        return base, P2
     base = sphere_grid(n_base, body.dim, seed=seed)
     # the stencil holds 1 + 2 (d - 1)^2 points of d floats per base
     chunk = max(1, _STENCIL_FLOATS // ((1 + 2 * (body.dim - 1) ** 2) * body.dim))

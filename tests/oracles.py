@@ -20,7 +20,11 @@ against the convex-hull vertices only; arc-polygon
 membership, boundary distance and offsets are the ray cast, per-piece distance
 loops and per-vertex normal pairs that the library's normal-cone table
 replaced; the reference support values are the expressions that the
-oracles' column-at-a-time row kernels replaced.
+oracles' column-at-a-time row kernels replaced; the row-form hull, support
+and companion kernels, and the stacked planar pair directions, are the code
+that the modulus's coordinate-column kernels and the preallocated pair
+directions replaced, kept verbatim so that the new code can be held to
+their bits.
 """
 from __future__ import annotations
 
@@ -573,3 +577,96 @@ class LpDisc:
     def support_values(self, P):
         P = np.asarray(P, dtype=float)
         return self.r * np.sum(np.abs(P) ** self.q, axis=1) ** (1.0 / self.q)
+
+
+# -- row-form kernels that the coordinate-column kernels replaced ---------------
+
+_ROW_HULL_DIRS = sc.angle_grid(16)
+
+
+def row_hull_cycle(xy: np.ndarray) -> np.ndarray:
+    """Counter-clockwise hull vertex indices of (m, 2) points, on rows."""
+    ext = np.argmax(_ROW_HULL_DIRS @ xy.T, axis=1)
+    ext = ext[np.concatenate(([True], ext[1:] != ext[:-1]))]
+    if ext[0] == ext[-1] and len(ext) > 1:
+        ext = ext[:-1]
+    idx = np.arange(len(xy))
+    if len(ext) >= 3:
+        a = xy[ext]
+        edge = _row_rotate(a, 1) - a
+        inward = np.stack([-edge[:, 1], edge[:, 0]], axis=1)
+        # cross(edge, p - a) > 0 on every edge: strictly inside
+        inside = np.all(inward @ xy.T > np.einsum("ij,ij->i", a, inward)[:, None], axis=0)
+        inside[ext] = False
+        idx = idx[~inside]
+    x, y = xy[:, 0], xy[:, 1]
+    idx = idx[np.lexsort((y[idx], x[idx]))]
+    sx, sy = x[idx], y[idx]
+    idx = idx[np.concatenate(([True], (sx[1:] != sx[:-1]) | (sy[1:] != sy[:-1])))]
+    if len(idx) <= 2:
+        return idx
+    inner = idx[1:-1]
+    side = _row_cross(xy[idx[-1]] - xy[idx[0]], xy[inner] - xy[idx[0]])
+    lower = _row_left_chain(xy, np.concatenate((idx[:1], inner[side < 0.0], idx[-1:])))
+    upper = _row_left_chain(xy, np.concatenate((idx[-1:], inner[side > 0.0][::-1], idx[:1])))
+    return np.concatenate([lower[:-1], upper[:-1]])
+
+
+def _row_rotate(a: np.ndarray, k: int) -> np.ndarray:
+    return np.concatenate((a[k:], a[:k]))
+
+
+def _row_cross(u: np.ndarray, w: np.ndarray) -> np.ndarray:
+    return u[..., 0] * w[..., 1] - u[..., 1] * w[..., 0]
+
+
+def _row_left_chain(xy: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    while len(idx) > 2:
+        p = xy[idx]
+        left = _row_cross(p[1:-1] - p[:-2], p[2:] - p[1:-1]) > 0.0
+        if left.all():
+            break
+        idx = np.concatenate([idx[:1], idx[1:-1][left], idx[-1:]])
+    return idx
+
+
+def row_support(points: np.ndarray, coords: np.ndarray, dirs: np.ndarray,
+                psi: np.ndarray) -> np.ndarray:
+    """The hull-based support of (m, d) points at (k, d) directions, on rows."""
+    hull = row_hull_cycle(coords)
+    h = len(hull)
+    edge = coords[_row_rotate(hull, 1)] - coords[hull]
+    alpha = np.arctan2(-edge[:, 0], edge[:, 1])
+    start = int(np.argmin(alpha))
+    alpha = np.maximum.accumulate(_row_rotate(alpha, start))
+    pos = np.searchsorted(psi, alpha, side="left")
+    run = np.diff(np.concatenate(([0], pos, [len(psi)])))
+    ring = points[hull[(start + np.arange(-1, h + 2)) % h]]
+    best = np.full(len(dirs), -np.inf)
+    for shift in range(3):
+        x = np.repeat(ring[shift:shift + h + 1], run, axis=0)
+        np.maximum(best, np.einsum("ij,ij->i", x, dirs), out=best)
+    return best
+
+
+def row_companions(points: np.ndarray, anchors: np.ndarray, segs: np.ndarray, eps: float):
+    """Closed-form companion points on rows, NaN rows where there is no root."""
+    p0 = points[segs]
+    d = points[(segs + 1) % len(points)] - p0
+    w = points[anchors] - p0
+    qa = np.einsum("ij,ij->i", d, d)
+    qb = np.einsum("ij,ij->i", w, d)
+    qc = np.einsum("ij,ij->i", w, w) - eps * eps
+    with np.errstate(invalid="ignore", divide="ignore"):
+        root = np.sqrt(qb * qb - qa * qc)
+        t = np.where(qc <= 0.0, qb + root, qb - root) / qa
+    t = np.where((t >= 0.0) & (t <= 1.0), t, np.nan)
+    return p0 + t[:, None] * d
+
+
+def stacked_planar_direction_pairs(n_base: int, gaps: np.ndarray):
+    """Planar base and partner directions, stacked along a last axis."""
+    theta = np.arange(n_base) * (2.0 * np.pi / n_base)
+    partner = theta + gaps
+    return (np.stack([np.cos(theta), np.sin(theta)], axis=1),
+            np.stack([np.cos(partner), np.sin(partner)], axis=-1).reshape(-1, 2))

@@ -4,7 +4,9 @@ The chord search skips blocks of points that cannot hold a crossing, and the
 support kernel reads the maximum of (x, d) over a planar point set off the
 set's convex hull, so they must return what the full scans in
 tests/oracles.py return: the same crossings, in the same order, and the same
-support values, least depths and radial extents up to rounding.
+support values, least depths and radial extents up to rounding.  The
+coordinate-column kernels must also return, bit for bit, what the row-form
+kernels they replaced return.
 """
 import math
 import tracemalloc
@@ -41,6 +43,9 @@ from oracles import (
     dense_min_gaps,
     dense_radial_extents,
     dense_support,
+    row_companions,
+    row_hull_cycle,
+    row_support,
 )
 
 RESOLUTIONS = (16, 17, 33, 257, 1000, 2047, 4096)
@@ -87,7 +92,7 @@ def test_kernels_match_dense_oracle(name):
 
             # where bisection found the chord the closed form finds the same
             # point; only crossings without a float64 root are dropped
-            comps = _companions(param.points, anchors, segs, eps)
+            comps = _companions(param._index.columns, anchors, segs, eps).T
             rooted = ~np.isnan(comps[:, 0])
             bisected = bisect_companions(param.points, anchors, segs, eps)
             good = np.abs(np.linalg.norm(param.points[anchors] - bisected, axis=1) - eps) <= tol
@@ -107,7 +112,7 @@ def test_kernels_match_dense_oracle(name):
             # _support takes the grid sorted by in-plane angle, as the depth step does
             order, psi = _plane_angles(param.grid, _PLANE)
             for X in (mids, cloud):
-                got = _support(X, X - param.origin, param.grid[order], psi)
+                got = _support(X.T, (X - param.origin).T, param.grid[order].T, psi)
                 assert np.max(np.abs(got - dense_support(X, param.grid[order]))) <= tol, where
             for X in (mids, np.concatenate([mids, cloud])):
                 got = param.inscribed_radii(X)
@@ -147,7 +152,7 @@ def test_three_dimensional_sections_match_dense_oracle():
                 a_pts, comps = _chords_of_length(points, eps)
                 mids = 0.5 * (a_pts + comps)
                 order, psi = _plane_angles(grid, basis)
-                got = _support(mids, (mids - origin) @ basis.T, grid[order], psi)
+                got = _support(mids.T, ((mids - origin) @ basis.T).T, grid[order].T, psi)
                 assert np.max(np.abs(got - dense_support(mids, grid[order]))) <= tol, where
                 best[order] = np.maximum(best[order], got)
                 pooled.append(mids)
@@ -268,7 +273,7 @@ DEGENERATE = _degenerate_sets()
 
 def _assert_support_matches_dense(X, coords, dirs, basis, where):
     order, psi = _plane_angles(dirs, basis)
-    got = _support(X, coords, dirs[order], psi)
+    got = _support(X.T, coords.T, dirs[order].T, psi)
     want = dense_support(X, dirs[order])
     # the dot products, and so their rounding, are as large as the points
     assert np.max(np.abs(got - want)) <= 1e-14 * (1.0 + np.max(np.abs(X))), where
@@ -303,7 +308,7 @@ def _hull_rows(X, idx):
 @pytest.mark.parametrize("name", sorted(DEGENERATE))
 def test_hull_cycle_on_degenerate_sets(name):
     X = DEGENERATE[name]
-    hull = _hull_cycle(X)
+    hull = _hull_cycle(X.T)
     assert len(np.unique(hull)) == len(hull)
     distinct = np.unique(X, axis=0)
     if len(distinct) == 1:
@@ -331,7 +336,7 @@ def test_hull_cycle_keeps_points_that_share_one_coordinate(axis):
     # corners that share x (axis 0) or y (axis 1) are neighbours once sorted
     corners = np.array([[0.0, 0.0], [0.0, 1.0], [2.0, 0.0], [2.0, 1.0]])[:, [axis, 1 - axis]]
     X = np.concatenate([corners, [[1.0, 0.5]], corners[::-1]])
-    hull = _hull_cycle(X)
+    hull = _hull_cycle(X.T)
     # the four corners, each as its first copy
     assert sorted(hull) == [0, 1, 2, 3]
     assert _turns_left(X[hull])
@@ -343,7 +348,7 @@ def test_hull_cycle_matches_qhull_counter_clockwise(seed):
     for X in (rng.standard_normal((7, 2)), rng.standard_normal((5000, 2)),
               rng.uniform(-1.0, 1.0, (3000, 2)), np.round(4.0 * rng.standard_normal((400, 2))),
               rng.integers(0, 3, (50, 2)).astype(float)):
-        hull = _hull_cycle(X)
+        hull = _hull_cycle(X.T)
         assert np.array_equal(_hull_rows(X, hull), _hull_rows(X, ConvexHull(X).vertices))
         assert _turns_left(X[hull])
 
@@ -445,3 +450,129 @@ def test_every_chord_has_the_requested_length(body, eps):
     a_pts, comps = _chords_of_length(param.points, eps)
     err = np.abs(np.linalg.norm(a_pts - comps, axis=1) - eps)
     assert np.max(err) <= 1e-12 * (1.0 + param.diameter)
+
+
+# -- the coordinate-column kernels against the row-form kernels they replaced --
+
+
+def _same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    return (got.shape == want.shape and got.dtype == want.dtype
+            and np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes())
+
+
+def _row_depth(section, grid, support, pmids):
+    """Least depth of (m, d) midpoints as the row-form depth step computed it."""
+    order, psi = _plane_angles(grid, section.basis)
+    pcoords = (pmids - section.origin) @ section.basis.T
+    best = row_support(pmids, pcoords, grid[order], psi)
+    return pcoords, float(np.min(support[order] - best))
+
+
+def _assert_chords_and_depth_match_rows(section, grid, support, eps, where):
+    """Companions, midpoints, hull and least depth of one eps against the rows;
+    grid and support are the section's depth directions and support values."""
+    points, index = section.points, section._index
+    anchors, segs = _chord_crossings(points, eps, index)
+    comps = _companions(index.columns, anchors, segs, eps)
+    want = row_companions(points, anchors, segs, eps)
+    assert _same_bits(comps.T, want), where
+    found = _chords_of_length(points, eps, index)
+    rooted = ~np.isnan(want[:, 0])
+    if found is None:
+        assert not np.any(rooted), where
+        return
+    a_pts, c_pts = found
+    assert _same_bits(a_pts, points[anchors[rooted]]), where
+    assert _same_bits(c_pts, want[rooted]), where
+    mids = 0.5 * (a_pts + c_pts)
+    pmids = 0.5 * (points[anchors[rooted]] + want[rooted])
+    assert _same_bits(mids, pmids), where
+    pcoords, depth = _row_depth(section, grid, support, pmids)
+    coords = (mids - section.origin).T if section.basis is _PLANE else pcoords.T
+    assert _same_bits(coords.T, pcoords), where
+    assert np.array_equal(_hull_cycle(coords), row_hull_cycle(pcoords)), where
+    assert repr(section.inscribed_radii(mids)) == repr(depth), where
+
+
+@pytest.mark.parametrize("name", sorted(BODIES))
+def test_column_kernels_match_row_kernels_bit_for_bit(name):
+    body = BODIES[name]
+    for n in (17, 257, 2048):
+        param = BoundaryParam(body, n)
+        order, psi = _plane_angles(param.grid, _PLANE)
+        cloud = _shuffled_interior(param, 300, n)
+        for frac in EPS_FRACTIONS:
+            _assert_chords_and_depth_match_rows(param, param.grid, param.support,
+                                                frac * param.diameter,
+                                                f"{name} n={n} eps={frac}*diam")
+        for coords in (cloud - param.origin, cloud):
+            got = _support(cloud.T, np.ascontiguousarray(coords.T), param._dirs, psi)
+            assert _same_bits(got, row_support(cloud, coords, param.grid[order], psi)), name
+
+
+@pytest.mark.parametrize("name", sorted(DEGENERATE))
+def test_column_hull_and_support_match_rows_on_degenerate_sets(name):
+    X = DEGENERATE[name]
+    assert np.array_equal(_hull_cycle(X.T), row_hull_cycle(X))
+    assert np.array_equal(_hull_cycle(np.ascontiguousarray(X.T)), row_hull_cycle(X))
+    for n in (16, 17, 1000):
+        dirs = angle_grid(n)
+        order, psi = _plane_angles(dirs, _PLANE)
+        for coords in (X - X.mean(axis=0), X):
+            want = row_support(X, coords, dirs[order], psi)
+            for cols in (dirs[order].T, np.ascontiguousarray(dirs[order].T)):
+                got = _support(np.ascontiguousarray(X.T), np.ascontiguousarray(coords.T),
+                               cols, psi)
+                assert _same_bits(got, want), f"{name} n={n}"
+
+
+@pytest.mark.parametrize("d", [3, 4, 5, 8])
+def test_section_kernels_match_rows_bit_for_bit(d):
+    # numpy's einsum adds the terms of a row in an order of its own that
+    # changes with the row length, so sections keep einsum on rows: on both
+    # sides of any such change, and whether or not the columns are
+    # transposes of C-contiguous rows, they must return the rows' bits
+    rng = np.random.default_rng(20 + d)
+    body = sc.Ellipsoid(rng.uniform(-0.5, 0.5, d), np.linspace(2.0, 1.0, d),
+                        np.linalg.qr(rng.standard_normal((d, d)))[0])
+    grid = sc.sphere_grid(3000, d)
+    support = body.support_values(grid)
+    origin = steiner_point(body)
+    scaled = _scaled_directions(grid, support - grid @ origin)
+    for u, v in _section_planes(body, grid, origin, 2, 0):
+        section = BoundaryParam._of_plane(origin, np.stack([u, v]), 300, grid, support, scaled)
+        for eps in (0.2, 0.9, 2.0):
+            _assert_chords_and_depth_match_rows(section, grid, support, eps, f"d={d} eps={eps}")
+        # a planar point set off the section's plane, against every direction
+        basis = section.basis
+        X = DEGENERATE["circle"]
+        P = origin + X @ basis
+        order, psi = _plane_angles(grid, basis)
+        want = row_support(P, X, grid[order], psi)
+        for cols in (grid[order].T, np.ascontiguousarray(grid[order].T)):
+            got = _support(np.ascontiguousarray(P.T), np.ascontiguousarray(X.T), cols, psi)
+            assert _same_bits(got, want), f"d={d}"
+
+
+@pytest.mark.parametrize("name", ["ellipse_6to1", "lens", "point_hull"])
+def test_kept_chord_buffers_serve_eps_in_any_order(name):
+    # the chunk products and the mask live in buffers of the index, so an
+    # eps searched after any other, larger, smaller or the same, must find
+    # what a fresh index finds
+    body = BODIES[name]
+    for n in (257, 2048):
+        param = BoundaryParam(body, n)
+        fracs = np.linspace(0.02, 0.98, 9)
+        for frac in np.concatenate([fracs, fracs[::-1], np.repeat(fracs[::3], 2)]):
+            eps = frac * param.diameter
+            where = f"{name} n={n} eps={frac:.2f}*diam"
+            fresh = _chord_index(param.points)
+            got = _chord_crossings(param.points, eps, param._index)
+            want = _chord_crossings(param.points, eps, fresh)
+            assert all(np.array_equal(g, w) for g, w in zip(got, want)), where
+            got = _chords_of_length(param.points, eps, param._index)
+            want = _chords_of_length(param.points, eps, fresh)
+            assert (got is None) == (want is None), where
+            if got is not None:
+                assert all(_same_bits(g, w) for g, w in zip(got, want)), where

@@ -278,3 +278,74 @@ class TestCurveValidation:
         for delta, bound in (([nan, 0.02], [0.0, 0.0]), ([0.01, 0.02], [0.0, nan])):
             with pytest.raises(ValueError):
                 sc.ModulusCurve.from_arrays([0.1, 0.2], delta, bound)
+
+
+def _turned(theta):
+    c, s = math.cos(theta), math.sin(theta)
+    return np.array([[c, -s], [s, c]])
+
+
+# The six planar bodies of the modulus_planar benchmark at seed 1, from literals.
+BENCHMARK_PLANAR_BODIES = {
+    "ball": sc.Ball([-0.39361034141671003, -0.09300422103869699], 1.1582751372901798),
+    "ellipse_2to1": sc.Ellipsoid([-0.7319166055056705, -0.19377402710574154],
+                                 [2.450463696325935, 1.2252318481629676],
+                                 _turned(0.6391734894425349)),
+    "ellipse_4to1": sc.Ellipsoid([-0.475373319116301, 0.5007293452601052],
+                                 [1.6441596127196338, 0.41103990317990846],
+                                 _turned(0.8809300940911813)),
+    "ellipse_plus_ball": sc.MinkowskiSum([
+        sc.Ellipsoid([-0.029618051136729884, 0.9614743996024773],
+                     [2.4486494471372438, 1.2243247235686219], _turned(3.0211351748859294)),
+        sc.Ball([0.4495798815470673, 0.08245371109486843], 0.3935494356031456)]),
+    "lens": sc.lens([0.09918737534611899, -0.9448817735138633],
+                    [0.45287427835005684, 0.26118202094591636], 0.9693305795890302),
+    "square": sc.PointHull([[-0.34053656700181567, 0.5768574068568086],
+                            [-0.4992265794340788, 1.894797217353847],
+                            [-1.817166389931117, 1.736107204921584],
+                            [-1.658476377498854, 0.41816739442454554]]),
+}
+
+# repr of every delta at the benchmark's 8 eps, resolution 2048, as computed
+# before the chord and depth kernels moved to coordinate columns (numpy 2.4.6,
+# OpenBLAS, x86-64; another build may round the last digits differently)
+PINNED_PLANAR_DELTAS = {
+    "ball": ["0.0014499040508126892", "0.00426287673031811", "0.00857222800746138",
+             "0.014391877143636655", "0.021745527779642115", "0.03066362124865818",
+             "0.04118395076313619", "0.053352258545735776"],
+    "ellipse_2to1": ["0.0015319363529286978", "0.0045091613492243", "0.009066366590800179",
+                     "0.015222144949953664", "0.023001448725773477", "0.032435331795783506",
+                     "0.04356085844335522", "0.056434835360892444"],
+    "ellipse_4to1": ["0.0005139290488120896", "0.0015127269263952026", "0.0030415947860336634",
+                     "0.00510677000012405", "0.007716531243916247", "0.01088108024743889",
+                     "0.014612368888342664", "0.018927971564640378"],
+    "ellipse_plus_ball": ["0.0019084380470745232", "0.005619870412293615",
+                          "0.011298904085119688", "0.018979171521615434",
+                          "0.028684569198357934", "0.040467712568656944",
+                          "0.0543739242892185", "0.07047403718615186"],
+    "lens": ["0.0005085510764413215", "0.001497718295799741", "0.0030078730545562704",
+             "0.00504314116026483", "0.007606442529666468", "0.010700727204121088",
+             "0.014334287145324698", "0.01851027348055434"],
+    "square": ["-4.440892098500626e-16", "-2.220446049250313e-16", "-4.440892098500626e-16",
+               "-4.440892098500626e-16", "-4.440892098500626e-16", "-4.440892098500626e-16",
+               "-4.440892098500626e-16", "-4.440892098500626e-16"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(BENCHMARK_PLANAR_BODIES))
+def test_benchmark_planar_moduli_are_pinned(name):
+    body = BENCHMARK_PLANAR_BODIES[name]
+    eps = np.linspace(0.1, 0.6, 8) * 0.5 * body.diameter()
+    curve = sc.modulus_curve(body, eps, 2048)
+    assert [repr(float(d)) for d in curve.delta] == PINNED_PLANAR_DELTAS[name]
+
+
+def test_benchmark_sectioned_modulus_is_pinned():
+    # the 2:1.5:1 ellipsoid of the radius_mixed predict case at seed 1
+    body = sc.Ellipsoid([-0.7041559284300869, 0.639253438238554, 0.3665738120065143],
+                        [2.0, 1.5, 1.0])
+    eps = np.linspace(0.1, 0.6, 4) * 0.5 * body.diameter()
+    curve = sc.modulus_curve(body, eps, 256)
+    assert [repr(float(d)) for d in curve.delta] == [
+        "0.0012510883461192002", "0.009155089639083291", "0.024632984356378285",
+        "0.04810201939430803"]

@@ -14,6 +14,7 @@ from oracles import (
     bisect_min_radius,
     ellipsoid_min_radius,
     lp_disc_min_radius,
+    stacked_planar_direction_pairs,
     support_polygon,
 )
 
@@ -708,3 +709,17 @@ class TestLocalLensCheck:
     def test_planar_only(self):
         with pytest.raises(ValueError):
             sc.local_lens_check(sc.Ball([0, 0, 0], 1.0), 1.0, 0.5)
+
+
+@pytest.mark.parametrize("n_pairs", [1, 80, 81, 500, 4096, 8000])
+def test_planar_direction_pairs_match_the_stacked_ones(n_pairs):
+    # written column by column into preallocated arrays, they must equal the
+    # stack of cos and sin along a last axis bit for bit, and so must the table
+    body = sc.Ellipsoid([0.1, -0.2], [2.0, 1.0])
+    base, P2 = strongconv._direction_pairs(body, n_pairs, 0)
+    n_base = max(8, -(-n_pairs // len(strongconv._GAP_SCALES)))
+    want_base, want_P2 = stacked_planar_direction_pairs(
+        n_base, np.array(strongconv._GAP_SCALES)[:, None])
+    for got, want in ((base, want_base), (P2, want_P2)):
+        assert got.shape == want.shape and got.flags.c_contiguous
+        assert got.tobytes() == want.tobytes()
