@@ -173,16 +173,37 @@ def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _plane_angles(dirs: np.ndarray, basis: np.ndarray):
-    """Sort order and sorted angles of directions projected into a plane.
+    """Sort order, sorted angles and projections of directions into a plane.
 
-    basis is (2, d), the orthonormal in-plane axes; the angles are those of
-    (d, basis[0]), (d, basis[1]) in [-pi, pi].  _support takes dirs[order]
-    with these angles.
+    basis is (2, d), the orthonormal in-plane axes; xy is (k, 2), the
+    projections (d, basis[0]), (d, basis[1]) in the order of dirs, and the
+    angles are theirs, in [-pi, pi].  _support takes dirs[order] with these
+    angles.
     """
     xy = dirs @ basis.T
     psi = np.arctan2(xy[:, 1], xy[:, 0])
     order = np.argsort(psi)
-    return order, psi[order]
+    return order, psi[order], xy
+
+
+def _cone_runs(coords: np.ndarray, psi: np.ndarray):
+    """Hull ring of C-contiguous (2, m) in-plane coordinates, and cone runs of sorted angles psi.
+
+    A direction's maximum over the points is taken at the hull vertex whose
+    normal cone holds its projection (Schneider, Convex Bodies, 2nd ed., sec.
+    1.7); in angle order the cones are consecutive runs of directions, cut by
+    one searchsorted among the angles of the outward edge normals.  The run[j]
+    directions after the first sum(run[:j]) lie in the cone of point ring[j + 1].
+    """
+    hull = _hull_cycle(coords)
+    h = len(hull)
+    edge = np.take(coords, _rotate(hull, 1), axis=1) - np.take(coords, hull, axis=1)
+    alpha = np.arctan2(-edge[0], edge[1])
+    start = int(np.argmin(alpha))
+    alpha = np.maximum.accumulate(_rotate(alpha, start))
+    pos = np.searchsorted(psi, alpha, side="left")
+    run = np.diff(np.concatenate(([0], pos, [len(psi)])))
+    return hull[(start + np.arange(-1, h + 2)) % h], run
 
 
 def _support(points: np.ndarray, coords: np.ndarray, dirs: np.ndarray,
@@ -193,32 +214,21 @@ def _support(points: np.ndarray, coords: np.ndarray, dirs: np.ndarray,
     coords (2, m), the points' in-plane coordinates, and dirs (d, k).  The
     points lie in a plane, and the directions come sorted by psi, their
     angles in the same plane, as _plane_angles returns them.  The maximum is
-    taken at the hull vertex whose normal cone holds the direction's
-    projection (Schneider, Convex Bodies, 2nd ed., sec. 1.7); in angle order
-    the cones are consecutive runs of directions, cut by one searchsorted
-    among the angles of the outward edge normals.  That vertex and its two
-    hull neighbours are evaluated with the full-dimensional dot product of
-    _dots, which covers rounding at the ends of the cones.  In d >= 3 that is
-    einsum on rows, which reads dirs without a copy when dirs.T is
-    C-contiguous.
+    taken at the vertex of the direction's normal cone (_cone_runs).  That
+    vertex and its two hull neighbours are evaluated with the
+    full-dimensional dot product of _dots, which covers rounding at the ends
+    of the cones.  In d >= 3 that is einsum on rows, which reads dirs without
+    a copy when dirs.T is C-contiguous.
     """
+    # the copy replaces a transposed view, which may be all that holds its base
     coords = np.ascontiguousarray(coords)
-    hull = _hull_cycle(coords)
-    h = len(hull)
-    edge = np.take(coords, _rotate(hull, 1), axis=1) - np.take(coords, hull, axis=1)
-    alpha = np.arctan2(-edge[0], edge[1])
-    start = int(np.argmin(alpha))
-    alpha = np.maximum.accumulate(_rotate(alpha, start))
-    # the directions from pos[j - 1] to pos[j] lie in the normal cone of
-    # vertex start + j, which is row j + 1 of ring
-    pos = np.searchsorted(psi, alpha, side="left")
-    run = np.diff(np.concatenate(([0], pos, [len(psi)])))
+    ring, run = _cone_runs(coords, psi)
     # the ring and its repeats as rows, whose transposes are the columns that
     # _dots takes; the take copies the points at most once
-    ring = np.take(points.T, hull[(start + np.arange(-1, h + 2)) % h], axis=0)
+    ring = np.take(points.T, ring, axis=0)
     best = np.full(len(psi), -np.inf)
     for shift in range(3):
-        x = np.repeat(ring[shift:shift + h + 1], run, axis=0)
+        x = np.repeat(ring[shift:shift + len(run)], run, axis=0)
         np.maximum(best, _dots(x.T, dirs), out=best)
     return best
 
@@ -233,7 +243,7 @@ def _radial_extents(scaled: np.ndarray, basis: np.ndarray, rays: np.ndarray, ang
     their _plane_angles, so that maximum is the support of the scaled
     directions' projection into that plane.
     """
-    order, psi = angles
+    order, psi, _ = angles
     out = np.empty(len(rays))
     out[order] = 1.0 / _support(scaled.T, (scaled @ basis.T).T,
                                 np.take(rays, order, axis=0).T, psi)
@@ -267,10 +277,10 @@ class BoundaryParam:
 
     points is (n, d), one boundary point per ray.  The per-eps kernels read
     coordinate columns instead, each a contiguous 1-D array: the chord index
-    keeps the points as (d, n) columns, and the depth directions are kept in
-    angle order as (d, k) columns, the x and y columns of a planar body; a
-    section's are the transpose of C-contiguous rows, which the einsum of
-    _dots reads without a copy.
+    keeps the points as (d, n) columns, and a planar body keeps its depth
+    directions in angle order as x and y columns.  A section keeps only their
+    in-plane data in angle order, and gathers the grid rows of the few that
+    pass its screen (_section_depth).
     """
 
     def __init__(self, body: ConvexBody, resolution: int):
@@ -285,30 +295,36 @@ class BoundaryParam:
         numer = self.support - self.grid @ self.origin
         if np.min(numer) < -1e-12 * (1.0 + self.diameter):
             raise ValueError("reference point is not interior to the body")
-        self._build(_PLANE, self.grid, self.grid, self.support,
+        self._build(_PLANE, self.grid, self.grid, self.support, numer,
                     _scaled_directions(self.grid, numer))
 
     @classmethod
-    def _of_plane(cls, origin, basis, resolution, grid, support, scaled) -> "BoundaryParam":
+    def _of_plane(cls, origin, basis, resolution, grid, support, numer,
+                  scaled) -> "BoundaryParam":
         # a section of a solid; its rays are angle_grid(resolution) turned into the plane
         self = cls.__new__(cls)
         self.origin = origin
         t = np.arange(resolution) * (2.0 * np.pi / resolution)
         rays = np.outer(np.cos(t), basis[0]) + np.outer(np.sin(t), basis[1])
-        self._build(basis, rays, grid, support, scaled)
+        self._build(basis, rays, grid, support, numer, scaled)
         return self
 
-    def _build(self, basis, rays, grid, support, scaled):
+    def _build(self, basis, rays, grid, support, numer, scaled):
         angles = _plane_angles(rays, basis)
         self.n, self.basis = len(rays), basis
         self.radial = _radial_extents(scaled, basis, rays, angles)
         self.points = self.origin + self.radial[:, None] * rays
         self._index = _chord_index(self.points)
-        # the depth directions in angle order, as coordinate columns
-        order, self._psi = angles if grid is rays else _plane_angles(grid, basis)
-        dirs = grid[order].T
-        self._dirs = np.ascontiguousarray(dirs) if basis is _PLANE else dirs
-        self._dir_support = support[order]
+        order, self._psi, proj = angles if grid is rays else _plane_angles(grid, basis)
+        if basis is _PLANE:
+            # the depth directions in angle order, as coordinate columns
+            self._dirs = np.ascontiguousarray(grid[order].T)
+            self._dir_support = support[order]
+        else:
+            self._order, self._grid, self._grid_support = order, grid, support
+            self._numer = numer[order]
+            self._proj = np.ascontiguousarray(proj[order].T)
+            self._gap_scale = float(np.linalg.norm(self.origin) + np.max(np.abs(numer)))
 
     def inscribed_radii(self, pts: np.ndarray) -> float:
         """Least grid-supported inscribed-ball radius over the query points.
@@ -321,14 +337,58 @@ class BoundaryParam:
         columns, which is contiguous when pts is a transposed view of them, as
         _chords_of_length returns chords.  A planar body's basis is the
         identity, and x @ I is x on every nonzero coordinate, so its in-plane
-        coordinates are x - origin.
+        coordinates are x - origin.  A section screens the directions first.
         """
-        if self.basis is _PLANE:
-            coords = pts.T - self.origin[:, None]
-        else:
-            coords = ((np.ascontiguousarray(pts) - self.origin) @ self.basis.T).T
-        best = _support(pts.T, coords, self._dirs, self._psi)
+        if self.basis is not _PLANE:
+            return self._section_depth(pts)
+        best = _support(pts.T, pts.T - self.origin[:, None], self._dirs, self._psi)
         return float(np.min(self._dir_support - best))
+
+    def _screen(self, pts: np.ndarray):
+        # the cone runs of the points' in-plane coordinates, the screened gaps
+        # in angle order and their bound tau, as _section_depth states them
+        coords = np.ascontiguousarray(((np.ascontiguousarray(pts) - self.origin) @ self.basis.T).T)
+        ring, run = _cone_runs(coords, self._psi)
+        cx, cy = (np.repeat(c[ring[1:len(run) + 1]], run) for c in coords)
+        gaps = self._numer - (cx * self._proj[0] + cy * self._proj[1])
+        reach = math.sqrt(np.max(_dots(coords, coords)))
+        return ring, run, gaps, (len(self.origin) + 8) * 2.0 ** -49 * (self._gap_scale + reach)
+
+    def _section_depth(self, pts: np.ndarray) -> float:
+        """Least depth of points in a section, screened in its plane, confirmed in full.
+
+        The gap of direction k is g_k = s_k - max (x_v, p_k) over its cone
+        vertex v(k) and that vertex's two hull neighbours, in full dimension,
+        as _support evaluates it.  In exact arithmetic it equals the screened
+        gap g~_k = numer_k - (c_v(k), pi_k), from the slack numer_k =
+        s_k - (p_k, origin), the projection pi_k and the in-plane coordinates
+        c.  tau = 16 (d + 8) u (|origin| + R + N), with u = 2^-53, R = max |c|
+        and N = max |numer|, bounds |g~_k - g_k| with room to spare.  It
+        covers the rounding of numer (d u |origin| + u N), of c, pi and their
+        product (about 3 d u R), the points' rounding-level distance from the
+        plane (a few sqrt(d) u (|origin| + R)), the full-dimensional dot and
+        subtraction (d u (|origin| + R) + u N), and a cone vertex chosen
+        wrongly at a rounded cone end, whose edge e to the right vertex is then
+        normal to pi_k within rounding: |(e, pi_k)| <= 2 R (sqrt(2) d + 5) u.
+        So every k* at which g is least passes the screen:
+
+            g~_k* <= g_k* + tau = min g + tau <= min g~ + 2 tau.
+
+        Only the directions that pass are evaluated in full, on their gathered
+        rows.  einsum rounds each row alone, so the least of their gaps is the
+        least over all directions, bit for bit.
+        """
+        ring, run, gaps, tau = self._screen(pts)
+        keep = np.flatnonzero(gaps <= np.min(gaps) + 2.0 * tau)
+        # the run of each direction kept, whose cone vertex is row j + 1 of ring
+        j = np.searchsorted(np.cumsum(run), keep, side="right")
+        ring = np.take(pts, ring, axis=0)
+        rows = self._order[keep]
+        dirs = np.take(self._grid, rows, axis=0)
+        best = np.full(len(keep), -np.inf)
+        for shift in range(3):
+            np.maximum(best, _dots(ring[j + shift].T, dirs.T), out=best)
+        return float(np.min(self._grid_support[rows] - best))
 
 
 def _bounding_balls(points: np.ndarray, blocks: np.ndarray):
@@ -571,18 +631,22 @@ def _sectioned_estimate(body, eps, resolution, sections, seed) -> np.ndarray:
     A section's depth is min over grid directions p of s(p) - h_S(p), with h_S
     the support function of its chord midpoints; the least over the sections
     is the depth of all midpoints together, bit for bit, as rounded
-    subtraction is monotone.  The sections are built and searched one at a time.
+    subtraction is monotone.  Each section screens the directions in its plane
+    with the slacks s(p) - (p, origin), computed once here, and evaluates only
+    the few that pass in full (BoundaryParam._section_depth).  The sections
+    are built and searched one at a time.
     """
     grid = default_grid(body.dim)
     support = body.support_values(grid)
     origin = steiner_point(body)
-    scaled = _scaled_directions(grid, support - grid @ origin)
+    numer = support - grid @ origin
+    scaled = _scaled_directions(grid, numer)
     out = np.full(len(eps), np.inf)
     for u, v in _section_planes(body, grid, origin, sections, seed):
         section = BoundaryParam._of_plane(origin, np.stack([u, v]), resolution,
-                                          grid, support, scaled)
+                                          grid, support, numer, scaled)
         np.minimum(out, [_planar_estimate(section, float(e)) for e in eps], out=out)
-        # free this section's sorted grid before the next one is built
+        # free this section's angle-order data before the next one is built
         del section
     return out
 

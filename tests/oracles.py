@@ -23,8 +23,10 @@ replaced; the reference support values are the expressions that the
 oracles' column-at-a-time row kernels replaced; the row-form hull, support
 and companion kernels, and the stacked planar pair directions, are the code
 that the modulus's coordinate-column kernels and the preallocated pair
-directions replaced, kept verbatim so that the new code can be held to
-their bits.
+directions replaced, and the unscreened section depth is the depth step
+that evaluated every grid direction in full dimension before a section
+screened them in its plane, all kept verbatim so that the new code can be
+held to their bits.
 """
 from __future__ import annotations
 
@@ -34,6 +36,7 @@ import numpy as np
 from scipy.spatial import ConvexHull
 
 import strconvex as sc
+from strconvex.modulus import _dots, _hull_cycle, _plane_angles, _rotate
 
 
 def support_polygon(grid: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -670,3 +673,41 @@ def stacked_planar_direction_pairs(n_base: int, gaps: np.ndarray):
     partner = theta + gaps
     return (np.stack([np.cos(theta), np.sin(theta)], axis=1),
             np.stack([np.cos(partner), np.sin(partner)], axis=-1).reshape(-1, 2))
+
+
+# -- the section depth step before its directions were screened in the plane ----
+
+
+def unscreened_support(points: np.ndarray, coords: np.ndarray, dirs: np.ndarray,
+                       psi: np.ndarray) -> np.ndarray:
+    """The hull-based support of (d, m) points at (d, k) directions sorted by psi,
+    every direction evaluated in full dimension at its cone vertex and both
+    hull neighbours."""
+    coords = np.ascontiguousarray(coords)
+    hull = _hull_cycle(coords)
+    h = len(hull)
+    edge = np.take(coords, _rotate(hull, 1), axis=1) - np.take(coords, hull, axis=1)
+    alpha = np.arctan2(-edge[0], edge[1])
+    start = int(np.argmin(alpha))
+    alpha = np.maximum.accumulate(_rotate(alpha, start))
+    # the directions from pos[j - 1] to pos[j] lie in the normal cone of
+    # vertex start + j, which is row j + 1 of ring
+    pos = np.searchsorted(psi, alpha, side="left")
+    run = np.diff(np.concatenate(([0], pos, [len(psi)])))
+    # the ring and its repeats as rows, whose transposes are the columns that
+    # _dots takes; the take copies the points at most once
+    ring = np.take(points.T, hull[(start + np.arange(-1, h + 2)) % h], axis=0)
+    best = np.full(len(psi), -np.inf)
+    for shift in range(3):
+        x = np.repeat(ring[shift:shift + h + 1], run, axis=0)
+        np.maximum(best, _dots(x.T, dirs), out=best)
+    return best
+
+
+def unscreened_section_gaps(section, grid: np.ndarray, support: np.ndarray,
+                            pts: np.ndarray) -> np.ndarray:
+    """Every gap support_k - h(p_k) of the points of a section at the grid
+    directions, in angle order; the least of them is the section depth."""
+    order, psi, _ = _plane_angles(grid, section.basis)
+    coords = ((np.ascontiguousarray(pts) - section.origin) @ section.basis.T).T
+    return support[order] - unscreened_support(pts.T, coords, grid[order].T, psi)

@@ -6,7 +6,8 @@ set's convex hull, so they must return what the full scans in
 tests/oracles.py return: the same crossings, in the same order, and the same
 support values, least depths and radial extents up to rounding.  The
 coordinate-column kernels must also return, bit for bit, what the row-form
-kernels they replaced return.
+kernels they replaced return, and a section's depth, screened in its plane,
+what the depth step that evaluated every direction in full dimension returns.
 """
 import math
 import tracemalloc
@@ -46,6 +47,7 @@ from oracles import (
     row_companions,
     row_hull_cycle,
     row_support,
+    unscreened_section_gaps,
 )
 
 RESOLUTIONS = (16, 17, 33, 257, 1000, 2047, 4096)
@@ -110,7 +112,7 @@ def test_kernels_match_dense_oracle(name):
             mids = 0.5 * (a_pts + comps)
             cloud = _shuffled_interior(param, 200, n)
             # _support takes the grid sorted by in-plane angle, as the depth step does
-            order, psi = _plane_angles(param.grid, _PLANE)
+            order, psi, _ = _plane_angles(param.grid, _PLANE)
             for X in (mids, cloud):
                 got = _support(X.T, (X - param.origin).T, param.grid[order].T, psi)
                 assert np.max(np.abs(got - dense_support(X, param.grid[order]))) <= tol, where
@@ -135,12 +137,13 @@ def test_three_dimensional_sections_match_dense_oracle():
     grid = sc.default_grid(3)
     support = body.support_values(grid)
     origin = steiner_point(body)
-    scaled = _scaled_directions(grid, support - grid @ origin)
+    numer = support - grid @ origin
+    scaled = _scaled_directions(grid, numer)
     planes = [np.stack(uv) for uv in _section_planes(body, grid, origin, 8, 0)]
     # 257 points leave a one-point last block of the chord search
     for resolution in (257, 300):
         polylines = [BoundaryParam._of_plane(origin, basis, resolution, grid, support,
-                                             scaled).points for basis in planes]
+                                             numer, scaled).points for basis in planes]
         for eps in (0.3, 1.5):
             where = f"resolution={resolution} eps={eps}"
             pooled, best = [], np.full(len(grid), -np.inf)
@@ -151,7 +154,7 @@ def test_three_dimensional_sections_match_dense_oracle():
                 assert np.array_equal(segs, want_segs), where
                 a_pts, comps = _chords_of_length(points, eps)
                 mids = 0.5 * (a_pts + comps)
-                order, psi = _plane_angles(grid, basis)
+                order, psi, _ = _plane_angles(grid, basis)
                 got = _support(mids.T, ((mids - origin) @ basis.T).T, grid[order].T, psi)
                 assert np.max(np.abs(got - dense_support(mids, grid[order]))) <= tol, where
                 best[order] = np.maximum(best[order], got)
@@ -272,7 +275,7 @@ DEGENERATE = _degenerate_sets()
 
 
 def _assert_support_matches_dense(X, coords, dirs, basis, where):
-    order, psi = _plane_angles(dirs, basis)
+    order, psi, _ = _plane_angles(dirs, basis)
     got = _support(X.T, coords.T, dirs[order].T, psi)
     want = dense_support(X, dirs[order])
     # the dot products, and so their rounding, are as large as the points
@@ -463,7 +466,7 @@ def _same_bits(got, want):
 
 def _row_depth(section, grid, support, pmids):
     """Least depth of (m, d) midpoints as the row-form depth step computed it."""
-    order, psi = _plane_angles(grid, section.basis)
+    order, psi, _ = _plane_angles(grid, section.basis)
     pcoords = (pmids - section.origin) @ section.basis.T
     best = row_support(pmids, pcoords, grid[order], psi)
     return pcoords, float(np.min(support[order] - best))
@@ -500,7 +503,7 @@ def test_column_kernels_match_row_kernels_bit_for_bit(name):
     body = BODIES[name]
     for n in (17, 257, 2048):
         param = BoundaryParam(body, n)
-        order, psi = _plane_angles(param.grid, _PLANE)
+        order, psi, _ = _plane_angles(param.grid, _PLANE)
         cloud = _shuffled_interior(param, 300, n)
         for frac in EPS_FRACTIONS:
             _assert_chords_and_depth_match_rows(param, param.grid, param.support,
@@ -518,7 +521,7 @@ def test_column_hull_and_support_match_rows_on_degenerate_sets(name):
     assert np.array_equal(_hull_cycle(np.ascontiguousarray(X.T)), row_hull_cycle(X))
     for n in (16, 17, 1000):
         dirs = angle_grid(n)
-        order, psi = _plane_angles(dirs, _PLANE)
+        order, psi, _ = _plane_angles(dirs, _PLANE)
         for coords in (X - X.mean(axis=0), X):
             want = row_support(X, coords, dirs[order], psi)
             for cols in (dirs[order].T, np.ascontiguousarray(dirs[order].T)):
@@ -539,16 +542,18 @@ def test_section_kernels_match_rows_bit_for_bit(d):
     grid = sc.sphere_grid(3000, d)
     support = body.support_values(grid)
     origin = steiner_point(body)
-    scaled = _scaled_directions(grid, support - grid @ origin)
+    numer = support - grid @ origin
+    scaled = _scaled_directions(grid, numer)
     for u, v in _section_planes(body, grid, origin, 2, 0):
-        section = BoundaryParam._of_plane(origin, np.stack([u, v]), 300, grid, support, scaled)
+        section = BoundaryParam._of_plane(origin, np.stack([u, v]), 300, grid, support, numer,
+                                          scaled)
         for eps in (0.2, 0.9, 2.0):
             _assert_chords_and_depth_match_rows(section, grid, support, eps, f"d={d} eps={eps}")
         # a planar point set off the section's plane, against every direction
         basis = section.basis
         X = DEGENERATE["circle"]
         P = origin + X @ basis
-        order, psi = _plane_angles(grid, basis)
+        order, psi, _ = _plane_angles(grid, basis)
         want = row_support(P, X, grid[order], psi)
         for cols in (grid[order].T, np.ascontiguousarray(grid[order].T)):
             got = _support(np.ascontiguousarray(P.T), np.ascontiguousarray(X.T), cols, psi)
@@ -576,3 +581,74 @@ def test_kept_chord_buffers_serve_eps_in_any_order(name):
             assert (got is None) == (want is None), where
             if got is not None:
                 assert all(_same_bits(g, w) for g, w in zip(got, want)), where
+
+
+# -- the section depth, screened in the plane, against the full evaluation --
+
+
+def _turned_ellipsoid(d, seed):
+    rng = np.random.default_rng(seed)
+    return sc.Ellipsoid(rng.uniform(-0.5, 0.5, d), np.linspace(2.0, 1.0, d),
+                        np.linalg.qr(rng.standard_normal((d, d)))[0])
+
+
+SCREENED = {
+    **{f"ellipsoid_{d}d": _turned_ellipsoid(d, 30 + d) for d in (3, 4, 5, 8)},
+    "ball": SOLIDS["ball"],
+    "ball_at_1e3": sc.Ball([1e3, 0.0, 0.0], 1.0),
+    "cube": sc.PointHull([[x, y, z] for x in (-1.0, 1.0) for y in (-1.0, 1.0)
+                          for z in (-1.0, 1.0)]),
+    "flat_square": sc.PointHull([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [1.0, 1.0, 0.0],
+                                 [0.0, 1.0, 0.0]]),
+    "thin_ellipsoid": sc.Ellipsoid([0.0, 0.0, 0.0], [1.0, 1.0, 1e-9]),
+    "ellipsoid_plus_ball": SOLIDS["ellipsoid_plus_ball"],
+}
+
+
+def _sections(body, count, origin=None):
+    """count sections of the body as the sectioned estimate builds them, with
+    the grid and support values of their depth directions; they pass through
+    origin, the Steiner point unless given."""
+    grid = sc.default_grid(body.dim)
+    support = body.support_values(grid)
+    origin = steiner_point(body) if origin is None else origin
+    numer = support - grid @ origin
+    scaled = _scaled_directions(grid, numer)
+    for u, v in _section_planes(body, grid, origin, count, 0):
+        yield (BoundaryParam._of_plane(origin, np.stack([u, v]), 256, grid, support, numer,
+                                       scaled), grid, support)
+
+
+@pytest.mark.parametrize("name", sorted(SCREENED))
+def test_screened_section_depth_matches_unscreened_bit_for_bit(name):
+    body = SCREENED[name]
+    diam = body.diameter()
+    searched = 0
+    for section, grid, support in _sections(body, 8):
+        for frac in np.linspace(0.01, 0.95, 6):
+            found = _chords_of_length(section.points, frac * diam, section._index)
+            if found is None:
+                continue
+            mids = 0.5 * (found[0] + found[1])
+            where = f"{name} eps={frac:.3f}*diam"
+            gaps = unscreened_section_gaps(section, grid, support, mids)
+            assert repr(section.inscribed_radii(mids)) == repr(float(np.min(gaps))), where
+            # the bound holds at every direction, not only at the least gap
+            _, _, screened, tau = section._screen(mids)
+            assert np.max(np.abs(screened - gaps)) <= tau, where
+            searched += 1
+    assert searched >= 30, name
+
+
+def test_screen_passes_every_direction_when_all_gaps_tie():
+    # sections through the centre of a ball, queried at the centre, which is
+    # equally deep in every direction: every direction passes the screen, and
+    # the exact evaluation runs on the whole grid
+    ball = SOLIDS["ball"]
+    for section, grid, support in _sections(ball, 2, ball.center):
+        centre = np.repeat(ball.center[None, :], 3, axis=0)
+        _, _, screened, tau = section._screen(centre)
+        assert np.all(screened <= np.min(screened) + 2.0 * tau)
+        gaps = unscreened_section_gaps(section, grid, support, centre)
+        assert np.max(np.abs(screened - gaps)) <= tau
+        assert repr(section.inscribed_radii(centre)) == repr(float(np.min(gaps)))
