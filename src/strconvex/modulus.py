@@ -98,19 +98,71 @@ def _hull_cycle(xy: np.ndarray) -> np.ndarray:
     """Indices of the vertices of the convex hull of planar points, counter-clockwise.
 
     xy is (2, m), the points' x and y coordinate columns, so that every
-    gather takes one 1-D index along its second axis.  Points strictly inside
-    the polygon of the extreme points in _HULL_DIRS cannot be vertices and are
-    dropped first.  The rest, sorted by (x, y) and without exact repeats, are
-    split by the line from the first to the last into a lower and an upper
-    chain, and every point that makes no strict left turn with its current
+    gather takes one 1-D index along its second axis.  The hull is cut at its
+    (x, y)-least and (x, y)-greatest points into a lower and an upper chain,
+    and every point that makes no strict left turn with its current
     neighbours is dropped, pass after pass, until none is: an extreme point
     always turns strictly left, and a chain of strict left turns through all
     of them is the hull (Andrew's monotone chain, with simultaneous removals).
-    One vertex for one distinct point, two for collinear points.
+    The vertices come from the (x, y)-least one on.
+
+    Points that come in strictly increasing angle about the origin, winding
+    once (_angle_chains), are a star-shaped polygon about the origin, which
+    lies inside their hull.  So their chains are its two arcs between the cut
+    points, in input order, and they peel in place (Graham's scan, Inf.
+    Process. Lett. 1, 1972): a point that turns no strict left lies in the
+    triangle of the origin and its neighbours, so it is no vertex.  Any other
+    points are sorted: those strictly inside the polygon of the extreme points
+    in _HULL_DIRS cannot be vertices and are dropped first, and the rest,
+    sorted by (x, y) and without exact repeats, are split by the line from the
+    first to the last.  One vertex for one distinct point, two for collinear
+    points.  Both ways give the same vertices in exact arithmetic; of points
+    collinear within rounding, the sorted way's prefilter may drop other ones
+    than the peel in place keeps.
     """
     # np.take copies an array that is not C-contiguous on every call, so a
     # transposed view is copied once here
     xy = np.ascontiguousarray(xy)
+    chains = _angle_chains(xy)
+    if chains is None:
+        idx = _sorted_candidates(xy)
+        if len(idx) <= 2:
+            return idx
+        inner = idx[1:-1]
+        side = _cross(xy[:, idx[-1]] - xy[:, idx[0]], np.take(xy, inner, axis=1) - xy[:, idx[:1]])
+        chains = (np.concatenate((idx[:1], inner[side < 0.0], idx[-1:])),
+                  np.concatenate((idx[-1:], inner[side > 0.0][::-1], idx[:1])))
+    lower, upper = (_left_chain(xy, chain) for chain in chains)
+    return np.concatenate([lower[:-1], upper[:-1]])
+
+
+def _angle_chains(xy: np.ndarray):
+    """Lower and upper chains of points in angle order about the origin, or None.
+
+    The points are in angle order, winding once, when each turns strictly
+    counter-clockwise to the next, the last to the first included (every
+    cross product (x_i, y_i) x (x_i+1, y_i+1) is positive), and exactly one
+    step goes from y < 0 to y >= 0.  Then the origin is inside their hull,
+    and the chains run in input order from the (x, y)-least point to the
+    (x, y)-greatest and on back to the first.  A set in any other order most
+    often fails the count of upward steps, the cheaper test, at once.
+    """
+    x, y = xy
+    below = y < 0.0
+    if (np.count_nonzero(below[:-1] > below[1:]) + (below[-1] > below[0]) != 1
+            or not x[-1] * y[0] > y[-1] * x[0]
+            or not np.all(x[:-1] * y[1:] > y[:-1] * x[1:])):
+        return None
+    lo = np.flatnonzero(x == x.min())
+    hi = np.flatnonzero(x == x.max())
+    lo, hi = lo[np.argmin(y[lo])], hi[np.argmax(y[hi])]
+    cycle = _rotate(np.arange(len(x)), int(lo))
+    cut = (hi - lo) % len(x)
+    return cycle[:cut + 1], np.concatenate((cycle[cut:], cycle[:1]))
+
+
+def _sorted_candidates(xy: np.ndarray) -> np.ndarray:
+    """Indices of the points that the prefilter keeps, sorted by (x, y), one per distinct point."""
     x, y = xy
     ext = np.argmax(_HULL_DIRS @ xy, axis=1)
     ext = ext[np.concatenate(([True], ext[1:] != ext[:-1]))]
@@ -127,14 +179,7 @@ def _hull_cycle(xy: np.ndarray) -> np.ndarray:
         idx = idx[~inside]
     idx = idx[np.lexsort((y[idx], x[idx]))]
     sx, sy = x[idx], y[idx]
-    idx = idx[np.concatenate(([True], (sx[1:] != sx[:-1]) | (sy[1:] != sy[:-1])))]
-    if len(idx) <= 2:
-        return idx
-    inner = idx[1:-1]
-    side = _cross(xy[:, idx[-1]] - xy[:, idx[0]], np.take(xy, inner, axis=1) - xy[:, idx[:1]])
-    lower = _left_chain(xy, np.concatenate((idx[:1], inner[side < 0.0], idx[-1:])))
-    upper = _left_chain(xy, np.concatenate((idx[-1:], inner[side > 0.0][::-1], idx[:1])))
-    return np.concatenate([lower[:-1], upper[:-1]])
+    return idx[np.concatenate(([True], (sx[1:] != sx[:-1]) | (sy[1:] != sy[:-1])))]
 
 
 def _rotate(a: np.ndarray, k: int) -> np.ndarray:
@@ -424,10 +469,15 @@ class _ChordIndex(NamedTuple):
     """What the chord search of one closed polyline needs that no eps changes.
 
     The float32 operands are laid out per block, so a chunk of block pairs
-    gathers them along the first axis: the points of each row block and of
-    each column block (which also holds the point after it), and the stacks
-    [|x|^2, 1] and [1, |x|^2] whose product is |x_i|^2 + |x_j|^2.  The
-    companions read the points as (d, n) coordinate columns.
+    gathers them along the first axis: the points of each row block, twice the
+    points of each column block (which also holds the point after it), and
+    the stacks [|x|^2, 1] and [1, |x|^2] whose product is |x_i|^2 + |x_j|^2.
+    A column block's operands are stored as their contiguous transposes,
+    (d, m + 1) and (2, m + 1), so that both batched products read contiguous
+    matrices.  Doubling is a power-of-two scaling, exact unless a float32
+    product is subnormal, so the product against twice the points is twice
+    the dot product, bit for bit.  The companions read the points as (d, n)
+    coordinate columns.
 
     The outputs of a chunk's two float32 products and its mask of distances
     within eps are kept buffers, as large as the largest chunk: every chunk of
@@ -443,12 +493,12 @@ class _ChordIndex(NamedTuple):
     far2: np.ndarray        # pairs' bounding balls
     scale: float            # max |x|^2, which bounds the float32 rounding
     rows32: np.ndarray      # (b, m, d) points of each row block
-    cols32: np.ndarray      # (b, m + 1, d) points of each column block
+    twice_cols: np.ndarray  # (b, d, m + 1) twice the points of each column block
     sq_rows: np.ndarray     # (b, m, 2) [|x|^2, 1] of each row block
-    sq_cols: np.ndarray     # (b, m + 1, 2) [1, |x|^2] of each column block
+    sq_cols: np.ndarray     # (b, 2, m + 1) [1, |x|^2] of each column block
     columns: np.ndarray     # (d, n) coordinate columns of the points
     d2: np.ndarray          # (k, m, m + 1) float32 buffer of the squared distances
-    dots: np.ndarray        # (k, m, m + 1) float32 buffer of the dot products
+    dots: np.ndarray        # (k, m, m + 1) float32 buffer of twice the dot products
     below: np.ndarray       # (k, m, m + 1) bool buffer of the distances within eps
 
 
@@ -467,15 +517,15 @@ def _chord_index(points: np.ndarray) -> _ChordIndex:
     chunk = (min(len(bi), _CHORD_PAIRS), _CHORD_BLOCK, _CHORD_BLOCK + 1)
     pts32 = points.astype(np.float32)
     sq32 = np.einsum("ij,ij->i", pts32, pts32)
-    ones = np.ones_like(sq32)
     return _ChordIndex(
         first=first, cols=cols, bi=bi, bj=bj,
         near2=np.maximum(dist - reach, 0.0)[bi, bj] ** 2,
         far2=(dist + reach)[bi, bj] ** 2,
         scale=float(np.max(np.einsum("ij,ij->i", points, points))),
-        rows32=pts32[rows], cols32=pts32[cols],
-        sq_rows=np.stack([sq32, ones], axis=1)[rows],
-        sq_cols=np.stack([ones, sq32], axis=1)[cols],
+        rows32=pts32[rows],
+        twice_cols=np.stack([(2.0 * x)[cols] for x in pts32.T], axis=1),
+        sq_rows=np.stack([sq32, np.ones_like(sq32)], axis=1)[rows],
+        sq_cols=np.stack([np.ones(cols.shape, np.float32), sq32[cols]], axis=1),
         columns=np.ascontiguousarray(points.T),
         d2=np.empty(chunk, dtype=np.float32), dots=np.empty(chunk, dtype=np.float32),
         below=np.empty(chunk, dtype=bool),
@@ -492,8 +542,10 @@ def _chord_crossings(points: np.ndarray, eps: float, index: _ChordIndex | None =
     the point after it), and a pair of blocks is evaluated only when its
     distance range, widened by a bound on the float32 rounding, can straddle
     eps; the others cannot hold a crossing.  Sorted by anchor, then segment.
-    index is _chord_index(points), built here when it is not given; each chunk
-    of block pairs is evaluated in its kept buffers.
+    index is _chord_index(points), built here when it is not given.  Each chunk
+    of block pairs is evaluated in its kept buffers: two batched products on
+    contiguous operands give |x_i|^2 + |x_j|^2 and 2 (x_i, x_j), and one
+    subtraction in place their difference.
     """
     if index is None:
         index = _chord_index(points)
@@ -510,10 +562,11 @@ def _chord_crossings(points: np.ndarray, eps: float, index: _ChordIndex | None =
         I, J = bi[k0:k0 + _CHORD_PAIRS], bj[k0:k0 + _CHORD_PAIRS]
         d2, dots, below = index.d2[:len(I)], index.dots[:len(I)], index.below[:len(I)]
         # same float32 operations, in the same order, as the full n x n product;
-        # a two-term product against ones rounds once, as the add does
-        np.matmul(index.sq_rows[I], index.sq_cols[J].transpose(0, 2, 1), out=d2)
-        np.matmul(index.rows32[I], index.cols32[J].transpose(0, 2, 1), out=dots)
-        d2 -= np.multiply(dots, 2.0, out=dots)
+        # a two-term product against ones rounds once, as the add does, and the
+        # product against twice the points is twice the dot product
+        np.matmul(index.sq_rows[I], index.sq_cols[J], out=d2)
+        np.matmul(index.rows32[I], index.twice_cols[J], out=dots)
+        d2 -= dots
         below = np.less_equal(d2, eps2, out=below).ravel()
         # flat indices in C order, so (k, r, c) come out as np.nonzero gives them;
         # the last column against the next row's first is no segment

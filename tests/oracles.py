@@ -2,7 +2,8 @@
 
 These deliberately avoid the library code paths they are checking: the hull
 oracle works from sampled ball centers thinned by scipy's convex hull, the
-modulus oracle scans chords on an exact ellipse parametrization, the support
+modulus oracle scans chords on an exact ellipse parametrization (and the
+closed form of the chord parallel to the major axis bounds it), the support
 polygon reconstructs a body from raw support values, and the dense chord,
 depth and radial scans evaluate every point pair and every direction that the
 library's pruned kernels skip; the refinement-chain and support-point
@@ -94,6 +95,17 @@ def oracle_hull_boundary(centers: np.ndarray, R: float, n_per_circle: int = 720)
     if not out:
         return np.zeros((0, 2))
     return np.concatenate(out)
+
+
+def ellipse_minor_chord_modulus(a: float, b: float, eps: float) -> float:
+    """Depth of the midpoint of the chord of length eps parallel to the major axis.
+
+    The chord at height y = b sqrt(1 - eps^2 / (4 a^2)) of the ellipse with
+    semi-axes a >= b ends on the boundary, and its midpoint (0, y) is b - y
+    deep: its nearest boundary point is the end of the minor axis, the
+    flattest point of the ellipse.
+    """
+    return b - b * math.sqrt(1.0 - eps * eps / (4.0 * a * a))
 
 
 def ellipse_chord_modulus(a: float, b: float, eps: float,

@@ -8,6 +8,7 @@ import pytest
 import strconvex as sc
 from strconvex import modulus
 from strconvex.modulus import BoundaryParam, default_fit_window
+from oracles import ellipse_minor_chord_modulus
 
 # Brute-force chord-scan oracle value for the (2,1)-ellipse at eps = 0.1
 # (tests/oracles.py::ellipse_chord_modulus with n_anchor=4000, n_dense=200000).
@@ -349,3 +350,30 @@ def test_benchmark_sectioned_modulus_is_pinned():
     assert [repr(float(d)) for d in curve.delta] == [
         "0.0012510883461192002", "0.009155089639083291", "0.024632984356378285",
         "0.04810201939430803"]
+
+
+def _rotation(theta):
+    c, s = math.cos(theta), math.sin(theta)
+    return np.array([[c, -s], [s, c]])
+
+
+# the grid bound fails above aspect 2: (delta - exact) / bound reads -1.1 to
+# -1.8 at aspect 4 and -1.4 to -2.5 at aspect 6 over these eps, n and turns
+BOUND_FAILS_ABOVE_ASPECT_2 = pytest.mark.xfail(
+    strict=True, reason="the planar error bound is exceeded above aspect 2")
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.37])
+@pytest.mark.parametrize("aspect", [1.0, 1.5, 2.0,
+                                    pytest.param(4.0, marks=BOUND_FAILS_ABOVE_ASPECT_2),
+                                    pytest.param(6.0, marks=BOUND_FAILS_ABOVE_ASPECT_2)])
+def test_planar_modulus_of_ellipses_within_its_bound_of_the_minor_chord(aspect, theta):
+    # an ellipse's modulus is the depth of the chord parallel to its major axis
+    a = 2.0
+    body = sc.Ellipsoid([0.3, -0.2], [a, a / aspect], _rotation(theta))
+    eps = np.linspace(0.03, 0.6, 12) * 2.0 * a
+    exact = np.array([ellipse_minor_chord_modulus(a, a / aspect, e) for e in eps])
+    for n in (1024, 2048, 4096):
+        curve = sc.modulus_curve(body, eps, n)
+        worst = np.max(np.abs(curve.delta - exact) / curve.error_bound)
+        assert worst <= 1.0, f"aspect {aspect} theta {theta} n={n}: {worst:.3f} x bound"
