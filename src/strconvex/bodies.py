@@ -425,8 +425,8 @@ def boundary_distance(body: ConvexBody, x, grid: np.ndarray | None = None) -> fl
     return slack
 
 
-def steiner_point(body: ConvexBody, grid: np.ndarray | None = None) -> np.ndarray:
-    """Average of support points over the grid; interior for full-dimensional bodies."""
-    if grid is None:
-        grid = default_grid(body.dim, 64 if body.dim == 2 else 512)
+def steiner_point(body: ConvexBody) -> np.ndarray:
+    """Average of support points over 64 grid directions (512 in d >= 3);
+    interior for full-dimensional bodies."""
+    grid = default_grid(body.dim, 64 if body.dim == 2 else 512)
     return body.support_points(grid).mean(axis=0)

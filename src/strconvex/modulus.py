@@ -477,12 +477,7 @@ class _ChordIndex(NamedTuple):
     matrices.  Doubling is a power-of-two scaling, exact unless a float32
     product is subnormal, so the product against twice the points is twice
     the dot product, bit for bit.  The companions read the points as (d, n)
-    coordinate columns.
-
-    The outputs of a chunk's two float32 products and its mask of distances
-    within eps are kept buffers, as large as the largest chunk: every chunk of
-    every eps is written into them, so that no search maps fresh pages.  One
-    index therefore serves one search at a time.
+    coordinate columns.  No search writes to the index.
     """
 
     first: np.ndarray       # first point of each block
@@ -497,9 +492,6 @@ class _ChordIndex(NamedTuple):
     sq_rows: np.ndarray     # (b, m, 2) [|x|^2, 1] of each row block
     sq_cols: np.ndarray     # (b, 2, m + 1) [1, |x|^2] of each column block
     columns: np.ndarray     # (d, n) coordinate columns of the points
-    d2: np.ndarray          # (k, m, m + 1) float32 buffer of the squared distances
-    dots: np.ndarray        # (k, m, m + 1) float32 buffer of twice the dot products
-    below: np.ndarray       # (k, m, m + 1) bool buffer of the distances within eps
 
 
 def _chord_index(points: np.ndarray) -> _ChordIndex:
@@ -514,7 +506,6 @@ def _chord_index(points: np.ndarray) -> _ChordIndex:
     lag = (first[None, :] - last[:, None]) % n
     span = (last - first)[None, :] + (last - first)[:, None]
     bi, bj = np.nonzero((lag <= n // 2) | (n - lag <= span))
-    chunk = (min(len(bi), _CHORD_PAIRS), _CHORD_BLOCK, _CHORD_BLOCK + 1)
     pts32 = points.astype(np.float32)
     sq32 = np.einsum("ij,ij->i", pts32, pts32)
     return _ChordIndex(
@@ -527,12 +518,10 @@ def _chord_index(points: np.ndarray) -> _ChordIndex:
         sq_rows=np.stack([sq32, np.ones_like(sq32)], axis=1)[rows],
         sq_cols=np.stack([np.ones(cols.shape, np.float32), sq32[cols]], axis=1),
         columns=np.ascontiguousarray(points.T),
-        d2=np.empty(chunk, dtype=np.float32), dots=np.empty(chunk, dtype=np.float32),
-        below=np.empty(chunk, dtype=bool),
     )
 
 
-def _chord_crossings(points: np.ndarray, eps: float, index: _ChordIndex | None = None):
+def _chord_crossings(points: np.ndarray, eps: float, index: _ChordIndex):
     """Anchor and segment indices where the chordal distance crosses eps.
 
     (i, j) is a crossing when exactly one of the points j and j + 1 lies within
@@ -542,13 +531,10 @@ def _chord_crossings(points: np.ndarray, eps: float, index: _ChordIndex | None =
     the point after it), and a pair of blocks is evaluated only when its
     distance range, widened by a bound on the float32 rounding, can straddle
     eps; the others cannot hold a crossing.  Sorted by anchor, then segment.
-    index is _chord_index(points), built here when it is not given.  Each chunk
-    of block pairs is evaluated in its kept buffers: two batched products on
-    contiguous operands give |x_i|^2 + |x_j|^2 and 2 (x_i, x_j), and one
-    subtraction in place their difference.
+    index is _chord_index(points).  For each chunk of block pairs two batched
+    products on contiguous operands give |x_i|^2 + |x_j|^2 and 2 (x_i, x_j),
+    and one subtraction in place their difference.
     """
-    if index is None:
-        index = _chord_index(points)
     n = len(points)
     size = _CHORD_BLOCK
     e2 = eps * eps
@@ -560,14 +546,12 @@ def _chord_crossings(points: np.ndarray, eps: float, index: _ChordIndex | None =
     anchors, segs = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.intp)]
     for k0 in range(0, len(bi), _CHORD_PAIRS):
         I, J = bi[k0:k0 + _CHORD_PAIRS], bj[k0:k0 + _CHORD_PAIRS]
-        d2, dots, below = index.d2[:len(I)], index.dots[:len(I)], index.below[:len(I)]
         # same float32 operations, in the same order, as the full n x n product;
         # a two-term product against ones rounds once, as the add does, and the
         # product against twice the points is twice the dot product
-        np.matmul(index.sq_rows[I], index.sq_cols[J], out=d2)
-        np.matmul(index.rows32[I], index.twice_cols[J], out=dots)
-        d2 -= dots
-        below = np.less_equal(d2, eps2, out=below).ravel()
+        d2 = np.matmul(index.sq_rows[I], index.sq_cols[J])
+        d2 -= np.matmul(index.rows32[I], index.twice_cols[J])
+        below = np.less_equal(d2, eps2).ravel()
         # flat indices in C order, so (k, r, c) come out as np.nonzero gives them;
         # the last column against the next row's first is no segment
         kr, c = np.divmod(np.flatnonzero(below[:-1] != below[1:]), size + 1)
@@ -607,16 +591,14 @@ def _companions(columns: np.ndarray, anchors: np.ndarray, segs: np.ndarray, eps:
     return p0 + t * d
 
 
-def _chords_of_length(points: np.ndarray, eps: float, index: _ChordIndex | None = None):
+def _chords_of_length(points: np.ndarray, eps: float, index: _ChordIndex):
     """Anchor points and companion points at chord length eps on a closed polyline.
 
     Each crossing of the chordal distance gets its companion in closed form on
     the crossed boundary segment; a crossing whose segment has no float64 root
-    is dropped.  index is the polyline's _chord_index, built when not given.
-    Both are (m, d), transposed views of (d, m) coordinate columns.
+    is dropped.  index is the polyline's _chord_index.  Both are (m, d),
+    transposed views of (d, m) coordinate columns.
     """
-    if index is None:
-        index = _chord_index(points)
     anchors, segs = _chord_crossings(points, eps, index)
     companions = _companions(index.columns, anchors, segs, eps)
     ok = ~np.isnan(companions[0])

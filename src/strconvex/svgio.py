@@ -12,6 +12,11 @@ from .arcpoly import Arc, ArcPolygon
 
 SCALE = 100.0
 MARGIN_FRAC = 0.05
+STYLES = (
+    "fill:#9ec5e8;fill-opacity:0.5;stroke:#1f5fa8;stroke-width:2",
+    "fill:none;stroke:#777;stroke-width:1.5;stroke-dasharray:6 4",
+    "fill:none;stroke:#2a8a2a;stroke-width:1.5",
+)
 
 
 def _fmt(x: float) -> str:
@@ -62,36 +67,23 @@ def _path_d(ap: ArcPolygon, frame: _Frame) -> str:
     return " ".join(parts)
 
 
-def render_svg(
-    polygons,
-    points=None,
-    styles=None,
-    point_style="fill:#c33",
-    point_radius: float = 0.02,
-) -> str:
+def render_svg(polygons, points=None) -> str:
     """SVG document showing arc polygons (in order) and optional point markers."""
     polygons = [ap for ap in polygons if not ap.is_singleton]
     lo, hi = _bounds(polygons, points)
     frame = _Frame(lo, hi)
-    if styles is None:
-        styles = []
-    default_styles = [
-        "fill:#9ec5e8;fill-opacity:0.5;stroke:#1f5fa8;stroke-width:2",
-        "fill:none;stroke:#777;stroke-width:1.5;stroke-dasharray:6 4",
-        "fill:none;stroke:#2a8a2a;stroke-width:1.5",
-    ]
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_fmt(frame.width)}" '
         f'height="{_fmt(frame.height)}" viewBox="0 0 {_fmt(frame.width)} {_fmt(frame.height)}">',
     ]
     for i, ap in enumerate(polygons):
-        style = styles[i] if i < len(styles) else default_styles[min(i, len(default_styles) - 1)]
+        style = STYLES[min(i, len(STYLES) - 1)]
         lines.append(f'  <path d="{_path_d(ap, frame)}" style="{style}"/>')
     if points is not None:
         for p in np.asarray(points, dtype=float):
             cx, cy = frame.to_svg(p)
             lines.append(
-                f'  <circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="{_fmt(point_radius * SCALE)}" '
-                f'style="{point_style}"/>')
+                f'  <circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="{_fmt(0.02 * SCALE)}" '
+                f'style="fill:#c33"/>')
     lines.append("</svg>")
     return "\n".join(lines) + "\n"

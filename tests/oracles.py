@@ -27,7 +27,9 @@ that the modulus's coordinate-column kernels and the preallocated pair
 directions replaced, and the unscreened section depth is the depth step
 that evaluated every grid direction in full dimension before a section
 screened them in its plane, all kept verbatim so that the new code can be
-held to their bits.
+held to their bits; the sampled lens check is the loop that built each
+chord's lens and tested its boundary samples, which the closed-form lens
+supports on grid runs replaced.
 """
 from __future__ import annotations
 
@@ -37,7 +39,11 @@ import numpy as np
 from scipy.spatial import ConvexHull
 
 import strconvex as sc
-from strconvex.modulus import _dots, _hull_cycle, _plane_angles, _rotate
+from strconvex.arcpoly import lens
+from strconvex.bodies import ConvexBody, grid_angle_error
+from strconvex.modulus import (
+    BoundaryParam, _chords_of_length, _dots, _hull_cycle, _plane_angles, _rotate,
+)
 
 
 def support_polygon(grid: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -723,3 +729,50 @@ def unscreened_section_gaps(section, grid: np.ndarray, support: np.ndarray,
     order, psi, _ = _plane_angles(grid, section.basis)
     coords = ((np.ascontiguousarray(pts) - section.origin) @ section.basis.T).T
     return support[order] - unscreened_support(pts.T, coords, grid[order].T, psi)
+
+
+# -- the lens check before its lenses were tested in closed form -----------------
+
+
+def sampled_local_lens_check(
+    body: ConvexBody,
+    R: float,
+    eps0: float,
+    n_pairs: int = 256,
+    tol: float | None = None,
+    lens_samples: int = 64,
+    resolution: int = 2048,
+) -> bool:
+    """Sampled test that every short boundary chord carries its radius-R lens.
+
+    Planar only (uses the exact lens).  Chord lengths sweep (0, eps0]; each
+    lens boundary is sampled and tested for membership in the body.  The
+    default tol absorbs the boundary-grid discretization error, which matters
+    when testing exactly at the minimal radius (the true slack vanishes there).
+    """
+    if body.dim != 2:
+        raise ValueError("the lens inclusion test is planar")
+    if not 0.0 < eps0 < 2.0 * R:
+        raise ValueError("eps0 must lie in (0, 2R)")
+    param = BoundaryParam(body, max(resolution, n_pairs))
+    if tol is None:
+        tol = 5.0 * grid_angle_error(param.diameter, param.n)
+    grid = param.grid
+    support = param.support
+    fractions = (1.0, 0.75, 0.5, 0.25)
+    per_len = max(1, n_pairs // len(fractions))
+    for frac in fractions:
+        length = frac * eps0
+        found = _chords_of_length(param.points, length, param._index)
+        if found is None:
+            continue
+        a_pts, comps = found
+        take = max(1, len(a_pts) // per_len)
+        for a, b in zip(a_pts[::take], comps[::take]):
+            if np.linalg.norm(a - b) < 1e-12:
+                continue
+            body_pts = lens(a, b, R).boundary_samples(lens_samples)
+            gaps = body_pts @ grid.T - support[None, :]
+            if float(gaps.max()) > tol:
+                return False
+    return True

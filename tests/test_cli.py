@@ -1,4 +1,6 @@
+import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
@@ -333,3 +335,26 @@ class TestSvg:
         assert text.count("<circle") == 2
         # lens is 1.2 x 0.4 world units: width 120 + 2 margins of 6
         assert 'width="132"' in text
+
+    def test_lens_bytes_are_pinned(self):
+        L = sc.lens([-0.6, 0], [0.6, 0], 1.0)
+        text = svgio.render_svg([L], points=[[-0.6, 0], [0.6, 0]])
+        assert hashlib.md5(text.encode()).hexdigest() == "d6c9889d1c956ae4a3742ed9ec31677f"
+
+    def test_hull_with_kernel_overlay_bytes_are_pinned(self, tmp_path):
+        # 200 points strewn in a disc, with an antipodal pair on its rim, then
+        # scaled, turned and moved; the hull at twice the enclosing radius
+        rng = np.random.default_rng([1, 200])
+        t = rng.uniform(0.0, 2.0 * math.pi, 200)
+        rad = np.sqrt(rng.uniform(0.0, 1.0, 200))
+        pts = np.stack([rad * np.cos(t), rad * np.sin(t)], axis=1)
+        pts[:2] = [[1.0, 0.0], [-1.0, 0.0]]
+        c, s = math.cos(0.9), math.sin(0.9)
+        pts = 1.3 * pts @ np.array([[c, -s], [s, c]]).T + [0.4, -0.7]
+        body = _write_body(tmp_path, "points.json", {"type": "hull", "points": pts.tolist()})
+        svg = tmp_path / "hull.svg"
+        assert main(["hull", "--body", body, "--radius", "2.6", "--out",
+                     str(tmp_path / "hull.json"), "--svg", str(svg), "--kernel-overlay"]) == 0
+        data = svg.read_bytes()
+        assert data.count(b"<path") == 2
+        assert hashlib.md5(data).hexdigest() == "b4105736dcc707a52411d6fa6a61ab30"

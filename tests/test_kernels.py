@@ -93,7 +93,7 @@ def test_kernels_match_dense_oracle(name):
         for frac in EPS_FRACTIONS:
             eps = frac * param.diameter
             where = f"{name} n={n} eps={frac}*diam"
-            anchors, segs = _chord_crossings(param.points, eps)
+            anchors, segs = _chord_crossings(param.points, eps, _chord_index(param.points))
             [(want_anchors, want_segs)] = dense_chord_crossings(param.points, [eps])
             assert np.array_equal(anchors, want_anchors), where
             assert np.array_equal(segs, want_segs), where
@@ -106,7 +106,7 @@ def test_kernels_match_dense_oracle(name):
             good = np.abs(np.linalg.norm(param.points[anchors] - bisected, axis=1) - eps) <= tol
             assert np.all(rooted[good]), where
             assert np.max(np.abs(comps[good] - bisected[good]), initial=0.0) <= tol, where
-            found = _chords_of_length(param.points, eps)
+            found = _chords_of_length(param.points, eps, _chord_index(param.points))
             if found is None:
                 assert not np.any(rooted), where
                 continue
@@ -154,11 +154,11 @@ def test_three_dimensional_sections_match_dense_oracle():
             where = f"resolution={resolution} eps={eps}"
             pooled, best = [], np.full(len(grid), -np.inf)
             for basis, points in zip(planes, polylines):
-                anchors, segs = _chord_crossings(points, eps)
+                anchors, segs = _chord_crossings(points, eps, _chord_index(points))
                 [(want_anchors, want_segs)] = dense_chord_crossings(points, [eps])
                 assert np.array_equal(anchors, want_anchors), where
                 assert np.array_equal(segs, want_segs), where
-                a_pts, comps = _chords_of_length(points, eps)
+                a_pts, comps = _chords_of_length(points, eps, _chord_index(points))
                 mids = 0.5 * (a_pts + comps)
                 order, psi, _ = _plane_angles(grid, basis)
                 got = _support(mids.T, ((mids - origin) @ basis.T).T, grid[order].T, psi)
@@ -279,7 +279,8 @@ def _degenerate_sets():
     cloud = rng.uniform(-1.0, 1.0, (60, 2))
     t = rng.uniform(0.0, 2.0 * np.pi, 40)
     param = BoundaryParam(THIN_TRIANGLE, 1000)
-    a_pts, comps = _chords_of_length(param.points, 0.2 * param.diameter)
+    a_pts, comps = _chords_of_length(param.points, 0.2 * param.diameter,
+                                     _chord_index(param.points))
     # a generator of its own, so that the sets above keep their draws
     other = np.random.default_rng(13)
     shared_x = np.stack([other.integers(0, 4, 40).astype(float), other.uniform(-1.0, 1.0, 40)],
@@ -590,9 +591,12 @@ def _peak_bytes(fn, *args):
 def test_kernel_memory_stays_below_dense_code():
     param = BoundaryParam(BODIES["ellipse_6to1"], 4096)
     eps = 0.2 * param.diameter
-    a_pts, comps = _chords_of_length(param.points, eps)
+    a_pts, comps = _chords_of_length(param.points, eps, _chord_index(param.points))
     mids = 0.5 * (a_pts + comps)
-    chord_peak = _peak_bytes(_chords_of_length, param.points, eps)
+    # the index is built inside the measured call, so the peak covers the
+    # build and the search
+    chord_peak = _peak_bytes(lambda: _chords_of_length(param.points, eps,
+                                                       _chord_index(param.points)))
     dense_chord_peak = _peak_bytes(dense_chords_of_length, param.points, eps)
     assert chord_peak <= min(dense_chord_peak, 19e6), (chord_peak, dense_chord_peak)
     depth_peak = _peak_bytes(param.inscribed_radii, mids)
@@ -630,7 +634,7 @@ def _rotation(theta):
 ], ids=["ellipse_2to1", "lens"])
 def test_every_chord_has_the_requested_length(body, eps):
     param = BoundaryParam(body, 2048)
-    a_pts, comps = _chords_of_length(param.points, eps)
+    a_pts, comps = _chords_of_length(param.points, eps, _chord_index(param.points))
     err = np.abs(np.linalg.norm(a_pts - comps, axis=1) - eps)
     assert np.max(err) <= 1e-12 * (1.0 + param.diameter)
 

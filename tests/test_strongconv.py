@@ -7,13 +7,16 @@ import pytest
 
 import strconvex as sc
 from strconvex import strongconv
+from strconvex.modulus import BoundaryParam
 from strconvex.strongconv import GapFunction, _tangent_bases
 
+import oracles
 from oracles import (
     LpDisc,
     bisect_min_radius,
     ellipsoid_min_radius,
     lp_disc_min_radius,
+    sampled_local_lens_check,
     stacked_planar_direction_pairs,
     support_polygon,
 )
@@ -709,6 +712,97 @@ class TestLocalLensCheck:
     def test_planar_only(self):
         with pytest.raises(ValueError):
             sc.local_lens_check(sc.Ball([0, 0, 0], 1.0), 1.0, 0.5)
+
+    @pytest.mark.parametrize("eps0", [0.0, -0.1, 2.0, 2.5])
+    def test_eps0_outside_zero_to_2R(self, eps0):
+        for check in (sc.local_lens_check, sampled_local_lens_check):
+            with pytest.raises(ValueError, match="eps0"):
+                check(sc.Ball([0, 0], 1.0), 1.0, eps0)
+
+    def test_degenerate_chords_are_skipped(self, monkeypatch):
+        # chords shorter than 1e-12 carry no lens and must not decide the
+        # verdict; at R = 0.8 the lens of a chord of length 0.25 on the unit
+        # circle pokes out of it
+        points = sc.angle_grid(2048)
+        a, b = points[::200], np.roll(points, -80, axis=0)[::200]
+        mixed = (np.vstack([a, a]), np.vstack([a + 1e-13, b]))
+        for ends, want in (((a, a + 1e-13), True), (mixed, False)):
+            def chords(*args, ends=ends):
+                return ends
+
+            monkeypatch.setattr(strongconv, "_chords_of_length", chords)
+            monkeypatch.setattr(oracles, "_chords_of_length", chords)
+            for check in (sc.local_lens_check, sampled_local_lens_check):
+                assert check(sc.Ball([0, 0], 1.0), 0.8, 0.5) is want
+
+    def test_arc_values_match_the_exact_lens(self):
+        # the closed-form arc values on each run against the ArcPolygon lens,
+        # on chords of every length up to nearly 2R and down to 1e-12
+        rng = np.random.default_rng(35)
+        R, n = 1.3, strongconv._LENS_RESOLUTION
+        grid = sc.angle_grid(n)
+        length = np.concatenate([
+            rng.uniform(0.0, 2.0 * R, 160),
+            2.0 * R * (1.0 - 10.0 ** rng.uniform(-12.0, -3.0, 20)),
+            10.0 ** rng.uniform(-12.0, -10.0, 20),
+        ])
+        t = rng.uniform(0.0, 2.0 * np.pi, len(length))
+        a = rng.uniform(-2.0, 2.0, (len(length), 2))
+        b = a + length[:, None] * np.stack([np.cos(t), np.sin(t)], axis=1)
+        exact = np.array([sc.lens(p, q, R).support_values(grid) for p, q in zip(a, b)])
+        covered = np.zeros(exact.shape, dtype=bool)
+        for c, runs, inside in strongconv._lens_arcs(a, b, R, n):
+            got = c[:, :1] * grid[runs, 0] + c[:, 1:] * grid[runs, 1] + R
+            want = np.take_along_axis(exact, runs, axis=1)
+            assert np.all(np.abs(got - want)[inside] <= 1e-12 * (1.0 + np.abs(want[inside])))
+            np.put_along_axis(covered, runs, inside | np.take_along_axis(covered, runs, 1), 1)
+        # off both runs the lens's support is a chord end's
+        ends = np.maximum(a @ grid.T, b @ grid.T)
+        assert np.all(np.abs(exact - ends)[~covered] <= 1e-12 * (1.0 + np.abs(ends[~covered])))
+
+
+# planar bodies with their minimal radii, for the lens check against its
+# sampled reference
+LENS_BODIES = {
+    "disc": (sc.Ball([0.2, -0.1], 1.0), 1.0),
+    "ellipse_2to1": (sc.Ellipsoid([0.3, 0.1], [2.0, 1.0], _rotation_2d(0.6)), 4.0),
+    "ellipse_4to1": (sc.Ellipsoid([-0.2, 0.4], [2.0, 0.5], _rotation_2d(1.1)), 8.0),
+    "ellipse_plus_ball": (sc.MinkowskiSum([sc.Ellipsoid([0.0, 0.0], [1.5, 1.0], _rotation_2d(0.3)),
+                                           sc.Ball([0.1, 0.0], 0.5)]), 2.75),
+    "lens": (sc.lens([0.0, 0.0], [1.0, 0.3], 1.0), 1.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LENS_BODIES))
+def test_chord_ends_stay_within_the_grid_support(name):
+    # the lens check leaves the chord ends' support out: both ends lie on the
+    # boundary polyline, so on every grid direction it is the grid support
+    # up to rounding
+    body, _ = LENS_BODIES[name]
+    param = BoundaryParam(body, strongconv._LENS_RESOLUTION)
+    for frac in (0.1, 0.3):
+        a, b = strongconv._lens_chords(param, frac * param.diameter)
+        assert len(a) >= 100
+        ends = np.maximum(a @ param.grid.T, b @ param.grid.T)
+        assert np.max(ends - param.support) <= 1e-14 * (1.0 + param.diameter), (name, frac)
+
+
+@pytest.mark.parametrize("name", sorted(LENS_BODIES))
+def test_lens_check_rejects_wherever_the_sampled_check_does(name):
+    # the closed form tests every grid direction of each lens where the
+    # sampled check tested 64 boundary points, so it is at least as strict;
+    # well away from the minimal radius the two agree
+    body, r_min = LENS_BODIES[name]
+    diam = body.diameter(sc.angle_grid(2048))
+    for scale in (0.9, 0.97, 1.0, 1.03, 1.1):
+        for frac in (0.1, 0.3):
+            R, eps0 = scale * r_min, frac * diam
+            got = sc.local_lens_check(body, R, eps0)
+            want = sampled_local_lens_check(body, R, eps0)
+            where = (name, scale, frac, got, want)
+            assert want or not got, where
+            if scale in (0.9, 1.1):
+                assert got == want, where
 
 
 @pytest.mark.parametrize("n_pairs", [1, 80, 81, 500, 4096, 8000])
