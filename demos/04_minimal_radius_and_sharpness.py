@@ -6,7 +6,8 @@ the (2,1) ellipse:
 
   1. the gap-function criterion f(p) = R|p| - s(p), convex exactly when the
      body is an intersection of radius-R balls;
-  2. the minimal radius, the largest per-pair threshold of that criterion;
+  2. the minimal radius, the largest per-pair threshold of that criterion,
+     beside the lens radius, the largest radius whose chord lenses poke out;
   3. the certified chain: modulus constant K gives radius 1/(4K) outright,
      one refinement step improves R to 2R/(8RK+1), and iterating converges
      to 1/(8K);
@@ -30,6 +31,11 @@ print("\n== 2. Minimal radius in closed form ==")
 measured, bracket = sc.min_strong_radius(ellipse)
 print(f"  minimal radius = {measured:.5f}, bracket [{bracket[0]!r}, {bracket[1]!r}]")
 print("  (the flattest osculating radius of the (2,1) ellipse is a^2/b = 4)")
+lens_r, (a, b, g) = sc.lens_radius(ellipse, 0.4)
+print(f"  lens radius (eps0 = 0.4) = {lens_r:.5f}, a second, independent lower route to R_min")
+print(f"  (the lens of the chord ({a[0]:.3f}, {a[1]:.3f}) - ({b[0]:.3f}, {b[1]:.3f})"
+      f" pokes out at g = ({g[0]:.3f}, {g[1]:.3f}) below it;")
+print("  it reads a little below 4, as a lens must bulge past a tol of 5 grid support errors)")
 
 print("\n== 3. The refinement chain at K slightly below C ==")
 curve = sc.modulus_curve(ellipse, np.linspace(0.2, 1.2, 12), resolution=2048)

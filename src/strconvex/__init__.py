@@ -65,7 +65,7 @@ from .strongconv import (
     GapFunction,
     check_strong_convexity,
     complement_body,
-    local_lens_check,
+    lens_radius,
     min_strong_radius,
     supporting_ball_check,
 )

@@ -25,7 +25,7 @@ from .errors import NotStronglyConvexError, NotUniformlyConvexError, OutOfDomain
 from .modulus import BoundaryParam, _chords_of_length
 
 _GAP_SCALES = [math.pi / 2**m for m in range(1, 11)]
-# local_lens_check's boundary model, chords sampled over the lengths eps0 times
+# lens_radius's boundary model, chords sampled over the lengths eps0 times
 # _LENS_FRACTIONS, and tolerance in grid support errors
 _LENS_RESOLUTION = 2048
 _LENS_CHORDS = 256
@@ -428,38 +428,21 @@ def supporting_ball_check(
 ) -> bool:
     """True iff the body lies in the radius-R ball touching it from inside at p.
 
-    The ball is centered at x_p - R p, where x_p is the support point in
-    direction p.
+    The ball is centered at x_p - R p, x_p the support point in direction p; it
+    holds the body when R (1 - (p, q)) >= s(q) - (x_p, q) - tol on every unit
+    row q of grid (default_grid when None), tol the slack allowed for rounding.
+    ValueError: an R that is not positive and finite, a negative or NaN tol.
     """
+    if not 0.0 < R < math.inf:
+        raise ValueError("radius must be positive and finite")
+    if not tol >= 0.0:
+        raise ValueError("tol must be nonnegative")
     p = as_direction(p)
     if grid is None:
         grid = default_grid(body.dim)
     center = body.support_point(p) - R * p
     slack = body.support_values(grid) - grid @ center - R
     return bool(np.max(slack) <= tol)
-
-
-def _lens_arcs(a: np.ndarray, b: np.ndarray, R: float, n: int):
-    """Centres and grid runs of the two arcs of each chord's radius-R lens.
-
-    The arcs are the radius-R minor arcs through the (m, 2) chord ends a and
-    b, about mid +- h n as arcpoly.lens builds them.  The lens's support is
-    (c, g) + R on an arc's normal cone, one run of angle_grid(n) indices
-    modulo n: the (m, k) runs come padded, with a mask of their entries.
-    """
-    d = b - a
-    length = _row_norms(d)
-    h = np.sqrt(np.maximum(R * R - 0.25 * length * length, 0.0))
-    normal = np.stack([-d[:, 1], d[:, 0]], axis=1) / length[:, None]
-    mid = 0.5 * (a + b)
-    step = 2.0 * math.pi / n
-    for c, start, end in ((mid + h[:, None] * normal, a, b), (mid - h[:, None] * normal, b, a)):
-        t0 = np.arctan2(start[:, 1] - c[:, 1], start[:, 0] - c[:, 0]) % (2.0 * math.pi)
-        span = (np.arctan2(end[:, 1] - c[:, 1], end[:, 0] - c[:, 0]) - t0) % (2.0 * math.pi)
-        first = np.ceil(t0 / step).astype(np.intp)
-        count = np.floor((t0 + span) / step).astype(np.intp) - first + 1
-        offs = np.arange(np.max(count, initial=0))
-        yield c, (first[:, None] + offs) % n, offs < count[:, None]
 
 
 def _lens_chords(param: BoundaryParam, eps0: float):
@@ -477,27 +460,53 @@ def _lens_chords(param: BoundaryParam, eps0: float):
     return a[keep], b[keep]
 
 
-def local_lens_check(body: ConvexBody, R: float, eps0: float) -> bool:
-    """Test that sampled boundary chords of length up to eps0 carry their radius-R lenses.
+def _lens_root(a: np.ndarray, b: np.ndarray, gt: np.ndarray) -> np.ndarray:
+    """R- at the unit g = gt[:2]: the lens of [a, b] pokes out past top = gt[2] below it.
+
+    With d = b - a, p = |(d, g)|, q = |(d_perp, g)| = sqrt(|d|^2 - p^2) and
+    t = top - (mid, g), R- = (t^2 + q^2/4) / (t + (q/|d|) sqrt(t^2 - p^2/4)), the
+    smaller root of p^2 R^2 - 2 |d|^2 t R + |d|^2 (t^2 + q^2/4) in a form that does
+    not cancel, or -inf where t >= |d| / 2; t > p / 2, top above both ends.
+    """
+    e, mid = 0.5 * (b - a), 0.5 * (a + b)
+    half2 = e[..., 0] ** 2 + e[..., 1] ** 2
+    p2 = (e[..., 0] * gt[0] + e[..., 1] * gt[1]) ** 2
+    t = gt[2] - (mid[..., 0] * gt[0] + mid[..., 1] * gt[1])
+    t2, q2 = t * t, half2 - p2
+    return np.where(t2 < half2, (t2 + q2) / (t + np.sqrt(q2 * (t2 - p2) / half2)), -np.inf)
+
+
+def lens_radius(body: ConvexBody, eps0: float) -> tuple[float, tuple | None]:
+    """Least R whose lenses the sampled boundary chords of length up to eps0 hold.
 
     A closed convex set is an intersection of radius-R balls exactly when it
-    holds the radius-R lens of each of its chords (Polovinkin and Balashov,
-    2004).  Planar only: on a 2048-point boundary model no lens's arc support
-    (_lens_arcs) may exceed the grid support by more than tol, 5 grid support
-    errors; off the arcs' cones a lens's support is a chord end's.  So R below
-    the minimal radius R_min is refuted only when the lens bulge, about
-    (1/R - 1/R_min) eps0^2 / 8, exceeds tol: on the 2:1 ellipse (R_min = 4)
-    with eps0 = 0.1 it is 8.0e-6 at R = 3.9, below tol = 2.4e-5.
+    holds the radius-R lens of each chord (Polovinkin and Balashov, 2004), and
+    lenses shrink as R grows: on a 2048-point boundary model a chord's lens
+    pokes out past the grid support plus tol, 5 grid support errors, at g for R
+    below _lens_root.  Returns the largest such R with its (a, b, g), or
+    (eps0 / 2, None) if no lens pokes out: the chords hold their R-lenses
+    exactly for R >= it.  As R- <= |d| / (2 sin phi), phi the angle from a
+    normal, only the runs within asin(|d| / (2 lo)) of a chord's two normals
+    can beat lo, the largest R- nearest them.  The tol keeps 1/R above 1/R_min
+    by about 8 tol / eps0^2.  ValueError: a body that is not planar, or eps0
+    outside (0, diameter of the model).
     """
-    if body.dim != 2:
-        raise ValueError("the lens inclusion test is planar")
-    if not 0.0 < eps0 < 2.0 * R:
-        raise ValueError("eps0 must lie in (0, 2R)")
-    param = BoundaryParam(body, _LENS_RESOLUTION)
+    param = BoundaryParam(body, _LENS_RESOLUTION)  # ValueError off the plane
+    if not 0.0 < eps0 < param.diameter:
+        raise ValueError(f"eps0 must lie in (0, {param.diameter!r}), the model's diameter")
     tol = _LENS_TOL * grid_angle_error(param.diameter, param.n)
-    gx, gy = param.grid.T
-    for c, runs, inside in _lens_arcs(*_lens_chords(param, eps0), R, param.n):
-        excess = c[:, :1] * gx[runs] + c[:, 1:] * gy[runs] + R - param.support[runs]
-        if np.max(excess, where=inside, initial=-np.inf) > tol:
-            return False
-    return True
+    gt = np.vstack([param.grid.T, param.support + tol])  # each direction over its top, as columns
+    a, b = (e[:, None] for e in _lens_chords(param, eps0))
+    step, d = 2.0 * math.pi / param.n, b - a
+    near = np.rint(np.arctan2(d[..., 0], -d[..., 1]) / step).astype(np.intp) + [0, param.n // 2]
+    lo = np.max(_lens_root(a, b, np.take(gt, near, axis=1, mode="wrap")), initial=0.5 * eps0)
+    width = (np.arcsin(np.minimum(1.0, _row_norms(d[:, 0]) / (2 * lo))) / step).astype(np.intp) + 1
+    best = (0.5 * eps0, None)
+    for w in np.unique(width):  # the chords of one length share their runs' width
+        k = np.flatnonzero(width == w)
+        runs = near[k, :, None] + np.arange(-w, w + 1)
+        roots = _lens_root(a[k, None], b[k, None], np.take(gt, runs, axis=1, mode="wrap"))
+        i = np.unravel_index(np.argmax(roots), roots.shape)
+        if roots[i] > best[0]:
+            best = float(roots[i]), (a[k[i[0]], 0], b[k[i[0]], 0], param.grid[runs[i] % param.n])
+    return best

@@ -14,7 +14,7 @@ PUBLIC_NAMES = [
     "TooFarApartError", "angle_grid", "as_direction", "as_vector", "ball_modulus",
     "boundary_distance", "check_strong_convexity", "chord_radius", "complement_body",
     "default_grid", "disk_intersection", "fit_second_order", "hausdorff_distance", "lens",
-    "local_lens_check", "min_strong_radius", "modulus_curve", "offset", "r_hull",
+    "lens_radius", "min_strong_radius", "modulus_curve", "offset", "r_hull",
     "radius_fixed_point", "radius_map", "refine_radius", "sharp_radius", "sharpness_check",
     "smallest_enclosing_circle", "sphere_grid", "supporting_ball_check", "unit",
     "zero_step_radius",

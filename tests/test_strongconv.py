@@ -7,6 +7,7 @@ import pytest
 
 import strconvex as sc
 from strconvex import strongconv
+from strconvex.bodies import grid_angle_error
 from strconvex.modulus import BoundaryParam
 from strconvex.strongconv import GapFunction, _tangent_bases
 
@@ -162,6 +163,18 @@ class TestMinStrongRadius:
         sq = sc.PointHull([[-1, -1], [1, -1], [1, 1], [-1, 1]])
         with pytest.raises(sc.NotUniformlyConvexError):
             sc.min_strong_radius(sq)
+
+    @pytest.mark.xfail(strict=True, reason="FOUND in CHANGES.md: R_min changes under "
+                       "translation in d = 2 and 3; b rounds at about u |c|")
+    def test_translation_leaves_the_minimal_radius(self):
+        # a translation leaves R_min; measured 1.0539e-6 and 1.2755e-3 away
+        # from the origin, 1.0000e-6 and 1.0000e-3 at it
+        got, want = [], []
+        for center, r in (([1e3, 0.0, 0.0], 1e-6), ([1e6, 0.0], 1e-3)):
+            got.append(sc.min_strong_radius(sc.Ball(center, r))[0])
+            want.append(pytest.approx(sc.min_strong_radius(sc.Ball(np.zeros(len(center)), r))[0],
+                                      rel=1e-3))
+        assert got == want
 
     @pytest.mark.parametrize("name", list(BRACKET_BODIES))
     def test_bracket_is_certified_and_inside_the_bisection_bracket(self, name):
@@ -692,30 +705,50 @@ class TestSupportingBall:
         for p in sc.angle_grid(64):
             assert sc.supporting_ball_check(e, 4.0, p, tol=1e-8)
 
+    @pytest.mark.parametrize("R, tol, message", [
+        (-1.0, 1e-9, "radius"), (0.0, 1e-9, "radius"), (math.inf, 1e-9, "radius"),
+        (math.nan, 1e-9, "radius"), (1.0, -1.0, "tol"), (1.0, math.nan, "tol"),
+    ])
+    def test_bad_radius_or_tol_is_rejected(self, R, tol, message):
+        # the messages of check_strong_convexity and contains
+        want = {"radius": "radius must be positive and finite",
+                "tol": "tol must be nonnegative"}[message]
+        with pytest.raises(ValueError, match=want):
+            sc.supporting_ball_check(sc.Ball([0, 0], 1.0), R, [1, 0], tol=tol)
 
-class TestLocalLensCheck:
+
+class TestLensRadius:
+    # each verdict of the one-radius lens check, read as R >= lens_radius
     def test_disk_at_own_radius(self):
-        assert sc.local_lens_check(sc.Ball([0, 0], 1.0), 1.0, 0.5)
+        assert 1.0 >= sc.lens_radius(sc.Ball([0, 0], 1.0), 0.5)[0]
 
     def test_disk_below_radius(self):
-        assert not sc.local_lens_check(sc.Ball([0, 0], 1.0), 0.8, 0.5)
+        assert not 0.8 >= sc.lens_radius(sc.Ball([0, 0], 1.0), 0.5)[0]
 
     def test_witness_for_failed_criterion_radius(self):
         # the criterion fails at R = 0.9 for the unit disk, and so does the
         # lens inclusion: some short lens pokes outside
         assert not sc.check_strong_convexity(sc.Ball([0, 0], 1.0), 0.9).is_convex
-        assert not sc.local_lens_check(sc.Ball([0, 0], 1.0), 0.9, 0.5)
+        radius, witness = sc.lens_radius(sc.Ball([0, 0], 1.0), 0.5)
+        assert not 0.9 >= radius and witness is not None
 
     def test_ellipse_at_minimal_radius(self):
-        assert sc.local_lens_check(sc.Ellipsoid([0, 0], [2, 1]), 4.0, 0.1)
+        assert 4.0 >= sc.lens_radius(sc.Ellipsoid([0, 0], [2, 1]), 0.1)[0]
 
     def test_planar_only(self):
-        with pytest.raises(ValueError):
-            sc.local_lens_check(sc.Ball([0, 0, 0], 1.0), 1.0, 0.5)
+        with pytest.raises(ValueError, match="planar"):
+            sc.lens_radius(sc.Ball([0, 0, 0], 1.0), 0.5)
+
+    @pytest.mark.parametrize("eps0", [0.0, -0.1, 2.0, 2.5, math.nan, math.inf, -math.inf])
+    def test_eps0_outside_zero_to_the_diameter(self, eps0):
+        # the unit disc's boundary model has diameter 2.0 exactly
+        assert BoundaryParam(sc.Ball([0, 0], 1.0), strongconv._LENS_RESOLUTION).diameter == 2.0
+        with pytest.raises(ValueError, match="eps0"):
+            sc.lens_radius(sc.Ball([0, 0], 1.0), eps0)
 
     @pytest.mark.parametrize("eps0", [0.0, -0.1, 2.0, 2.5])
     def test_eps0_outside_zero_to_2R(self, eps0):
-        for check in (sc.local_lens_check, sampled_local_lens_check):
+        for check in (oracles.local_lens_check, sampled_local_lens_check):
             with pytest.raises(ValueError, match="eps0"):
                 check(sc.Ball([0, 0], 1.0), 1.0, eps0)
 
@@ -732,12 +765,17 @@ class TestLocalLensCheck:
 
             monkeypatch.setattr(strongconv, "_chords_of_length", chords)
             monkeypatch.setattr(oracles, "_chords_of_length", chords)
-            for check in (sc.local_lens_check, sampled_local_lens_check):
+            radius, witness = sc.lens_radius(sc.Ball([0, 0], 1.0), 0.5)
+            assert (0.8 >= radius) is want
+            assert (witness is None) is want
+            for check in (oracles.local_lens_check, sampled_local_lens_check):
                 assert check(sc.Ball([0, 0], 1.0), 0.8, 0.5) is want
+        assert radius > 0.8 and np.any(np.all(witness[0] == a, axis=1))
 
     def test_arc_values_match_the_exact_lens(self):
-        # the closed-form arc values on each run against the ArcPolygon lens,
-        # on chords of every length up to nearly 2R and down to 1e-12
+        # the reference's closed-form arc values on each run against the
+        # ArcPolygon lens, on chords of every length up to nearly 2R and down
+        # to 1e-12
         rng = np.random.default_rng(35)
         R, n = 1.3, strongconv._LENS_RESOLUTION
         grid = sc.angle_grid(n)
@@ -751,7 +789,7 @@ class TestLocalLensCheck:
         b = a + length[:, None] * np.stack([np.cos(t), np.sin(t)], axis=1)
         exact = np.array([sc.lens(p, q, R).support_values(grid) for p, q in zip(a, b)])
         covered = np.zeros(exact.shape, dtype=bool)
-        for c, runs, inside in strongconv._lens_arcs(a, b, R, n):
+        for c, runs, inside in oracles._lens_arcs(a, b, R, n):
             got = c[:, :1] * grid[runs, 0] + c[:, 1:] * grid[runs, 1] + R
             want = np.take_along_axis(exact, runs, axis=1)
             assert np.all(np.abs(got - want)[inside] <= 1e-12 * (1.0 + np.abs(want[inside])))
@@ -759,6 +797,25 @@ class TestLocalLensCheck:
         # off both runs the lens's support is a chord end's
         ends = np.maximum(a @ grid.T, b @ grid.T)
         assert np.all(np.abs(exact - ends)[~covered] <= 1e-12 * (1.0 + np.abs(ends[~covered])))
+
+    def test_root_inverts_the_exact_lens(self):
+        # with s(g) the support of the exact R*-lens, R- is R* at every grid
+        # direction g of an arc's normal cone; the inner 95 % of the cone,
+        # since at its edge R- is a double root that magnifies the rounding of s
+        rng = np.random.default_rng(36)
+        grid = sc.angle_grid(strongconv._LENS_RESOLUTION)
+        for _ in range(200):
+            R = 10.0 ** rng.uniform(-1.0, 1.0)
+            length, turn = rng.uniform(0.01, 1.9) * R, rng.uniform(0.0, 2.0 * np.pi)
+            a = rng.uniform(-2.0, 2.0, 2)
+            b = a + length * np.array([np.cos(turn), np.sin(turn)])
+            g = grid[np.abs(grid @ (b - a)) < 0.95 * length * length / (2.0 * R)]
+            top = sc.lens(a, b, R).support_values(g)
+            got = strongconv._lens_root(a, b, np.vstack([g.T, top]))
+            assert len(g) and np.all(np.abs(got - R) <= 1e-9 * R), (R, length)
+            # no lens pokes out past a top |d| / 2 or more above the midpoint
+            far = g @ (0.5 * (a + b)) + 0.5 * length * rng.uniform(1.0, 3.0, len(g))
+            assert np.all(strongconv._lens_root(a, b, np.vstack([g.T, far])) == -np.inf)
 
 
 # planar bodies with their minimal radii, for the lens check against its
@@ -789,20 +846,71 @@ def test_chord_ends_stay_within_the_grid_support(name):
 
 @pytest.mark.parametrize("name", sorted(LENS_BODIES))
 def test_lens_check_rejects_wherever_the_sampled_check_does(name):
-    # the closed form tests every grid direction of each lens where the
+    # the lens radius reads every grid direction of each lens where the
     # sampled check tested 64 boundary points, so it is at least as strict;
     # well away from the minimal radius the two agree
     body, r_min = LENS_BODIES[name]
     diam = body.diameter(sc.angle_grid(2048))
-    for scale in (0.9, 0.97, 1.0, 1.03, 1.1):
-        for frac in (0.1, 0.3):
+    for frac in (0.1, 0.3):
+        radius = sc.lens_radius(body, frac * diam)[0]
+        for scale in (0.9, 0.97, 1.0, 1.03, 1.1):
             R, eps0 = scale * r_min, frac * diam
-            got = sc.local_lens_check(body, R, eps0)
+            got = R >= radius
             want = sampled_local_lens_check(body, R, eps0)
             where = (name, scale, frac, got, want)
             assert want or not got, where
             if scale in (0.9, 1.1):
                 assert got == want, where
+
+
+# the five LENS_BODIES at eps0 = 0.1 and 0.3 diam, and the unit disc at
+# eps0 = 0.1 and 0.5, as (body, eps0, minimal radius or None)
+LENS_CASES = {
+    **{f"{name}-{frac}": (body, frac * body.diameter(sc.angle_grid(2048)), r_min)
+       for name, (body, r_min) in LENS_BODIES.items() for frac in (0.1, 0.3)},
+    "unit_disc-0.1": (sc.Ball([0.0, 0.0], 1.0), 0.1, None),
+    "unit_disc-0.5": (sc.Ball([0.0, 0.0], 1.0), 0.5, None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LENS_CASES))
+def test_lens_radius_is_where_the_one_radius_check_turns(name):
+    body, eps0, _ = LENS_CASES[name]
+    radius, _ = sc.lens_radius(body, eps0)
+    assert oracles.local_lens_check(body, radius * (1.0 + 1e-9), eps0)
+    assert not oracles.local_lens_check(body, radius * (1.0 - 1e-9), eps0)
+
+
+@pytest.mark.parametrize("name", sorted(LENS_CASES))
+def test_lens_witness_replays_through_the_exact_lens(name):
+    # just below the radius, the witness chord's exact lens pokes out past the
+    # body's own support by more than the tol
+    body, eps0, _ = LENS_CASES[name]
+    radius, (a, b, g) = sc.lens_radius(body, eps0)
+    param = BoundaryParam(body, strongconv._LENS_RESOLUTION)
+    tol = strongconv._LENS_TOL * grid_angle_error(param.diameter, param.n)
+    poke = sc.lens(a, b, 0.999 * radius).support_values(g[None])[0]
+    assert poke > body.support_values(g[None])[0] + tol
+
+
+@pytest.mark.parametrize("name", sorted(LENS_CASES))
+def test_lens_radius_runs_miss_no_direction(name):
+    # the two runs per chord hold the largest root over every grid direction
+    body, eps0, _ = LENS_CASES[name]
+    param = BoundaryParam(body, strongconv._LENS_RESOLUTION)
+    tol = strongconv._LENS_TOL * grid_angle_error(param.diameter, param.n)
+    a, b = strongconv._lens_chords(param, eps0)
+    columns = np.vstack([param.grid.T, param.support + tol])[:, None]
+    dense = strongconv._lens_root(a[:, None], b[:, None], columns)
+    assert sc.lens_radius(body, eps0)[0] == np.max(dense)
+
+
+@pytest.mark.parametrize("name", sorted(n for n, case in LENS_CASES.items() if case[2]))
+def test_lens_radius_is_a_lower_end_of_the_minimal_radius(name):
+    # a route to R_min from below: the tol keeps the radius a little under it
+    body, eps0, r_min = LENS_CASES[name]
+    radius, _ = sc.lens_radius(body, eps0)
+    assert 0.98 * r_min <= radius <= r_min * (1.0 + 1e-9)
 
 
 @pytest.mark.parametrize("n_pairs", [1, 80, 81, 500, 4096, 8000])
