@@ -7,7 +7,9 @@ the (2,1) ellipse:
   1. the gap-function criterion f(p) = R|p| - s(p), convex exactly when the
      body is an intersection of radius-R balls;
   2. the minimal radius, the largest per-pair threshold of that criterion,
-     beside the lens radius, the largest radius whose chord lenses poke out;
+     beside the lens radius, the largest radius whose chord lenses poke out,
+     and the supporting-ball radius, the least radius whose ball touching
+     the body at one direction holds it;
   3. the certified chain: modulus constant K gives radius 1/(4K) outright,
      one refinement step improves R to 2R/(8RK+1), and iterating converges
      to 1/(8K);
@@ -36,6 +38,10 @@ print(f"  lens radius (eps0 = 0.4) = {lens_r:.5f}, a second, independent lower r
 print(f"  (the lens of the chord ({a[0]:.3f}, {a[1]:.3f}) - ({b[0]:.3f}, {b[1]:.3f})"
       f" pokes out at g = ({g[0]:.3f}, {g[1]:.3f}) below it;")
 print("  it reads a little below 4, as a lens must bulge past a tol of 5 grid support errors)")
+ball_r, q = sc.supporting_ball_radius(ellipse, [0.0, 1.0])
+print(f"  supporting-ball radius at p = (0, 1) = {ball_r:.7f}, a third route to R_min")
+print(f"  (the row q = ({q[0]:.5f}, {q[1]:.5f}) of the grid is where the ball needs it;")
+print("  the flat end's ball reads 4 up to the grid's step, its slack is rounding only)")
 
 print("\n== 3. The refinement chain at K slightly below C ==")
 curve = sc.modulus_curve(ellipse, np.linspace(0.2, 1.2, 12), resolution=2048)

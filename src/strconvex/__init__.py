@@ -67,7 +67,7 @@ from .strongconv import (
     complement_body,
     lens_radius,
     min_strong_radius,
-    supporting_ball_check,
+    supporting_ball_radius,
 )
 
 __version__ = "0.1.0"

@@ -419,30 +419,32 @@ def complement_body(body: ConvexBody, R: float, n_pairs: int = 4096) -> Compleme
     return ComplementBody(body, R)
 
 
-def supporting_ball_check(
-    body: ConvexBody,
-    R: float,
-    p,
-    tol: float = 1e-9,
-    grid: np.ndarray | None = None,
-) -> bool:
-    """True iff the body lies in the radius-R ball touching it from inside at p.
+def supporting_ball_radius(body: ConvexBody, p) -> tuple[float, np.ndarray | None]:
+    """Least R whose ball B_R(x_p - R p), x_p the support point at p, holds the body.
 
-    The ball is centered at x_p - R p, x_p the support point in direction p; it
-    holds the body when R (1 - (p, q)) >= s(q) - (x_p, q) - tol on every unit
-    row q of grid (default_grid when None), tol the slack allowed for rounding.
-    ValueError: an R that is not positive and finite, a negative or NaN tol.
+    The ball holds it when R (1 - (p, q)) >= s(q) - (x_p, q) at every unit q, so
+    R >= max (s(q) - (x_p, q)) / (1 - (p, q)) over the rows q of default_grid;
+    returns that max with its row, or (0.0, None) when no row is positive.  Each
+    radius-R_min supporting ball holds the body (Polovinkin and Balashov, 2004),
+    so the value is a lower end of R_min.  With the inputs taken as exact and
+    u = eps / 2, rounding moves s(q) - (x_p, q) by at most (d + 1) u |x_p| +
+    u |s(q)|, and 1 - (p, q) with |p| - 1 and |q| - 1 by at most (2 d + 5) u: so
+    4 (d + 2) u (|s(q)| + |x_p|) comes off each numerator, 4 (d + 2) u goes on
+    each denominator, only rows with 1 - (p, q) above it are read, and the
+    factor 4 covers the rounding of the bounds and the division too.  No read
+    exceeds the exact one.
+    ValueError: a p that is not a unit vector of length body.dim.
     """
-    if not 0.0 < R < math.inf:
-        raise ValueError("radius must be positive and finite")
-    if not tol >= 0.0:
-        raise ValueError("tol must be nonnegative")
     p = as_direction(p)
-    if grid is None:
-        grid = default_grid(body.dim)
-    center = body.support_point(p) - R * p
-    slack = body.support_values(grid) - grid @ center - R
-    return bool(np.max(slack) <= tol)
+    if p.shape != (body.dim,):
+        raise ValueError(f"p has {p.size} coordinates, the body's dimension is {body.dim}")
+    p, grid = p / np.linalg.norm(p), default_grid(body.dim)
+    x, s = body.support_point(p), body.support_values(grid)
+    tau = 2.0 * (body.dim + 2) * np.finfo(float).eps  # 4 (d + 2) u
+    num, den = s - grid @ x - tau * (np.abs(s) + np.linalg.norm(x)), 1.0 - grid @ p
+    ratio = np.divide(num, den + tau, out=np.zeros_like(num), where=den > tau)
+    i = int(np.argmax(ratio))
+    return (float(ratio[i]), grid[i].copy()) if ratio[i] > 0.0 else (0.0, None)
 
 
 def _lens_chords(param: BoundaryParam, eps0: float):

@@ -31,7 +31,9 @@ held to their bits; the sampled lens check is the loop that built each
 chord's lens and tested its boundary samples, which the closed-form lens
 supports on grid runs replaced, and the closed-form lens check is the test
 of those supports at one radius that the lens radius, the largest root per
-chord and direction, replaced.
+chord and direction, replaced; the supporting-ball check is the test of one
+ball at one radius, with a hand-set rounding slack, that the supporting-ball
+radius replaced.
 """
 from __future__ import annotations
 
@@ -42,7 +44,9 @@ from scipy.spatial import ConvexHull
 
 import strconvex as sc
 from strconvex.arcpoly import lens
-from strconvex.bodies import ConvexBody, _row_norms, grid_angle_error
+from strconvex.bodies import (
+    ConvexBody, _row_norms, as_direction, default_grid, grid_angle_error,
+)
 from strconvex.modulus import (
     BoundaryParam, _chords_of_length, _dots, _hull_cycle, _plane_angles, _rotate,
 )
@@ -831,3 +835,32 @@ def local_lens_check(body: ConvexBody, R: float, eps0: float) -> bool:
         if np.max(excess, where=inside, initial=-np.inf) > tol:
             return False
     return True
+
+
+# -- the supporting-ball check at one radius, before it returned its radius -----
+
+
+def supporting_ball_check(
+    body: ConvexBody,
+    R: float,
+    p,
+    tol: float = 1e-9,
+    grid: np.ndarray | None = None,
+) -> bool:
+    """True iff the body lies in the radius-R ball touching it from inside at p.
+
+    The ball is centered at x_p - R p, x_p the support point in direction p; it
+    holds the body when R (1 - (p, q)) >= s(q) - (x_p, q) - tol on every unit
+    row q of grid (default_grid when None), tol the slack allowed for rounding.
+    ValueError: an R that is not positive and finite, a negative or NaN tol.
+    """
+    if not 0.0 < R < math.inf:
+        raise ValueError("radius must be positive and finite")
+    if not tol >= 0.0:
+        raise ValueError("tol must be nonnegative")
+    p = as_direction(p)
+    if grid is None:
+        grid = default_grid(body.dim)
+    center = body.support_point(p) - R * p
+    slack = body.support_values(grid) - grid @ center - R
+    return bool(np.max(slack) <= tol)

@@ -96,17 +96,17 @@ def test_criterion_3_ellipse_pipeline():
     measured, _ = sc.min_strong_radius(body)
     if abs(measured - 4.0) > 0.02 * 4.0:
         failures.append(f"measured radius {measured:.6g} not within 2% of 4")
-    grid = sc.angle_grid(4096)
-    for p in sc.angle_grid(256):
-        if not sc.supporting_ball_check(body, 4.0, p, tol=1e-8, grid=grid):
-            failures.append(f"supporting ball fails at direction {p}")
-            break
+    # every radius-4 supporting ball holds the body when the largest
+    # supporting-ball radius, whose slack is rounding only, is at most 4
+    ball_radius = max(sc.supporting_ball_radius(body, p)[0] for p in sc.angle_grid(256))
+    if ball_radius > 4.0:
+        failures.append(f"supporting-ball radius {ball_radius:.9g} exceeds 4")
     elapsed = time.monotonic() - t0
     if elapsed >= 60.0:
         failures.append(f"runtime {elapsed:.1f}s exceeds 60s")
     _report(3, failures,
             f"C={fit.C:.6g}, predicted={predicted:.4g}, measured={measured:.4g}, "
-            f"256 supporting balls in {elapsed:.1f}s")
+            f"supporting-ball radius={ball_radius:.9g} over 256 directions, in {elapsed:.1f}s")
 
 
 def test_criterion_4_fixed_point_iteration():

@@ -16,7 +16,7 @@ PUBLIC_NAMES = [
     "default_grid", "disk_intersection", "fit_second_order", "hausdorff_distance", "lens",
     "lens_radius", "min_strong_radius", "modulus_curve", "offset", "r_hull",
     "radius_fixed_point", "radius_map", "refine_radius", "sharp_radius", "sharpness_check",
-    "smallest_enclosing_circle", "sphere_grid", "supporting_ball_check", "unit",
+    "smallest_enclosing_circle", "sphere_grid", "supporting_ball_radius", "unit",
     "zero_step_radius",
 ]
 

@@ -683,38 +683,64 @@ class TestPairTableMemo:
 
 
 class TestSupportingBall:
-    def test_disk_equality_at_own_direction(self):
+    # each verdict of the one-radius check, read as R >= supporting_ball_radius
+    def test_disk_reads_one_at_every_direction(self):
+        # the eight directions are rows of default_grid(2), where the
+        # numerator and denominator both round to about 0 at q = p
         body = sc.Ball([0, 0], 1.0)
-        grid = sc.angle_grid(512)
         for p in sc.angle_grid(8):
-            assert sc.supporting_ball_check(body, 1.0, p, tol=1e-9, grid=grid)
-            # equality at q = p: support touches the shifted ball
-            center = body.support_point(p) - 1.0 * p
-            assert body.support_value(p) == pytest.approx(float(p @ center) + 1.0, abs=1e-9)
+            radius, q = sc.supporting_ball_radius(body, p)
+            assert 1.0 - 1e-12 <= radius <= 1.0, p
+            assert abs(float(np.linalg.norm(q)) - 1.0) <= 1e-15
+
+    @pytest.mark.parametrize("center, scale", [
+        ([1e3, -700.0], 1.0), ([1e6, 1e6], 1.0), ([0, 0], 1.0 - 9e-13), ([0, 0], 1.0 + 9e-13),
+    ], ids=["far", "farther", "short_p", "long_p"])
+    def test_rounding_never_lifts_the_disk_above_one(self, center, scale):
+        # far from the origin the rounding of s(q) - (x_p, q) grows with |s|,
+        # and as_direction lets |p| miss 1 by 1e-12, as much as 1 - (p, q) at
+        # the grid rows next to p: the reads stay at or below 1 all the same
+        body = sc.Ball(center, 1.0)
+        for p in sc.angle_grid(64):
+            radius, _ = sc.supporting_ball_radius(body, scale * p)
+            assert 1.0 - 1e-8 <= radius <= 1.0, (p, radius)
 
     def test_ellipse_at_minimal_radius(self):
         e = sc.Ellipsoid([0, 0], [2, 1])
-        assert sc.supporting_ball_check(e, 4.0, [0, 1], tol=1e-8)
+        assert 4.0 >= sc.supporting_ball_radius(e, [0, 1])[0]
 
     def test_ellipse_below_minimal_radius_fails(self):
         e = sc.Ellipsoid([0, 0], [2, 1])
-        assert not sc.supporting_ball_check(e, 3.5, [0, 1], tol=1e-8)
+        assert not 3.5 >= sc.supporting_ball_radius(e, [0, 1])[0]
 
     def test_all_directions_at_certified_radius(self):
         e = sc.Ellipsoid([0, 0], [2, 1])
         for p in sc.angle_grid(64):
-            assert sc.supporting_ball_check(e, 4.0, p, tol=1e-8)
+            assert 4.0 >= sc.supporting_ball_radius(e, p)[0]
 
     @pytest.mark.parametrize("R, tol, message", [
         (-1.0, 1e-9, "radius"), (0.0, 1e-9, "radius"), (math.inf, 1e-9, "radius"),
         (math.nan, 1e-9, "radius"), (1.0, -1.0, "tol"), (1.0, math.nan, "tol"),
     ])
     def test_bad_radius_or_tol_is_rejected(self, R, tol, message):
-        # the messages of check_strong_convexity and contains
+        # the reference one-radius check, with the messages of
+        # check_strong_convexity and contains
         want = {"radius": "radius must be positive and finite",
                 "tol": "tol must be nonnegative"}[message]
         with pytest.raises(ValueError, match=want):
-            sc.supporting_ball_check(sc.Ball([0, 0], 1.0), R, [1, 0], tol=tol)
+            oracles.supporting_ball_check(sc.Ball([0, 0], 1.0), R, [1, 0], tol=tol)
+
+    @pytest.mark.parametrize("body, p, message", [
+        (sc.Ball([0, 0], 1.0), [1.0, 0.0, 0.0], "p has 3 coordinates, the body's dimension is 2"),
+        (sc.Ball([0, 0, 0], 1.0), [0.6, 0.8], "p has 2 coordinates, the body's dimension is 3"),
+        (sc.Ball([0, 0], 1.0), [1.0, 1.0], "unit norm"),
+        (sc.Ball([0, 0], 1.0), [0.0, 0.0], "unit norm"),
+        (sc.Ball([0, 0], 1.0), [math.nan, 1.0], "non-finite"),
+        (sc.Ball([0, 0], 1.0), [1.0], "dimension >= 2"),
+    ], ids=["3_for_2", "2_for_3", "non_unit", "zero", "nan", "one_coordinate"])
+    def test_bad_direction_is_rejected(self, body, p, message):
+        with pytest.raises(ValueError, match=message):
+            sc.supporting_ball_radius(body, p)
 
 
 class TestLensRadius:
@@ -925,3 +951,45 @@ def test_planar_direction_pairs_match_the_stacked_ones(n_pairs):
     for got, want in ((base, want_base), (P2, want_P2)):
         assert got.shape == want.shape and got.flags.c_contiguous
         assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(LENS_BODIES))
+def test_supporting_ball_radius_is_where_the_one_radius_check_turns(name):
+    # the reference check at tol = 1e-12 holds each ball exactly from the
+    # radius up, at 32 directions and radii 0.1 % to 10 % either side of it
+    body, _ = LENS_BODIES[name]
+    for p in sc.angle_grid(32):
+        radius, _ = sc.supporting_ball_radius(body, p)
+        for factor in (0.9, 0.99, 0.999, 1.001, 1.01, 1.1):
+            R = factor * radius
+            assert (R >= radius) == oracles.supporting_ball_check(body, R, p, tol=1e-12), \
+                (name, p, factor)
+
+
+@pytest.mark.parametrize("name", sorted(LENS_BODIES))
+def test_supporting_ball_radius_is_a_lower_end_of_the_minimal_radius(name):
+    # every supporting ball at R_min holds the body, and the flattest
+    # direction's ball needs nearly all of it; rounding never lifts a read
+    # above R_min, and each returned row q refutes 0.999 x the radius from
+    # support values alone
+    body, r_min = LENS_BODIES[name]
+    largest = 0.0
+    for p in sc.angle_grid(256):
+        radius, q = sc.supporting_ball_radius(body, p)
+        excess = body.support_value(q) - body.support_point(p) @ q - 0.999 * radius * (1.0 - p @ q)
+        assert excess > 0.0, (name, p, excess)
+        largest = max(largest, radius)
+    assert r_min * (1.0 - 1e-3) <= largest <= r_min, largest
+
+
+def test_supporting_ball_radius_of_the_ellipsoid_at_its_flat_pole():
+    # at e3 the 2:1.5:1 ellipsoid's ball needs about its minimal radius, 4
+    radius, q = sc.supporting_ball_radius(sc.Ellipsoid([0, 0, 0], [2.0, 1.5, 1.0]), [0, 0, 1.0])
+    assert 3.9 < radius <= 4.0 * (1.0 + 1e-9)
+    assert q.shape == (3,)
+
+
+def test_supporting_ball_radius_of_a_point_is_zero():
+    # a point is an intersection of balls of every radius; rounding alone
+    # reads about -1e-15 before the floor
+    assert sc.supporting_ball_radius(sc.PointHull([[0.3, -0.4]]), [0.6, 0.8]) == (0.0, None)
