@@ -153,10 +153,16 @@ def _angle_chains(xy: np.ndarray):
             or not x[-1] * y[0] > y[-1] * x[0]
             or not np.all(x[:-1] * y[1:] > y[:-1] * x[1:])):
         return None
-    lo = np.flatnonzero(x == x.min())
-    hi = np.flatnonzero(x == x.max())
-    lo, hi = lo[np.argmin(y[lo])], hi[np.argmax(y[hi])]
-    cycle = _rotate(np.arange(len(x)), int(lo))
+    lo, hi = int(np.argmin(x)), int(np.argmax(x))
+    # the cut points take the least y among the least x and the greatest y
+    # among the greatest x; ties on x are rare, so they are only counted
+    if np.count_nonzero(x == x[lo]) > 1:
+        ties = np.flatnonzero(x == x[lo])
+        lo = int(ties[np.argmin(y[ties])])
+    if np.count_nonzero(x == x[hi]) > 1:
+        ties = np.flatnonzero(x == x[hi])
+        hi = int(ties[np.argmax(y[ties])])
+    cycle = _rotate(np.arange(len(x)), lo)
     cut = (hi - lo) % len(x)
     return cycle[:cut + 1], np.concatenate((cycle[cut:], cycle[:1]))
 

@@ -7,11 +7,15 @@ violating pair certifies non-convexity, absence of one is (dense) evidence.
 On each pair the midpoint violation is affine in R, so the smallest radius the
 test accepts is a maximum over the pairs, computed in closed form.  The last
 table of pairs built is kept, so the calls that follow on the same body read
-it instead of building it again.
+it instead of building it again.  In the plane the pairs' directions, their
+midpoints and a = 1 - |m| do not depend on the body: that frame is built
+once per pair count, read-only (0.24 MB at the default 4096 pairs, at most
+16 kept, like the sphere grids), and a planar table is shared across seeds.
 """
 from __future__ import annotations
 
 import contextlib
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -107,29 +111,48 @@ def _principal_tangents(body: ConvexBody, base: np.ndarray) -> np.ndarray:
 
 
 def _direction_pairs(body: ConvexBody, n_pairs: int, seed: int):
-    """Unit base directions, and their partners at every scale, scale by scale.
+    """The pair frame: unit bases, the pairs' first points P1 and partners P2,
+    scale by scale, the directions [base; P2; M] whose support values the
+    table reads, M = (P1 + P2) / 2, and a = 1 - |M|.
 
-    In the plane the bases are uniform angles.  In space they are a sphere
-    grid, and each base's partners lie along the top eigenvector of the
-    support Hessian at the base.
+    In the plane the bases are uniform angles, and the frame is built once
+    per base count and returned read-only.  In space they are a sphere grid,
+    and each base's partners lie along the top eigenvector of the support
+    Hessian at the base.
     """
     n_base = max(8, -(-n_pairs // len(_GAP_SCALES)))
-    gaps = np.array(_GAP_SCALES)[:, None]
     if body.dim == 2:
-        theta = np.arange(n_base) * (2.0 * np.pi / n_base)
-        partner = (theta + gaps).ravel()
-        base, P2 = np.empty((n_base, 2)), np.empty((len(partner), 2))
-        for angles, out in ((theta, base), (partner, P2)):
-            np.cos(angles, out=out[:, 0])
-            np.sin(angles, out=out[:, 1])
-        return base, P2
+        return _planar_frame(n_base)
     base = sphere_grid(n_base, body.dim, seed=seed)
     # the stencil holds 1 + 2 (d - 1)^2 points of d floats per base
     chunk = max(1, _STENCIL_FLOATS // ((1 + 2 * (body.dim - 1) ** 2) * body.dim))
     tang = np.concatenate([_principal_tangents(body, base[k:k + chunk])
                            for k in range(0, n_base, chunk)])
-    partner = np.cos(gaps)[:, :, None] * base + np.sin(gaps)[:, :, None] * tang
-    return base, partner.reshape(-1, body.dim)
+    gaps = np.array(_GAP_SCALES)[:, None, None]
+    partner = np.cos(gaps) * base + np.sin(gaps) * tang
+    return _pair_frame(base, partner.reshape(-1, body.dim))
+
+
+@functools.lru_cache(maxsize=16)
+def _planar_frame(n_base: int):
+    theta = np.arange(n_base) * (2.0 * np.pi / n_base)
+    partner = (theta + np.array(_GAP_SCALES)[:, None]).ravel()
+    base, P2 = np.empty((n_base, 2)), np.empty((len(partner), 2))
+    for angles, out in ((theta, base), (partner, P2)):
+        np.cos(angles, out=out[:, 0])
+        np.sin(angles, out=out[:, 1])
+    frame = _pair_frame(base, P2)
+    for arr in frame:
+        arr.setflags(write=False)
+    return frame
+
+
+def _pair_frame(base: np.ndarray, P2: np.ndarray):
+    # base and P2 are views of the stacked directions, so the frame holds them once
+    P1 = np.tile(base, (len(_GAP_SCALES), 1))
+    M = 0.5 * (P1 + P2)
+    dirs = np.concatenate([base, P2, M])
+    return dirs[:len(base)], P1, dirs[len(base):len(base) + len(P2)], dirs, 1.0 - _row_norms(M)
 
 
 # a pair refutes R when its violation exceeds _REL_TOL * R
@@ -188,8 +211,9 @@ _last_table = None
 
 
 def _table_key(body, n_pairs: int, seed: int):
-    """The body's value, with n_pairs and seed, or None for a body whose table
-    is rebuilt on every call.
+    """The body's value, with n_pairs and, in d >= 3, seed, or None for a body
+    whose table is rebuilt on every call.  A planar table does not depend on
+    the seed.
 
     The key is taken when the table is built, so a body changed in place later
     misses.  It holds what ConvexBody.__eq__ compares, the type and _key().
@@ -200,7 +224,7 @@ def _table_key(body, n_pairs: int, seed: int):
     if not isinstance(body, ConvexBody):
         return None
     try:
-        key = (type(body), body._key(), n_pairs, seed)
+        key = (type(body), body._key(), n_pairs, seed if body.dim >= 3 else None)
         hash(key)
     except (NotImplementedError, TypeError):
         return None
@@ -249,23 +273,23 @@ def _build_pair_table(body: ConvexBody, n_pairs: int, seed: int):
     follows the worst base to within 1/64 of its gap, far below the spacing
     of the base grid.
     """
-    base, P2 = _direction_pairs(body, n_pairs, seed)
-    n_scales, n_base = len(_GAP_SCALES), len(base)
-    P1 = np.tile(base, (n_scales, 1))
-    M = 0.5 * (P1 + P2)
-    s = body.support_values(np.concatenate([base, P2, M]))
-    a = 1.0 - _row_norms(M)
-    b = 0.5 * (np.tile(s[:n_base], n_scales) + s[n_base:n_base + len(P2)]) - s[n_base + len(P2):]
+    base, P1, P2, dirs, a = _direction_pairs(body, n_pairs, seed)
+    n_scales, n_base, m = len(_GAP_SCALES), len(base), len(P2)
+    s = body.support_values(dirs)
+    b = 0.5 * (np.tile(s[:n_base], n_scales) + s[n_base:n_base + m]) - s[n_base + m:]
     per_scale = (b / (a + _REL_TOL)).reshape(n_scales, n_base)
     best = np.argmax(per_scale, axis=1) + n_base * np.arange(n_scales)
     top = per_scale.ravel()[best]
     anchors = [(P1[i], P2[i]) for i in best]
     rows = [(P1, P2, a, b)]
     n_fine = len(_FINE_OFFSETS)
+    circle = np.empty((2, body.dim))  # an anchor's great circle, (p, t) as rows
     for k, coeffs in enumerate(_CASCADE):
         p, w = anchors[k]
         t = w - (w @ p) * p
-        Q = coeffs @ np.stack([p, t / np.linalg.norm(t)])
+        circle[0] = p
+        np.divide(t, np.linalg.norm(t), out=circle[1])
+        Q = coeffs @ circle
         n = len(Q) // 3
         sq = body.support_values(Q)
         Q1, Q2 = Q[:n], Q[n:2 * n]

@@ -33,7 +33,10 @@ supports on grid runs replaced, and the closed-form lens check is the test
 of those supports at one radius that the lens radius, the largest root per
 chord and direction, replaced; the supporting-ball check is the test of one
 ball at one radius, with a hand-set rounding slack, that the supporting-ball
-radius replaced.
+radius replaced; the direction pairs and pair table are the build that made
+every pair direction, midpoint and a afresh per body, before the planar frame
+was built once per pair count, kept so that each table array can be held to
+its bits.
 """
 from __future__ import annotations
 
@@ -45,12 +48,15 @@ from scipy.spatial import ConvexHull
 import strconvex as sc
 from strconvex.arcpoly import lens
 from strconvex.bodies import (
-    ConvexBody, _row_norms, as_direction, default_grid, grid_angle_error,
+    ConvexBody, _row_norms, as_direction, default_grid, grid_angle_error, sphere_grid,
 )
 from strconvex.modulus import (
     BoundaryParam, _chords_of_length, _dots, _hull_cycle, _plane_angles, _rotate,
 )
-from strconvex.strongconv import _LENS_RESOLUTION, _LENS_TOL, _lens_chords
+from strconvex.strongconv import (
+    _CASCADE, _FINE_OFFSETS, _GAP_SCALES, _LENS_RESOLUTION, _LENS_TOL, _REL_TOL, _STENCIL_FLOATS,
+    _lens_chords, _principal_tangents,
+)
 
 
 def support_polygon(grid: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -864,3 +870,81 @@ def supporting_ball_check(
     center = body.support_point(p) - R * p
     slack = body.support_values(grid) - grid @ center - R
     return bool(np.max(slack) <= tol)
+
+
+# -- the pair table before its planar frame was built once per pair count -------
+
+
+def direction_pairs(body: ConvexBody, n_pairs: int, seed: int):
+    """Unit base directions, and their partners at every scale, scale by scale.
+
+    In the plane the bases are uniform angles.  In space they are a sphere
+    grid, and each base's partners lie along the top eigenvector of the
+    support Hessian at the base.
+    """
+    n_base = max(8, -(-n_pairs // len(_GAP_SCALES)))
+    gaps = np.array(_GAP_SCALES)[:, None]
+    if body.dim == 2:
+        theta = np.arange(n_base) * (2.0 * np.pi / n_base)
+        partner = (theta + gaps).ravel()
+        base, P2 = np.empty((n_base, 2)), np.empty((len(partner), 2))
+        for angles, out in ((theta, base), (partner, P2)):
+            np.cos(angles, out=out[:, 0])
+            np.sin(angles, out=out[:, 1])
+        return base, P2
+    base = sphere_grid(n_base, body.dim, seed=seed)
+    # the stencil holds 1 + 2 (d - 1)^2 points of d floats per base
+    chunk = max(1, _STENCIL_FLOATS // ((1 + 2 * (body.dim - 1) ** 2) * body.dim))
+    tang = np.concatenate([_principal_tangents(body, base[k:k + chunk])
+                           for k in range(0, n_base, chunk)])
+    partner = np.cos(gaps)[:, :, None] * base + np.sin(gaps)[:, :, None] * tang
+    return base, partner.reshape(-1, body.dim)
+
+
+def build_pair_table(body: ConvexBody, n_pairs: int, seed: int):
+    """Unit pairs (P1, P2), their violation coefficients and thresholds, the
+    largest threshold per scale and the base pairs' largest |s|.
+
+    With m = (p1 + p2) / 2, the midpoint violation of the gap function is
+    b - R a, where a = 1 - |m| and b = (s(p1) + s(p2)) / 2 - s(m).  It exceeds
+    _REL_TOL * R exactly when R < b / (a + _REL_TOL), the pair's threshold.
+
+    The base pairs come first: every base with its partner at each scale.
+    The cascade pairs of _cascade_steps follow, from coarse to fine; each step
+    is anchored at the best pair so far of its scale, so every scale's maximum
+    follows the worst base to within 1/64 of its gap, far below the spacing
+    of the base grid.
+    """
+    base, P2 = direction_pairs(body, n_pairs, seed)
+    n_scales, n_base = len(_GAP_SCALES), len(base)
+    P1 = np.tile(base, (n_scales, 1))
+    M = 0.5 * (P1 + P2)
+    s = body.support_values(np.concatenate([base, P2, M]))
+    a = 1.0 - _row_norms(M)
+    b = 0.5 * (np.tile(s[:n_base], n_scales) + s[n_base:n_base + len(P2)]) - s[n_base + len(P2):]
+    per_scale = (b / (a + _REL_TOL)).reshape(n_scales, n_base)
+    best = np.argmax(per_scale, axis=1) + n_base * np.arange(n_scales)
+    top = per_scale.ravel()[best]
+    anchors = [(P1[i], P2[i]) for i in best]
+    rows = [(P1, P2, a, b)]
+    n_fine = len(_FINE_OFFSETS)
+    for k, coeffs in enumerate(_CASCADE):
+        p, w = anchors[k]
+        t = w - (w @ p) * p
+        Q = coeffs @ np.stack([p, t / np.linalg.norm(t)])
+        n = len(Q) // 3
+        sq = body.support_values(Q)
+        Q1, Q2 = Q[:n], Q[n:2 * n]
+        qa = 1.0 - _row_norms(Q[2 * n:])
+        qb = 0.5 * (sq[:n] + sq[n:2 * n]) - sq[2 * n:]
+        rows.append((Q1, Q2, qa, qb))
+        thr = qb / (qa + _REL_TOL)
+        # the fine pairs refine scale k, the coarse ones open scale k + 1
+        for scale, lo, hi in ((k, 0, n_fine), (k + 1, n_fine, n)):
+            if lo < hi:
+                j = lo + int(np.argmax(thr[lo:hi]))
+                if thr[j] > top[scale]:
+                    top[scale] = thr[j]
+                    anchors[scale] = Q1[j], Q2[j]
+    P1, P2, a, b = (np.concatenate(c) for c in zip(*rows))
+    return P1, P2, a, b, b / (a + _REL_TOL), top, np.array(np.max(np.abs(s)))

@@ -428,6 +428,33 @@ def test_hull_cycle_of_ordered_degenerate_sets_matches_rows(name):
     assert _turns_left(X[hull]), name
 
 
+def _extreme_x_ties():
+    """Sets in angle order about the origin whose least and greatest x are
+    shared by 2 and by 3 points, in every rotation of the order."""
+    sets = {
+        "two": [[2.0, -1.0], [2.0, 1.0], [0.5, 2.0], [-1.5, 1.5], [-1.5, -0.5], [0.0, -2.0]],
+        "three": [[2.5, -1.0], [2.5, 0.25], [2.5, 1.5], [0.0, 2.0], [-1.0, 1.0], [-1.0, 0.0],
+                  [-1.0, -0.75], [0.5, -2.0]],
+    }
+    return {f"{name}_from_{k}": np.roll(np.array(X), -k, axis=0)
+            for name, X in sets.items() for k in range(len(X))}
+
+
+EXTREME_X_TIES = _extreme_x_ties()
+
+
+@pytest.mark.parametrize("name", sorted(EXTREME_X_TIES))
+def test_hull_cycle_of_ordered_sets_with_extreme_x_ties_matches_rows(name):
+    # the cut points are the least y of the least x and the greatest y of the
+    # greatest x, also where a run of ties wraps past the first index
+    X = EXTREME_X_TIES[name]
+    coords = np.ascontiguousarray(X.T)
+    assert _angle_chains(coords) is not None, name
+    hull = _hull_cycle(coords)
+    assert np.array_equal(hull, row_hull_cycle(X)), name
+    assert _turns_left(X[hull]), name
+
+
 def _anchor_ordered_midpoints(param):
     # chord midpoints about the body's centre, in anchor order, at 12 eps
     for frac in np.linspace(0.02, 0.95, 12):

@@ -616,6 +616,16 @@ class TestPairTableMemo:
             sc.check_strong_convexity(b, 4.0, n_pairs=n_pairs, seed=seed)
         assert builds == [b for b, _, _ in calls]
 
+    @pytest.mark.parametrize("body, n_builds", [
+        (sc.Ellipsoid([0.3, -0.2], [2.0, 1.0]), 1),
+        (sc.Ellipsoid([0.0, 0.0, 0.0], [2.0, 1.5, 1.0]), 2),
+    ], ids=["2d", "3d"])
+    def test_a_planar_table_serves_every_seed(self, builds, body, n_builds):
+        # the seed turns a solid's sphere grid; planar bases are uniform angles
+        r, _ = sc.min_strong_radius(body, seed=0)
+        sc.check_strong_convexity(body, r, seed=1)
+        assert len(builds) == n_builds
+
     @pytest.mark.parametrize("make", [
         lambda: LpDisc(1.5, 1.3),
         _Keyless,
@@ -944,13 +954,61 @@ def test_planar_direction_pairs_match_the_stacked_ones(n_pairs):
     # written column by column into preallocated arrays, they must equal the
     # stack of cos and sin along a last axis bit for bit, and so must the table
     body = sc.Ellipsoid([0.1, -0.2], [2.0, 1.0])
-    base, P2 = strongconv._direction_pairs(body, n_pairs, 0)
+    base, _, P2, _, _ = strongconv._direction_pairs(body, n_pairs, 0)
     n_base = max(8, -(-n_pairs // len(strongconv._GAP_SCALES)))
     want_base, want_P2 = stacked_planar_direction_pairs(
         n_base, np.array(strongconv._GAP_SCALES)[:, None])
     for got, want in ((base, want_base), (P2, want_P2)):
         assert got.shape == want.shape and got.flags.c_contiguous
         assert got.tobytes() == want.tobytes()
+
+
+TABLE_BODIES = {
+    **{name: body for name, (body, _) in LENS_BODIES.items()},
+    "square": FLAT_BODIES["square"],
+    "point": sc.PointHull([[0.3, -0.4]]),
+    "ball_plus_segment": FLAT_BODIES["ball_plus_segment"],
+    "lp_disc": LpDisc(1.5, 1.3),
+}
+TABLE_SOLIDS = {
+    "ball_3d": sc.Ball([0.0, 0.0, 0.0], 1.0),
+    "ellipsoid_3d": sc.Ellipsoid([0.0, 0.0, 0.0], [2.0, 1.5, 1.0]),
+    "rotated_cube": FLAT_BODIES["rotated_cube"],
+}
+
+
+@pytest.mark.parametrize("name, n_pairs, seed", [
+    *((name, n_pairs, 0) for name in sorted(TABLE_BODIES)
+      for n_pairs in (1, 79, 80, 81, 4096, 4097)),
+    *((name, 4096, seed) for name in sorted(TABLE_SOLIDS) for seed in range(3)),
+])
+def test_pair_table_keeps_the_bits_of_the_unframed_build(name, n_pairs, seed):
+    # the planar frame built once per pair count, the stacked support
+    # directions and the cascade's preallocated (p, t) frame must give every
+    # table array of the build that made them afresh, bit for bit
+    body = {**TABLE_BODIES, **TABLE_SOLIDS}[name]
+    got = strongconv._build_pair_table(body, n_pairs, seed)
+    want = oracles.build_pair_table(body, n_pairs, seed)
+    assert len(got) == len(want) == 7
+    for k, (g, w) in enumerate(zip(got, want)):
+        assert g.dtype == w.dtype and np.array_equal(g, w), (name, n_pairs, seed, k)
+
+
+def test_planar_frame_is_built_once_per_pair_count_and_read_only():
+    frame = strongconv._direction_pairs(sc.Ellipsoid([0.3, -0.2], [2.0, 1.0]), 4096, 0)
+    # another planar body and seed read the same frame
+    again = strongconv._direction_pairs(sc.Ball([0.0, 0.0], 1.0), 4096, 1)
+    assert all(x is y for x, y in zip(frame, again))
+    other = strongconv._direction_pairs(sc.Ball([0.0, 0.0], 1.0), 2048, 0)
+    assert len(other[0]) == 205 and len(frame[0]) == 410
+    assert all(x is not y for x, y in zip(frame, other))
+    for arr in (*frame, *other):
+        with pytest.raises(ValueError):
+            arr[...] = 0.0
+    # a solid's frame is built per call
+    solid = sc.Ball([0.0, 0.0, 0.0], 1.0)
+    first, second = (strongconv._direction_pairs(solid, 4096, 0) for _ in range(2))
+    assert all(x is not y and np.array_equal(x, y) for x, y in zip(first, second))
 
 
 @pytest.mark.parametrize("name", sorted(LENS_BODIES))
