@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bodies import ConvexBody, _row_max, _row_norms, as_vector, default_grid
+from .bodies import ConvexBody, _row_norms, as_vector, default_grid
 from .errors import (
     EmptyInputError,
     GeometryError,
@@ -123,7 +123,7 @@ class ArcPolygon(ConvexBody):
                 end, start = a.end_point, b.start_point
                 if math.hypot(start[0] - end[0], start[1] - end[1]) > 1e-7:
                     raise GeometryError("boundary pieces do not chain into a closed loop")
-        self._cones = None
+        self._cones = self._tiles = None
 
     @classmethod
     def singleton(cls, point) -> "ArcPolygon":
@@ -197,43 +197,54 @@ class ArcPolygon(ConvexBody):
 
     # -- support oracle -----------------------------------------------------
 
+    def _facing(self, P):
+        """The rows of positive span of the normal-cone table as columns
+        (centre x, centre y, radius, start angle, span), the index k of the
+        row whose cone holds each direction of P, and the directions' angles.
+        Those rows, the arcs and the corners, tile the circle in boundary
+        order, so one searchsorted over their starts, measured from the
+        first row's, finds k."""
+        if self._tiles is None:
+            cx, cy, r, a0, *_, span = self._normal_cones()
+            tiles = np.array([cx, cy, r, a0, span])[:, span > 0.0]
+            self._tiles = tiles, np.cumsum(tiles[4, :-1])
+        tiles, starts = self._tiles
+        phis = np.arctan2(P[:, 1], P[:, 0])
+        return tiles, np.searchsorted(starts, (phis - tiles[3, 0]) % TWO_PI, side="right"), phis
+
     def support_values(self, P):
         P = np.asarray(P, dtype=float)
         if self.is_singleton:
             return P @ self._point
-        best = _row_max(P @ self.vertices().T)
-        norms = _row_norms(P)
-        phis = np.arctan2(P[:, 1], P[:, 0]) % TWO_PI
-        for a in self.arcs():
-            in_range = (phis - a.start_angle) % TWO_PI <= a.span
-            if np.any(in_range):
-                vals = P[in_range] @ np.asarray(a.center) + a.radius * norms[in_range]
-                best[in_range] = np.maximum(best[in_range], vals)
-        return best
+        tiles, k, _ = self._facing(P)
+        cx, cy, r = tiles[:3, k]
+        return P[:, 0] * cx + P[:, 1] * cy + r * _row_norms(P)
 
     def support_points(self, P):
         P = np.asarray(P, dtype=float)
         if self.is_singleton:
             return np.repeat(self._point[None, :], len(P), axis=0)
-        # Candidates per direction: every vertex, and the point of each arc
-        # whose angle range holds the (nonzero) direction within 1e-12.  Of
-        # those within 1e-12 (1 + |s|) of the best value, take the smallest (x, y).
-        arcs = np.array([(*a.center, a.radius, a.start_angle, a.span) for a in self.arcs()])
-        arcs = arcs.reshape(-1, 5)
-        centers, (radii, starts, spans) = arcs[:, :2], arcs[:, 2:].T
+        # Candidates per direction: the point of its row and of the rows on
+        # either side, a neighbouring arc only where its range holds the
+        # direction within 1e-12.  Of those within 1e-12 (1 + |s|) of the
+        # best value, take the smallest (x, y).
+        tiles, k, phis = self._facing(P)
+        cx, cy, r, a0, span = np.take(tiles, k + np.array([[-1], [1], [0]]), axis=1, mode="wrap")
         norms = _row_norms(P)
-        phis = np.arctan2(P[:, 1], P[:, 0]) % TWO_PI
-        off_arc = ((phis[:, None] - starts) % TWO_PI > spans + 1e-12) | (norms == 0.0)[:, None]
-        U = P / np.where(norms == 0.0, 1.0, norms)[:, None]
-        verts = np.broadcast_to(self.vertices(), (len(P), len(self.pieces), 2))
-        cands = np.concatenate([verts, centers + radii[:, None] * U[:, None, :]], axis=1)
-        vals = P[:, None, 0] * cands[..., 0] + P[:, None, 1] * cands[..., 1]
-        vals[:, len(self.pieces):][off_arc] = -np.inf
-        top = vals.max(axis=1)
-        tied = vals >= (top - 1e-12 * (1.0 + np.abs(top)))[:, None]
-        x = np.where(tied, cands[..., 0], np.inf)
-        y = np.where(x == x.min(axis=1)[:, None], cands[..., 1], np.inf)
-        return cands[np.arange(len(P)), np.argmin(y, axis=1)]
+        U = P.T / np.where(norms == 0.0, 1.0, norms)
+        x, y = cx + r * U[0], cy + r * U[1]
+        vals = P[:, 0] * x + P[:, 1] * y
+        vals[:2][(r[:2] > 0.0) & ((phis - a0[:2]) % TWO_PI > span[:2] + 1e-12)] = -np.inf
+        top = vals.max(axis=0)
+        x[vals < top - 1e-12 * (1.0 + np.abs(top))] = np.inf
+        least_x = x.min(axis=0)
+        out = np.stack([least_x, np.where(x == least_x, y, np.inf).min(axis=0)], axis=1)
+        zero = norms == 0.0
+        if zero.any():
+            # every vertex ties at the zero direction
+            V = self.vertices()
+            out[zero] = V[np.lexsort(V.T[::-1])[0]]
+        return out
 
     # -- membership ----------------------------------------------------------
 
@@ -241,11 +252,17 @@ class ArcPolygon(ConvexBody):
         """The outer normals of the boundary as one row per arc and per vertex,
         in boundary order, returned column by column: centre x and y, radius,
         start and end angle, their unit vectors (cos, sin each) and the span.
+        Membership, distance, support values and points, offsets and r_hull
+        all read it.
 
         An arc's row is its circle and angle range.  The vertex at the end of
         each piece has radius 0 and the range from that piece's end normal to
-        the next piece's start normal; a vertex range of pi or more is
-        rounding at a smooth joint and counts as 0.
+        the next piece's start normal.  A convex corner turns by less than pi,
+        so a vertex range within rounding of 2 pi (3 pi / 2 or more) is a
+        smooth joint turned slightly backwards and counts as 0.  The spans
+        then sum to one counter-clockwise turn, 2 pi; a boundary whose sum
+        misses it by more than 1e-9 (listed clockwise, or with a reflex
+        joint) raises GeometryError.
         """
         if self._cones is None:
             ends = [(p.start_angle, p.end_angle) if isinstance(p, Arc) else (p.normal_angle,) * 2
@@ -257,7 +274,12 @@ class ArcPolygon(ConvexBody):
                 rows.append((*p.end_point, 0.0, ends[i][1], ends[(i + 1) % len(ends)][0]))
             cx, cy, r, a0, a1 = np.array(rows).T
             span = (a1 - a0) % TWO_PI
-            span[(r == 0.0) & (span >= math.pi)] = 0.0
+            span[(r == 0.0) & (span >= 1.5 * math.pi)] = 0.0
+            turn = float(span.sum())
+            if abs(turn - TWO_PI) > 1e-9:
+                raise GeometryError(
+                    f"the boundary's normal cones span {turn!r}, not one counter-clockwise "
+                    f"turn 2 pi: the pieces must run counter-clockwise around a convex region")
             self._cones = np.array(
                 [cx, cy, r, a0, a1, np.cos(a0), np.sin(a0), np.cos(a1), np.sin(a1), span])
         return self._cones
@@ -355,48 +377,20 @@ def _arc_fragments_in_disk(piece: Arc, c: np.ndarray, R: float):
     return out
 
 
-def _seg_fragments_in_disk(piece: Seg, c: np.ndarray, R: float):
-    p0 = piece.start_point
-    v = piece.end_point - p0
-    a = float(v @ v)
-    if a == 0.0:
-        return []
-    w = p0 - c
-    b = 2.0 * float(v @ w)
-    e = float(w @ w) - R * R
-    disc = b * b - 4.0 * a * e
-    if disc <= 0.0:
-        mid = p0 + 0.5 * v
-        if float(np.linalg.norm(mid - c)) <= R:
-            return [(0.0, 1.0)]
-        return []
-    sq = math.sqrt(disc)
-    lo = max(0.0, (-b - sq) / (2.0 * a))
-    hi = min(1.0, (-b + sq) / (2.0 * a))
-    if hi - lo > 1e-12:
-        return [(lo, hi)]
-    return []
-
-
-def _sub_piece(piece, lo: float, hi: float):
-    if isinstance(piece, Arc):
-        a = (piece.start_angle + lo) % TWO_PI
-        b = (piece.start_angle + hi) % TWO_PI
-        return Arc(piece.center, piece.radius, a, b)
-    p0 = piece.point_at(lo)
-    p1 = piece.point_at(hi)
-    return Seg((p0[0], p0[1]), (p1[0], p1[1]))
+def _sub_piece(piece: Arc, lo: float, hi: float) -> Arc:
+    a = (piece.start_angle + lo) % TWO_PI
+    b = (piece.start_angle + hi) % TWO_PI
+    return Arc(piece.center, piece.radius, a, b)
 
 
 def _joined_arc(q, p) -> Arc | None:
     """q followed by p as one arc, if both are arcs of one circle that meet
-    and their joint span stays below MAX_ARC_SPAN; else None."""
+    and their joint span stays below MAX_ARC_SPAN; else None.  Pieces of one
+    circle carry its centre and radius unchanged (_make_arc and _sub_piece
+    copy them), so the circles must agree exactly."""
     if not (isinstance(q, Arc) and isinstance(p, Arc)):
         return None
-    # the centres agree as np.allclose(q.center, p.center, atol=1e-12) decides
-    same = (abs(q.center[0] - p.center[0]) <= 1e-12 + 1e-5 * abs(p.center[0])
-            and abs(q.center[1] - p.center[1]) <= 1e-12 + 1e-5 * abs(p.center[1])
-            and abs(q.radius - p.radius) < 1e-12
+    same = (q.center == p.center and q.radius == p.radius
             and abs((p.start_angle - q.end_angle) % TWO_PI) < 1e-9)
     if same and q.span + p.span < MAX_ARC_SPAN:
         return Arc(q.center, q.radius, q.start_angle, p.end_angle)
@@ -424,7 +418,8 @@ def _clean_pieces(pieces):
 
 
 def clip_with_disk(ap: ArcPolygon, center, R: float) -> ArcPolygon | None:
-    """Intersection of a convex arc polygon with the disk B_R(center)."""
+    """Intersection of a convex region bounded by arcs alone (a disk
+    intersection, as _kernel builds it) with the disk B_R(center)."""
     c = as_vector(center)
     if ap.is_singleton:
         pt = ap.singleton_point
@@ -434,17 +429,12 @@ def clip_with_disk(ap: ArcPolygon, center, R: float) -> ArcPolygon | None:
     frags = []
     any_cut = False
     for piece in ap.pieces:
-        if isinstance(piece, Arc):
-            ivs = _arc_fragments_in_disk(piece, c, R)
-            full = piece.span
-        else:
-            ivs = _seg_fragments_in_disk(piece, c, R)
-            full = 1.0
+        ivs = _arc_fragments_in_disk(piece, c, R)
         # a piece with no fragment left is cut away whole
         any_cut = any_cut or not ivs
         for lo, hi in ivs:
             cut_lo = lo > 1e-12
-            cut_hi = hi < full - 1e-12
+            cut_hi = hi < piece.span - 1e-12
             any_cut = any_cut or cut_lo or cut_hi
             frags.append(_sub_piece(piece, lo, hi))
     if not frags:
@@ -568,7 +558,11 @@ def r_hull(points, R: float) -> ArcPolygon:
     pieces = []
     for vx, vy, n_end, n_start in np.array([x, y, a0, a1]).T[(radius == 0.0) & (span > 1e-12)]:
         pieces += _make_arc((vx, vy), R, n_end + math.pi, n_start + math.pi)
-    return ArcPolygon(_clean_pieces(pieces))
+    pieces = _clean_pieces(pieces)
+    if len(pieces) < 2:
+        # every hull arc is below MERGE_TOL: the points are one point to rounding
+        return ArcPolygon.singleton(c_seb)
+    return ArcPolygon(pieces)
 
 
 def offset(ap: ArcPolygon, r: float) -> ArcPolygon:

@@ -18,6 +18,7 @@ from oracles import (
     oracle_hull_membership,
     piecewise_boundary_distance,
     ray_cast_contains,
+    reference_support_values,
     sampled_center_oracle,
     scipy_hull_vertices,
 )
@@ -297,6 +298,34 @@ class TestSupportPoints:
         assert pt.support_points(np.eye(2)).tolist() == [[0.3, -0.4], [0.3, -0.4]]
 
 
+def _reach(ap):
+    """A bound on |x| over the boundary: |c| + r over the arcs, |v| over the vertices."""
+    return max([math.hypot(*a.center) + a.radius for a in ap.arcs()]
+               + np.hypot(*ap.vertices().T).tolist())
+
+
+def _assert_reference_support_values(ap, P):
+    # The reference takes the largest vertex product and arc value whose
+    # range holds the direction; the table reads one row.  Each sums products
+    # of size up to |p| reach, and a vertex is the end of one piece there and
+    # the start of the next here, which agree to rounding: 8 ulps of |p| (1 + reach).
+    bound = 8.0 * np.finfo(float).eps * np.linalg.norm(P, axis=1) * (1.0 + _reach(ap))
+    assert np.all(np.abs(ap.support_values(P) - reference_support_values(ap, P)) <= bound)
+
+
+class TestSupportValues:
+    def test_match_the_reference_within_rounding(self):
+        rng = np.random.default_rng(102)
+        scale = 10.0 ** rng.uniform(-3.0, 3.0, (500, 1))
+        P = np.concatenate([sc.default_grid(2, 4096), scale * rng.standard_normal((500, 2))])
+        for ap in [sc.lens([-0.6, 0.1], [0.5, -0.2], 1.0)] + _arc_polygons(rng):
+            _assert_reference_support_values(ap, np.vstack([P, _piece_directions(ap)]))
+
+    def test_zero_direction_reads_zero(self):
+        assert sc.lens([-0.6, 0.1], [0.5, -0.2], 1.0).support_values(np.zeros((2, 2))).tolist() \
+            == [0.0, 0.0]
+
+
 class TestBoundarySamples:
     @pytest.mark.parametrize("n", [64, 512])
     @pytest.mark.parametrize("seed", [1, 2, 3, 4])
@@ -564,6 +593,50 @@ class TestHullReadOffKernel:
         assert len(H.pieces) == 2
 
 
+def _pairs(rng, n, gap):
+    """n random pairs in [-1, 1]^2, gap apart in random directions."""
+    a = rng.uniform(-1.0, 1.0, (n, 2))
+    t = rng.uniform(0.0, 2.0 * math.pi, n)
+    return a, a + gap * np.stack([np.cos(t), np.sin(t)], axis=1)
+
+
+class TestNearPairs:
+    """R-hulls of two points a rounding apart, whose thin lens corners turn
+    by nearly pi and whose kernel arcs lie on circles nearly one."""
+
+    @pytest.mark.parametrize("gap", [1e-9, 1e-8])
+    def test_thin_hulls_keep_their_corner_cones(self, gap):
+        rng = np.random.default_rng(int(-math.log10(gap)))
+        for a, b in zip(*_pairs(rng, 100, gap)):
+            H = sc.r_hull([a, b], 1.0)
+            assert sc.hausdorff_distance(H, sc.lens(a, b, 1.0)) <= gap
+            if H.is_singleton:
+                continue
+            assert H._normal_cones()[-1].sum() == pytest.approx(2.0 * math.pi, abs=1e-12)
+            n = np.array([-(b - a)[1], (b - a)[0]]) / gap
+            for x in (a + n, a - n, 2.0 * a - b - 0.5 * n):
+                assert not H.contains(x)
+            sc.offset(H, 0.5)
+
+    def test_arcs_of_nearby_circles_stay_apart(self):
+        pts = np.array([[-0.966944728943, 0.626540478401], [-0.966944720408, 0.626540473189]])
+        rng = np.random.default_rng(8)
+        for a, b in [pts] + list(zip(*_pairs(rng, 100, 1e-8))):
+            H = sc.r_hull([a, b], 100.0)
+            assert sc.hausdorff_distance(H, sc.lens(a, b, 100.0)) <= 1e-8
+
+    @pytest.mark.parametrize("R", [1.0, 100.0])
+    def test_collapsed_pairs_are_points_within_their_gap(self, R):
+        rng = np.random.default_rng(int(R))
+        assert sc.r_hull([[0.3, -0.2], [0.3 + 1e-10, -0.2]], 1.0).is_singleton
+        for gap in np.geomspace(2e-12, 1e-6, 25):
+            for t in (0.3, 1.9, 3.5, 5.1):
+                a = rng.uniform(-1.0, 1.0, 2)
+                b = a + gap * np.array([math.cos(t), math.sin(t)])
+                H = sc.r_hull([a, b], R)
+                assert sc.hausdorff_distance(H, sc.lens(a, b, R)) <= gap
+
+
 class TestKernelBand:
     def test_enclosing_radius_within_1e9_gives_the_enclosing_centre(self):
         # the diameter pair sets the enclosing circle: centre (0.2, 0.1), radius 1
@@ -680,6 +753,37 @@ class TestNormalConeTable:
         for body, _ in cone_cases:
             for r in (0.05, 0.7):
                 assert sc.offset(body, r)._key() == loop_offset(body, r)._key()
+
+    def test_spans_make_one_counter_clockwise_turn(self, cone_cases):
+        for body, _ in cone_cases:
+            assert abs(body._normal_cones()[-1].sum() - 2.0 * math.pi) <= 1e-12
+
+    def test_support_values_match_the_reference(self, cone_cases):
+        P = np.vstack([sc.angle_grid(256),
+                       3.0 * np.random.default_rng(18).standard_normal((64, 2))])
+        for body, _ in cone_cases:
+            _assert_reference_support_values(body, np.vstack([P, _piece_directions(body)]))
+
+    def test_support_points_match_the_per_row_tie_break(self, cone_cases):
+        for body, _ in cone_cases:
+            P = np.vstack([sc.angle_grid(32), _piece_directions(body)])
+            expect = loop_arc_support_points(body, P)
+            got = body.support_points(P)
+            assert np.all(np.abs(got - expect) <= 4e-15 * (1.0 + np.abs(expect)))
+
+    def test_clockwise_or_reflex_boundaries_raise(self):
+        L = sc.lens([-0.6, 0.0], [0.6, 0.0], 1.0)
+        clockwise = sc.ArcPolygon([Arc(p.center, p.radius, p.end_angle, p.start_angle)
+                                   for p in L.pieces[::-1]])
+        corners = [(0.0, 0.0), (2.0, 0.0), (2.0, 2.0), (1.0, 0.5), (0.0, 2.0)]
+        dart = sc.ArcPolygon([Seg(p, q) for p, q in zip(corners, corners[1:] + corners[:1])])
+        queries = (lambda body: body.support_values(np.eye(2)),
+                   lambda body: body.support_points(np.eye(2)),
+                   lambda body: body.contains([0.5, 0.5]), lambda body: sc.offset(body, 0.1))
+        for body in (clockwise, dart):
+            for query in queries:
+                with pytest.raises(sc.GeometryError, match="counter-clockwise"):
+                    query(body)
 
     def test_singleton_distance_is_the_point_distance(self):
         pt = sc.ArcPolygon.singleton([0.3, -0.4])

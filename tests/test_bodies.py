@@ -69,8 +69,6 @@ def _kernel_bodies(d: int, rng) -> dict:
     }
     bodies["sum"] = sc.MinkowskiSum([bodies["ellipsoid"], bodies["hull_4"], bodies["ball"]])
     bodies["complement"] = sc.ComplementBody(bodies["ellipsoid"], 5.0)
-    if d == 2:
-        bodies["lens"] = sc.lens([-0.6, 0.1], [0.5, -0.2], 1.0)
     return bodies
 
 

@@ -229,6 +229,16 @@ class TestRadiusCommand:
         assert main(["radius", "--body", point, "--check", "1e-11", "--out", out]) == 0
         assert json.loads(_read(out))["is_convex"] is True
 
+    def test_clockwise_lens_exit_2(self, tmp_path, capsys):
+        # the lens of the CI workflow, its pieces listed the other way round
+        # with from and to swapped
+        arcs = [((0.0, -0.8), 0.9272952180016123, 2.214297435588181),
+                ((0.0, 0.8), 4.068887871591405, 5.355890089177974)]
+        body = _write_body(tmp_path, "clockwise.json", {"type": "arcpolygon", "pieces": [
+            {"kind": "arc", "center": c, "radius": 1.0, "from": b, "to": a} for c, a, b in arcs]})
+        assert main(["radius", "--body", body, "--minimize"]) == 2
+        assert "counter-clockwise" in capsys.readouterr().err
+
     def test_check_and_minimize_exclude_each_other(self, capsys, ball_json):
         with pytest.raises(SystemExit) as info:
             main(["radius", "--body", ball_json, "--check", "1.5", "--minimize"])
@@ -287,6 +297,14 @@ class TestHullCommand:
         shapes_a = [ln for ln in svg_a if "<circle" not in ln]
         assert shapes_a == [ln for ln in svg_b if "<circle" not in ln]
         assert set(ln for ln in svg_a if "<circle" in ln) <= set(svg_b)
+
+    def test_two_points_a_rounding_apart_give_their_midpoint(self, tmp_path):
+        body = _write_body(tmp_path, "pair.json",
+                           {"type": "hull", "points": [[0.3, -0.2], [0.3 + 1e-10, -0.2]]})
+        out = str(tmp_path / "hull.json")
+        assert main(["hull", "--body", body, "--radius", "1", "--out", out]) == 0
+        hull = json.loads(_read(out))
+        assert (hull["point"], hull["pieces"]) == ([0.30000000005, -0.2], [])
 
     def test_too_small_radius_exit_4(self, tmp_path, square_json):
         assert main(["hull", "--body", square_json, "--radius", "0.5"]) == 4
